@@ -10,6 +10,7 @@ from .linalg import dot
 from .measures import coefficient_of_asymmetry, volume_and_barycenter
 from .polytope import DualPair, restrict_to_subspace
 from .symmetry import (
+    FixedSpace,
     SymmetryGroup,
     automorphism_group,
     fixed_space,
@@ -22,6 +23,8 @@ class KEVerdict:
     barycenter: tuple
     is_symmetric: bool
     fixed_dim: int
+    fixed_dim_dual: int
+    fixed_basis: tuple     # primitive basis of the Fano-side fixed space
     alpha: Fraction
     lct: Fraction
     tian_holds: bool
@@ -39,16 +42,26 @@ def _p_side_group(dp, groups=None) -> SymmetryGroup:
     return groups[1]
 
 
-def max_pairing(dp: DualPair, g: SymmetryGroup):
-    """max{<w, v> : w in vert(P_G), v in vert(Q)} for a dual-side subgroup g."""
-    fs = fixed_space(g)
-    if fs.dim == 0:
+def _max_pairing(dp, fs_p: FixedSpace):
+    if fs_p.dim == 0:
         return Fraction(0)
-    if fs.dim == dp.p.dim:
+    if fs_p.dim == dp.p.dim:
         witnesses = dp.p.vertices
     else:
-        witnesses = restrict_to_subspace(dp.p, fs.basis).ambient_vertices()
+        witnesses = restrict_to_subspace(dp.p, fs_p.basis).ambient_vertices()
     return max(Fraction(dot(w, v)) for w in witnesses for v in dp.q.vertices)
+
+
+def _alpha(dp, fs_q: FixedSpace, fs_p: FixedSpace):
+    if fs_q.dim == 0:
+        return Fraction(1)
+    slice_p = restrict_to_subspace(dp.p, fs_p.basis)
+    return 1 / (1 + coefficient_of_asymmetry(slice_p))
+
+
+def max_pairing(dp: DualPair, g: SymmetryGroup):
+    """max{<w, v> : w in vert(P_G), v in vert(Q)} for a dual-side subgroup g."""
+    return _max_pairing(dp, fixed_space(g))
 
 
 def lct(dp: DualPair, g: SymmetryGroup = None, groups=None) -> Fraction:
@@ -66,12 +79,7 @@ def alpha_invariant(dp: DualPair, groups=None) -> Fraction:
     if groups is None:
         groups = automorphism_group(dp)
     gq, gp = groups
-    fs = fixed_space(gq)
-    if fs.dim == 0:
-        return Fraction(1)
-    fs_p = fixed_space(gp)
-    slice_p = restrict_to_subspace(dp.p, fs_p.basis)
-    return 1 / (1 + coefficient_of_asymmetry(slice_p))
+    return _alpha(dp, fixed_space(gq), fixed_space(gp))
 
 
 def tian_condition(dp: DualPair, g: SymmetryGroup = None, groups=None) -> bool:
@@ -87,19 +95,20 @@ def tian_condition(dp: DualPair, g: SymmetryGroup = None, groups=None) -> bool:
 
 
 def full_verdict(dp: DualPair, groups=None) -> KEVerdict:
-    """One-pass verdict record; the automorphism group is computed once."""
+    """One-pass verdict record; the groups and both fixed spaces are computed once."""
     if groups is None:
         groups = automorphism_group(dp)
     gq, gp = groups
+    fs_q, fs_p = fixed_space(gq), fixed_space(gp)
     _, bary = volume_and_barycenter(dp.p)
-    fs = fixed_space(gq)
-    symmetric = fs.dim == 0
     return KEVerdict(
         is_ke=all(b == 0 for b in bary),
         barycenter=bary,
-        is_symmetric=symmetric,
-        fixed_dim=fs.dim,
-        alpha=alpha_invariant(dp, groups=groups),
-        lct=lct(dp, groups=groups),
-        tian_holds=tian_condition(dp, groups=groups),
+        is_symmetric=fs_q.dim == 0,
+        fixed_dim=fs_q.dim,
+        fixed_dim_dual=fs_p.dim,
+        fixed_basis=fs_q.basis,
+        alpha=_alpha(dp, fs_q, fs_p),
+        lct=1 / (1 + _max_pairing(dp, fs_p)),
+        tian_holds=fs_p.dim == 0,
     )

@@ -25,7 +25,7 @@ from . import conjectures as conj
 from .criteria import full_verdict
 from .measures import ehrhart, fano_index, volume_and_barycenter
 from .polytope import dual, hull, is_smooth_fano
-from .symmetry import automorphism_group, fixed_space, vertex_sum
+from .symmetry import automorphism_group, vertex_sum
 
 
 class ParseError(Exception):
@@ -167,16 +167,15 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     groups = automorphism_group(dp)
     gq, gp = groups
     verdict = full_verdict(dp, groups=groups)
-    fs = fixed_space(gq)
     report["barycenter"] = fmt_vec(verdict.barycenter)
     report["is_ke"] = verdict.is_ke
     report["is_symmetric"] = verdict.is_symmetric
     report["group_order"] = gq.order
     report["group_order_dual"] = gp.order
     report["fixed_dim"] = verdict.fixed_dim
-    report["fixed_dim_dual"] = fixed_space(gp).dim
+    report["fixed_dim_dual"] = verdict.fixed_dim_dual
     report["fixed_generator"] = (
-        [int(x) for x in fs.basis[0]] if fs.dim == 1 else None
+        [int(x) for x in verdict.fixed_basis[0]] if verdict.fixed_dim == 1 else None
     )
     report["vertex_sum"] = [int(x) for x in vertex_sum(q)]
     report["alpha"] = fmt_rat(verdict.alpha)

@@ -25,28 +25,8 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
-
-
-def is_zero_vector(a):
-    return all(x == 0 for x in a)
-
-
-def content(v):
-    """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x) if isinstance(x, int) else abs(x.numerator))
-    return g
 
 
 def primitive(v):

@@ -308,25 +308,3 @@ def fano_index(p: LatticePolytope):
         for x in vec_sub(w, v0):
             g = gcd(g, abs(x))
     return g
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    volume: Fraction
-    barycenter: tuple
-    degree: Fraction       # n! * volume
-    boundary_relvol: Fraction
-    codim2_relvol: Fraction
-    fano_index: int
-
-
-def measure_report(p: LatticePolytope) -> MeasureReport:
-    vol, bary = volume_and_barycenter(p)
-    return MeasureReport(
-        volume=vol,
-        barycenter=bary,
-        degree=factorial(p.dim) * vol,
-        boundary_relvol=boundary_volume(p),
-        codim2_relvol=codim2_volume(p),
-        fano_index=fano_index(p),
-    )

@@ -143,8 +143,13 @@ def polytope_automorphisms(q: LatticePolytope, prune=True) -> SymmetryGroup:
 
 
 def transport_group(g: SymmetryGroup, polytope=None) -> SymmetryGroup:
-    """Inverse-transpose image of the group (the dual-side action)."""
-    elems = tuple(sorted(transpose(matrix_inverse_unimodular(a)) for a in g.elements))
+    """Dual-side action of the group, the set of inverse-transposes.
+
+    ``g.elements`` must be a group (closed under products and inverses).
+    Then {a^-T : a in G} = {b^T : b in G} with b = a^-1, so the image is
+    the set of transposes and no matrix is inverted.
+    """
+    elems = tuple(sorted(transpose(a) for a in g.elements))
     return SymmetryGroup(dim=g.dim, elements=elems, polytope=polytope)
 
 
@@ -156,18 +161,19 @@ def automorphism_group(dp: DualPair, prune=True):
 
 
 def fixed_space(g: SymmetryGroup) -> FixedSpace:
-    """Common fixed subspace, as a primitive integer basis."""
-    n = g.dim
-    rows = []
-    ident = identity(n)
-    for a in g.elements:
-        for ra, ri in zip(a, ident):
-            row = tuple(x - y for x, y in zip(ra, ri))
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return FixedSpace(dim=n, basis=tuple(identity(n)))
-    basis = kernel_basis(rows, ncols=n)
+    """Common fixed subspace, as a primitive integer basis.
+
+    ``g.elements`` must be a group (closed under products and inverses).
+    Then the Reynolds sum R = sum(a) - |G|*I has kernel Fix(G): Rx = 0 says
+    x is its own group average, which is fixed.  So R has the same row
+    space, hence the same RREF and basis, as all rows of every a - I.
+    """
+    n, order = g.dim, len(g.elements)
+    reynolds = [
+        [sum(a[i][j] for a in g.elements) - (order if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    basis = kernel_basis(reynolds)
     return FixedSpace(dim=len(basis), basis=tuple(basis))
 
 

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +168,12 @@ class TestScanEmit:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit([], "xml")
+
+
+class TestGoldenReport:
+    def test_corpus_report_bytes_unchanged(self, corpus_reports):
+        golden = Path(__file__).parent / "data" / "corpus_report.json"
+        assert emit(corpus_reports) == golden.read_bytes()
 
 
 class TestFixtureIntegrity:

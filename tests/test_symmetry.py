@@ -1,7 +1,22 @@
+from fractions import Fraction
+
+import pytest
+
 from toricfano import fixtures
-from toricfano.linalg import identity, mat_mul, mat_vec, matrix_inverse_unimodular, transpose
-from toricfano.polytope import dual
+from toricfano.criteria import lct, max_pairing
+from toricfano.linalg import (
+    dot,
+    identity,
+    kernel_basis,
+    mat_mul,
+    mat_vec,
+    matrix_inverse_unimodular,
+    transpose,
+)
+from toricfano.polytope import dual, restrict_to_subspace
 from toricfano.symmetry import (
+    FixedSpace,
+    SymmetryGroup,
     automorphism_group,
     fixed_space,
     is_symmetric,
@@ -10,6 +25,55 @@ from toricfano.symmetry import (
     trivial_group,
     vertex_sum,
 )
+
+
+# Differential oracles: the direct forms that transport_group and
+# fixed_space replace by algebraic identities.  Slow on large groups.
+
+def inverse_transpose_oracle(g):
+    return tuple(sorted(transpose(matrix_inverse_unimodular(a)) for a in g.elements))
+
+
+def stacked_fixed_space_oracle(g):
+    """Kernel of every row of every a - I, stacked (n * |G| rows)."""
+    n = g.dim
+    rows = []
+    for a in g.elements:
+        for ra, ri in zip(a, identity(n)):
+            row = tuple(x - y for x, y in zip(ra, ri))
+            if any(row):
+                rows.append(row)
+    if not rows:
+        return FixedSpace(dim=n, basis=tuple(identity(n)))
+    basis = kernel_basis(rows, ncols=n)
+    return FixedSpace(dim=len(basis), basis=tuple(basis))
+
+
+def cyclic_subgroup(g, a):
+    elems = {identity(g.dim)}
+    x = a
+    while x not in elems:
+        elems.add(x)
+        x = mat_mul(x, a)
+    return SymmetryGroup(dim=g.dim, elements=tuple(sorted(elems)), polytope=g.polytope)
+
+
+def smallest_cyclic_subgroup(g):
+    """A cyclic subgroup of least order above 1."""
+    ident = identity(g.dim)
+    return min(
+        (cyclic_subgroup(g, a) for a in g.elements if a != ident),
+        key=lambda c: (c.order, c.elements),
+    )
+
+
+PAIRS = ["p2_pair", "p3_pair", "cross2_pair", "cross3_pair", "hexagon_pair", "cx5_pair"]
+
+
+def groups_of(request, name):
+    if name == "q1_pair":
+        return request.getfixturevalue("q1_groups")
+    return automorphism_group(request.getfixturevalue(name))
 
 
 def test_cross_polytope_order_8():
@@ -110,3 +174,40 @@ def test_vertex_sum_fixed_by_group():
     s = vertex_sum(q)
     for a in g.elements:
         assert mat_vec(a, s) == s
+
+
+@pytest.mark.parametrize("name", PAIRS + ["q1_pair"])
+def test_transport_matches_inverse_transpose_oracle(request, name):
+    gq, gp = groups_of(request, name)
+    assert gp.elements == inverse_transpose_oracle(gq)
+    assert transport_group(gp).elements == gq.elements
+
+
+@pytest.mark.parametrize("name", PAIRS + ["q1_pair"])
+def test_fixed_space_matches_stacked_oracle(request, name):
+    gq, gp = groups_of(request, name)
+    for g in (gq, gp, trivial_group(gq.dim), smallest_cyclic_subgroup(gp)):
+        fs, oracle = fixed_space(g), stacked_fixed_space_oracle(g)
+        assert (fs.dim, fs.basis) == (oracle.dim, oracle.basis)
+
+
+@pytest.mark.parametrize("name", PAIRS + ["q1_pair"])
+def test_lct_on_cyclic_subgroup(request, name):
+    dp = request.getfixturevalue(name)
+    _, gp = groups_of(request, name)
+    c = smallest_cyclic_subgroup(gp)
+    assert 1 < c.order < gp.order
+    fs = stacked_fixed_space_oracle(c)
+    if fs.dim == 0:
+        expected = Fraction(0)
+    else:
+        witnesses = (
+            dp.p.vertices if fs.dim == dp.p.dim
+            else restrict_to_subspace(dp.p, fs.basis).ambient_vertices()
+        )
+        expected = max(Fraction(dot(w, v)) for w in witnesses for v in dp.q.vertices)
+    assert max_pairing(dp, c) == expected
+    assert lct(dp, g=c) == 1 / (1 + expected)
+    # a larger group fixes less, so its slice and pairing shrink
+    assert lct(dp, g=trivial_group(dp.p.dim, dp.p)) <= lct(dp, g=c) <= lct(dp, g=gp)
+
