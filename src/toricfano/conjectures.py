@@ -7,6 +7,7 @@ be recomputed from the record.
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from .linalg import dot
@@ -157,18 +158,8 @@ def _interior_lattice_points(p):
     n = p.dim
     los = [min(v[j] for v in p.vertices) for j in range(n)]
     his = [max(v[j] for v in p.vertices) for j in range(n)]
-    pts = []
-
-    def rec(j, point):
-        if j == n:
-            if all(dot(f.normal, point) > f.rhs for f in p.facets):
-                pts.append(point)
-            return
-        for x in range(los[j], his[j] + 1):
-            rec(j + 1, point + (x,))
-
-    rec(0, ())
-    return pts
+    box = product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+    return [x for x in box if all(dot(f.normal, x) > f.rhs for f in p.facets)]
 
 
 def check_bishop(dp: DualPair) -> BishopRecord:

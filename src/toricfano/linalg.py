@@ -110,6 +110,32 @@ def _det_bareiss(a):
     return sign * a[n - 1][n - 1]
 
 
+def adjugate(m):
+    """(det(m), adj(m)) of a square integer matrix, with adj(m).m = det(m).I.
+
+    Fraction-free Gauss-Jordan (Bareiss-Montante) on [m | I]: every division
+    is exact, the left block ends as +-det(m).I and the right block as the
+    same multiple of m^-1.
+    """
+    n = len(m)
+    a = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(m)]
+    sign = prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if i is None:
+                raise SingularMatrixError("matrix is singular")
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                aik = a[i][k]
+                a[i] = [(pivot * x - aik * y) // prev for x, y in zip(a[i], row_k)]
+        prev = pivot
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
 def _det_rational(a):
     n = len(a)
     sign = 1
@@ -208,53 +234,6 @@ def kernel_basis(m, ncols=None):
     return basis
 
 
-def hermite_normal_form(m):
-    """Row-style Hermite normal form H = U.m with U unimodular.
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot).
-    Returns (H, U).
-    """
-    rows = [list(r) for r in m]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    u = [list(r) for r in identity(nr)]
-    r = 0
-    for c in range(nc):
-        # clear below position (r, c) with Euclidean row operations
-        while True:
-            nz = [i for i in range(r, nr) if rows[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(rows[i][c]))
-            if i0 != r:
-                rows[r], rows[i0] = rows[i0], rows[r]
-                u[r], u[i0] = u[i0], u[r]
-            if rows[r][c] < 0:
-                rows[r] = [-x for x in rows[r]]
-                u[r] = [-x for x in u[r]]
-            done = True
-            for i in range(r + 1, nr):
-                if rows[i][c] != 0:
-                    q = rows[i][c] // rows[r][c]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                    if rows[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < nr and rows[r][c] != 0:
-            for i in range(r):
-                q = rows[i][c] // rows[r][c]
-                if q != 0:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-            r += 1
-            if r == nr:
-                break
-    h = tuple(tuple(row) for row in rows)
-    return h, tuple(tuple(row) for row in u)
-
-
 def smith_normal_form(m):
     """Smith normal form S = U.m.V with U, V unimodular.
 
@@ -342,14 +321,6 @@ def smith_normal_form(m):
         t += 1
     s = tuple(tuple(row) for row in a)
     return s, tuple(tuple(row) for row in u), tuple(tuple(row) for row in v)
-
-
-def hermite_smith(m):
-    """Both normal forms with their transforms.
-
-    Returns ((H, U_h), (S, U_s, V_s)).
-    """
-    return hermite_normal_form(m), smith_normal_form(m)
 
 
 def saturated_kernel(m):

@@ -17,6 +17,10 @@ class PivotLimitExceeded(Exception):
     pass
 
 
+class SimplexInvariantError(Exception):
+    """The solver broke one of its own invariants; a bug, not bad input."""
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """max/min of objective.x subject to <a, x> <= b per constraint."""
@@ -140,8 +144,8 @@ def _solve_standard(constraints, objective, sense):
         for c in art_cols:
             phase1[c] = Fraction(1)
         t.set_objective(phase1)
-        status = t.optimize(allowed)
-        assert status == "optimal"  # phase 1 is bounded below by 0
+        if t.optimize(allowed) != "optimal":
+            raise SimplexInvariantError("phase 1 is bounded below by 0 yet came out unbounded")
         if -t.cost_rhs > 0:
             return LPResult(status="infeasible", farkas=_extract_farkas(t, constraints, n, m))
         # drive any artificial out of the basis, then freeze those columns
@@ -190,7 +194,7 @@ def _extract_farkas(t, constraints, n, m):
         total += yi * b
     ok = ok and all(c == 0 for c in comb) and total < 0
     if not ok:
-        raise AssertionError("failed to certify infeasibility")
+        raise SimplexInvariantError("failed to certify infeasibility")
     return tuple(y)
 
 

@@ -8,6 +8,7 @@ affine lattice = 1), the convention compatible with Ehrhart coefficients.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial, gcd
 
 from .linalg import (
@@ -149,37 +150,41 @@ def count_lattice_points(p: LatticePolytope, k=1):
             return 0
         systems[d - 1] = cons
 
-    def bounds(cons, prefix):
-        lo, hi = None, None
-        for a, b in cons:
-            c = a[-1]
-            rest = b - sum(aj * xj for aj, xj in zip(a, prefix))
-            if c > 0:
-                val = Fraction(rest, c)
-                if hi is None or val < hi:
-                    hi = val
-            elif c < 0:
-                val = Fraction(rest, c)
-                if lo is None or val > lo:
-                    lo = val
-        return lo, hi
+    return _count_level(systems, 0, ())
 
-    def count_level(d, prefix):
-        lo, hi = bounds(systems[d], prefix)
-        if lo is None or hi is None:
-            raise MeasureError("unbounded slice; input is not a polytope")
-        ilo = -((-lo.numerator) // lo.denominator)  # ceil
-        ihi = hi.numerator // hi.denominator        # floor
-        if ihi < ilo:
-            return 0
-        if d == n - 1:
-            return ihi - ilo + 1
-        total = 0
-        for x in range(ilo, ihi + 1):
-            total += count_level(d + 1, prefix + (x,))
-        return total
 
-    return count_level(0, ())
+def _slice_bounds(cons, prefix):
+    """Rational range of the next coordinate given the fixed ``prefix``."""
+    lo, hi = None, None
+    for a, b in cons:
+        c = a[-1]
+        rest = b - sum(aj * xj for aj, xj in zip(a, prefix))
+        if c > 0:
+            val = Fraction(rest, c)
+            if hi is None or val < hi:
+                hi = val
+        elif c < 0:
+            val = Fraction(rest, c)
+            if lo is None or val > lo:
+                lo = val
+    return lo, hi
+
+
+def _count_level(systems, d, prefix):
+    """Lattice points whose first d coordinates are ``prefix``."""
+    lo, hi = _slice_bounds(systems[d], prefix)
+    if lo is None or hi is None:
+        raise MeasureError("unbounded slice; input is not a polytope")
+    ilo = -((-lo.numerator) // lo.denominator)  # ceil
+    ihi = hi.numerator // hi.denominator        # floor
+    if ihi < ilo:
+        return 0
+    if d == len(systems) - 1:
+        return ihi - ilo + 1
+    total = 0
+    for x in range(ilo, ihi + 1):
+        total += _count_level(systems, d + 1, prefix + (x,))
+    return total
 
 
 def count_lattice_points_bruteforce(p: LatticePolytope, k=1):
@@ -187,19 +192,8 @@ def count_lattice_points_bruteforce(p: LatticePolytope, k=1):
     n = p.dim
     los = [min(v[j] for v in p.vertices) * k for j in range(n)]
     his = [max(v[j] for v in p.vertices) * k for j in range(n)]
-    count = 0
-
-    def rec(j, point):
-        nonlocal count
-        if j == n:
-            if all(dot(f.normal, point) >= k * f.rhs for f in p.facets):
-                count += 1
-            return
-        for x in range(los[j], his[j] + 1):
-            rec(j + 1, point + (x,))
-
-    rec(0, ())
-    return count
+    box = product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+    return sum(all(dot(f.normal, x) >= k * f.rhs for f in p.facets) for x in box)
 
 
 def ehrhart(p: LatticePolytope) -> EhrhartPolynomial:
@@ -229,7 +223,8 @@ def relative_volume(face_vertices):
         return volume(hull(vs))
     normals = kernel_basis(diffs, ncols=n)
     lattice_basis = saturated_kernel(normals)
-    assert len(lattice_basis) == d
+    if len(lattice_basis) != d:
+        raise MeasureError("induced lattice rank differs from the face dimension")
     cols = list(zip(*lattice_basis))  # n x d
     coords = []
     for diff in diffs:
@@ -244,7 +239,8 @@ def relative_volume(face_vertices):
             if len(sub_rows) == d:
                 break
         c = solve_exact(sub_rows, sub_rhs)
-        assert all(x.denominator == 1 for x in c)
+        if any(x.denominator != 1 for x in c):
+            raise MeasureError("face vertex is not in the induced lattice")
         coords.append(tuple(int(x) for x in c))
     coords.append((0,) * d)
     return volume(hull(coords))

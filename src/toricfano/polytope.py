@@ -13,10 +13,10 @@ from itertools import combinations
 from math import gcd
 
 from .linalg import (
+    adjugate,
     det,
     dot,
     kernel_basis,
-    primitive,
     rank,
     solve_exact,
     vec_sub,
@@ -91,8 +91,18 @@ def assemble(vertices, halfspaces):
 def hull(points):
     """Convex hull of integer points: irredundant vertices, facets, incidence.
 
-    Exhaustive search over supporting hyperplanes spanned by point subsets;
-    exact, order-insensitive, and robust to redundant input points.
+    Facet-to-facet gift wrapping (Chand-Kapur 1970; Swart 1985) over ``int``.
+    The supporting hyperplane ``x_0 >= min`` is pivoted about its face until
+    that face is a facet; then each ridge of each facet found is pivoted to
+    the neighbouring facet, until no new facet turns up.  A pivot scans the
+    m points once, so on a simplicial polytope the cost is about
+    O(#facets * n * m).  The ridges of a simplicial facet are its drop-one
+    subsets, and one fraction-free adjugate gives all their in-facet normals.
+    A non-simplicial facet is projected along a coordinate its normal does
+    not vanish on, and its ridges are the facets of that projection, found
+    by the same wrapping one dimension down.  A point is a vertex exactly
+    when the facets through it meet in that point alone.  Exact,
+    order-insensitive, and robust to redundant input points.
     """
     pts = sorted(set(tuple(int(x) for x in p) for p in points))
     if not pts:
@@ -105,33 +115,99 @@ def hull(points):
     if rank(diffs) < n:
         raise DimensionDeficiencyError("points do not affinely span the space")
 
-    seen = {}
-    for idx in combinations(range(len(pts)), n):
-        rows = [vec_sub(pts[i], pts[idx[0]]) for i in idx[1:]]
-        ker = kernel_basis(rows, ncols=n) if rows else kernel_basis([], ncols=n)
-        if len(ker) != 1:
-            continue
-        u = ker[0]
-        b = dot(u, pts[idx[0]])
-        key = (u, b)
-        if key in seen or (tuple(-x for x in u), -b) in seen:
-            continue
-        vals = [dot(u, p) for p in pts]
-        lo, hi = min(vals), max(vals)
-        if lo == b and hi > b:
-            seen[(u, b)] = frozenset(i for i, v in enumerate(vals) if v == b)
-        elif hi == b and lo < b:
-            u2 = tuple(-x for x in u)
-            seen[(u2, -b)] = frozenset(i for i, v in enumerate(vals) if v == b)
-
-    # vertices: points whose incident facet normals span the whole space
-    incident = {i: [] for i in range(len(pts))}
-    for (u, b), inc in seen.items():
+    facets = _wrap(pts)
+    face_of = [None] * len(pts)    # smallest face through each point
+    for inc in facets.values():
         for i in inc:
-            incident[i].append(u)
-    vert_idx = [i for i in range(len(pts)) if len(incident[i]) >= n and rank(incident[i]) == n]
-    verts = [pts[i] for i in vert_idx]
-    return assemble(verts, [(u, b) for (u, b) in seen])
+            face_of[i] = inc if face_of[i] is None else face_of[i] & inc
+    verts = [p for p, face in zip(pts, face_of) if face is not None and len(face) == 1]
+    return assemble(verts, list(facets))
+
+
+def _wrap(pts):
+    """Facets of the hull of distinct, affinely spanning points.
+
+    Returns {(primitive inward normal u, rhs b): frozenset of the indices of
+    the points with <u, p> = b}.
+    """
+    n = len(pts[0])
+    if n == 1:
+        lo = min(range(len(pts)), key=pts.__getitem__)
+        hi = max(range(len(pts)), key=pts.__getitem__)
+        return {((1,), pts[lo][0]): frozenset((lo,)), ((-1,), -pts[hi][0]): frozenset((hi,))}
+    u = (1,) + (0,) * (n - 1)
+    face = _incident(pts, u, min(p[0] for p in pts))
+    while True:
+        # a normal w to the face inside the hyperplane exists until the face is a facet
+        idx = sorted(face)
+        r0 = pts[idx[0]]
+        ker = kernel_basis([vec_sub(pts[i], r0) for i in idx[1:]] + [u])
+        if not ker:
+            break
+        u, b = _pivot(pts, u, ker[0], r0)
+        face = _incident(pts, u, b)
+    facets = {(u, dot(u, r0)): face}
+    todo = list(facets.items())
+    while todo:
+        (u, _), face = todo.pop()
+        for r0, w in _ridges(pts, u, face):
+            key = _pivot(pts, u, w, r0)
+            if key not in facets:
+                facets[key] = _incident(pts, *key)
+                todo.append((key, facets[key]))
+    return facets
+
+
+def _incident(pts, u, b):
+    return frozenset(i for i, p in enumerate(pts) if dot(u, p) == b)
+
+
+def _ridges(pts, u, face):
+    """(point r0 on the ridge, w) for each ridge of the facet with normal u.
+
+    ``w`` vanishes on the ridge's directions and is positive on the rest of
+    the facet, so u and w span the normals of the hyperplanes through it.
+    """
+    idx = sorted(face)
+    n = len(u)
+    if len(idx) == n:
+        # rows f_i - f_0 and u: column i-1 of the adjugate is zero on every
+        # row but f_i - f_0, where it is the determinant
+        f0 = pts[idx[0]]
+        d, adj = adjugate([vec_sub(pts[i], f0) for i in idx[1:]] + [u])
+        sign = 1 if d > 0 else -1
+        ws = [tuple(sign * x for x in col) for col in list(zip(*adj))[:-1]]
+        out = [(f0, w) for w in ws]
+        out.append((pts[idx[1]], tuple(-sum(c) for c in zip(*ws))))
+        return out
+    # drop a coordinate k with u_k != 0: injective on the facet's hyperplane
+    k = next(j for j, x in enumerate(u) if x)
+    sub = _wrap([pts[i][:k] + pts[i][k + 1:] for i in idx])
+    return [(pts[idx[min(inc)]], v[:k] + (0,) + v[k:]) for (v, _), inc in sub.items()]
+
+
+def _pivot(pts, u, w, r0):
+    """Tilt the hyperplane <u, x> = <u, r0> about its flat where w is constant.
+
+    Every point must have s = <u, p - r0> >= 0, and t = <w, p - r0> >= 0
+    where s = 0.  The hyperplane stops at the point p* with the smallest
+    t/s over s > 0; the result (u', <u', r0>) has u' = s* w - t* u divided
+    by its (positive) gcd, so it keeps pointing into the hull.
+    """
+    best_s = best_t = 0
+    for p in pts:
+        diff = vec_sub(p, r0)
+        s = dot(u, diff)
+        if s > 0:
+            t = dot(w, diff)
+            if best_s == 0 or t * best_s < best_t * s:
+                best_s, best_t = s, t
+    normal = [best_s * x - best_t * y for x, y in zip(w, u)]
+    g = 0
+    for x in normal:
+        g = gcd(g, x)
+    normal = tuple(x // g for x in normal)
+    return normal, dot(normal, r0)
 
 
 def is_smooth_fano(p: LatticePolytope):
@@ -326,23 +402,24 @@ def pulling_triangulation(p: LatticePolytope):
     """
     children, dims = face_children(p)
     cache = {}
-
-    def pull(s):
-        if s in cache:
-            return cache[s]
-        if len(s) == dims[s] + 1:
-            result = [tuple(sorted(s))]
-        else:
-            w = min(s)
-            result = []
-            for c in children[s]:
-                if w not in c:
-                    for t in pull(c):
-                        result.append((w,) + t)
-        cache[s] = result
-        return result
-
     simplices = []
     for f in p.facets:
-        simplices.extend(pull(f.vertex_indices))
+        simplices.extend(_pull(f.vertex_indices, children, dims, cache))
     return simplices
+
+
+def _pull(s, children, dims, cache):
+    """Pulling triangulation of face ``s`` from its smallest vertex index."""
+    if s in cache:
+        return cache[s]
+    if len(s) == dims[s] + 1:
+        result = [tuple(sorted(s))]
+    else:
+        w = min(s)
+        result = []
+        for c in children[s]:
+            if w not in c:
+                for t in _pull(c, children, dims, cache):
+                    result.append((w,) + t)
+    cache[s] = result
+    return result

@@ -8,7 +8,6 @@ and pairwise common-facet counts.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .linalg import (
     dot,
@@ -33,30 +32,6 @@ class SymmetryGroup:
     @property
     def order(self):
         return len(self.elements)
-
-    @cached_property
-    def generators(self):
-        """A small generating sublist, found greedily by orbit closure."""
-        gens = []
-        known = {identity(self.dim)}
-        for el in self.elements:
-            if el in known:
-                continue
-            gens.append(el)
-            frontier = list(known | {el})
-            known.add(el)
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for g in gens:
-                        prod = mat_mul(a, g)
-                        if prod not in known:
-                            known.add(prod)
-                            nxt.append(prod)
-                frontier = nxt
-            if len(known) == len(self.elements):
-                break
-        return tuple(gens) if gens else (identity(self.dim),)
 
 
 @dataclass(frozen=True)
@@ -100,46 +75,42 @@ def polytope_automorphisms(q: LatticePolytope, prune=True) -> SymmetryGroup:
     b0_inv = matrix_inverse_unimodular(b0)
 
     vertex_set = set(verts)
+    invariants = (profiles, common) if prune else None
     found = set()
-
-    def accept(assignment):
-        w = transpose([verts[i] for i in assignment])
-        a = mat_mul(w, b0_inv)
-        for v in verts:
-            if mat_vec(a, v) not in vertex_set:
-                return
-        found.add(a)
-
     for facet in facets:
         targets = sorted(facet.vertex_indices)
-        assignment = []
-        used = set()
-
-        def backtrack(pos):
-            if pos == n:
-                accept(assignment)
-                return
-            src = base[pos]
-            for t in targets:
-                if t in used:
-                    continue
-                if prune:
-                    if profiles[t] != profiles[src]:
-                        continue
-                    if any(
-                        common[t][assignment[j]] != common[src][base[j]]
-                        for j in range(pos)
-                    ):
-                        continue
-                assignment.append(t)
-                used.add(t)
-                backtrack(pos + 1)
-                assignment.pop()
-                used.discard(t)
-
-        backtrack(0)
+        for assignment in _assignments(base, targets, [], invariants):
+            w = transpose([verts[i] for i in assignment])
+            a = mat_mul(w, b0_inv)
+            if all(mat_vec(a, v) in vertex_set for v in verts):
+                found.add(a)
 
     return SymmetryGroup(dim=n, elements=tuple(sorted(found)), polytope=q)
+
+
+def _assignments(base, targets, assignment, invariants):
+    """Each ordered choice of distinct targets for ``base`` extending ``assignment``.
+
+    ``invariants`` is None or (profiles, common): then a target must match
+    its source's facet-value profile and common-facet counts.
+    """
+    pos = len(assignment)
+    if pos == len(base):
+        yield assignment
+        return
+    src = base[pos]
+    for t in targets:
+        if t in assignment:
+            continue
+        if invariants is not None:
+            profiles, common = invariants
+            if profiles[t] != profiles[src]:
+                continue
+            if any(common[t][assignment[j]] != common[src][base[j]] for j in range(pos)):
+                continue
+        assignment.append(t)
+        yield from _assignments(base, targets, assignment, invariants)
+        assignment.pop()
 
 
 def transport_group(g: SymmetryGroup, polytope=None) -> SymmetryGroup:

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import types
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +20,8 @@ from toricfano.io import (
     parse,
     scan,
 )
+from toricfano.measures import volume_and_barycenter
+from toricfano.polytope import face_children, pulling_triangulation
 
 GOOD = """\
 # two entries, with comments and blank lines
@@ -124,6 +128,32 @@ class TestAnalyze:
         entry = parse(GOOD).entry("plane")
         r = analyze_entry(entry, ScanOptions(timing=True))
         assert isinstance(r["seconds"], float)
+
+
+class TestNoReferenceCycles:
+    def test_entry_leaves_no_function_garbage(self):
+        # hexagon (+) P3, the free sum of two small smooth Fano polytopes
+        rows = [v + (0, 0, 0) for v in fixtures.HEXAGON_VERTICES]
+        rows += [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, -1, -1, -1)]
+        for cached in (volume_and_barycenter, pulling_triangulation, face_children):
+            cached.cache_clear()
+        gc.collect()
+        gc.garbage.clear()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            analyze_entry(("hex+p3", 5, tuple(rows)), ScanOptions(conjectures=True))
+            gc.collect()
+            leaked = [
+                f"{o.__module__}.{o.__qualname__}"
+                for o in gc.garbage
+                if isinstance(o, types.FunctionType) and o.__module__.startswith("toricfano")
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
 
 
 class TestScanEmit:

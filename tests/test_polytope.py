@@ -1,13 +1,25 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfano import fixtures
+from toricfano.linalg import (
+    dot,
+    identity,
+    kernel_basis,
+    mat_vec,
+    matrix_inverse_unimodular,
+    rank,
+    transpose,
+    vec_sub,
+)
 from toricfano.polytope import (
     DimensionDeficiencyError,
     PolytopeError,
+    assemble,
     direct_product,
     dual,
     faces_codim2,
@@ -17,6 +29,135 @@ from toricfano.polytope import (
     restrict_to_subspace,
     segment,
 )
+
+
+def _hull_exhaustive(points):
+    """Oracle hull: every n-subset of points that spans a supporting hyperplane.
+
+    Exponential in the point count; exact, order-insensitive, and robust to
+    redundant input points.
+    """
+    pts = sorted(set(tuple(int(x) for x in p) for p in points))
+    if not pts:
+        raise DimensionDeficiencyError("no input points")
+    n = len(pts[0])
+    if len(pts) < n + 1:
+        raise DimensionDeficiencyError("too few points to span the space")
+    base = pts[0]
+    diffs = [vec_sub(p, base) for p in pts[1:]]
+    if rank(diffs) < n:
+        raise DimensionDeficiencyError("points do not affinely span the space")
+
+    seen = {}
+    for idx in combinations(range(len(pts)), n):
+        rows = [vec_sub(pts[i], pts[idx[0]]) for i in idx[1:]]
+        ker = kernel_basis(rows, ncols=n)
+        if len(ker) != 1:
+            continue
+        u = ker[0]
+        b = dot(u, pts[idx[0]])
+        key = (u, b)
+        if key in seen or (tuple(-x for x in u), -b) in seen:
+            continue
+        vals = [dot(u, p) for p in pts]
+        lo, hi = min(vals), max(vals)
+        if lo == b and hi > b:
+            seen[(u, b)] = frozenset(i for i, v in enumerate(vals) if v == b)
+        elif hi == b and lo < b:
+            u2 = tuple(-x for x in u)
+            seen[(u2, -b)] = frozenset(i for i, v in enumerate(vals) if v == b)
+
+    # vertices: points whose incident facet normals span the whole space
+    incident = {i: [] for i in range(len(pts))}
+    for (u, b), inc in seen.items():
+        for i in inc:
+            incident[i].append(u)
+    vert_idx = [i for i in range(len(pts)) if len(incident[i]) >= n and rank(incident[i]) == n]
+    verts = [pts[i] for i in vert_idx]
+    return assemble(verts, [(u, b) for (u, b) in seen])
+
+
+@st.composite
+def point_sets(draw, dims=(1, 4)):
+    """Integer point sets with interior points, edge midpoints and a crowded wall.
+
+    Coordinates are doubled so that midpoints stay integral; the extra points
+    on the hyperplane x_0 = -4 make facets with more than n points.
+    """
+    n = draw(st.integers(*dims))
+    coords = st.tuples(*[st.integers(-2, 2)] * n)
+    raw = draw(st.lists(coords, min_size=n + 1, max_size=n + 4))
+    pts = [tuple(2 * x for x in p) for p in raw]
+    index = st.integers(0, len(pts) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=3))
+    pts += [tuple((x + y) // 2 for x, y in zip(pts[i], pts[j])) for i, j in pairs]
+    wall = draw(st.lists(coords, max_size=3))
+    pts += [(-4,) + tuple(2 * x for x in p[1:]) for p in wall]
+    return pts
+
+
+ORACLE_FIXTURES = [
+    *[(f"p{n}", lambda n=n: fixtures.simplex_fano(n)) for n in range(1, 5)],
+    *[(f"cross{n}", lambda n=n: fixtures.cross_polytope(n)) for n in range(2, 5)],
+    *[(f"cube{n}", lambda n=n: fixtures.cube(n)) for n in range(2, 5)],
+    ("hexagon", fixtures.hexagon),
+    ("cx5", fixtures.cx5),
+    ("q1", fixtures.q1),
+]
+
+
+class TestHullOracle:
+    @pytest.mark.parametrize("make", [m for _, m in ORACLE_FIXTURES],
+                             ids=[name for name, _ in ORACLE_FIXTURES])
+    def test_fixture_matches_exhaustive(self, make):
+        p = make()
+        assert hull(p.vertices) == _hull_exhaustive(p.vertices)
+
+    def test_redundant_points_match_exhaustive(self):
+        # cube3 plus its centre, face centres and edge midpoints, doubled
+        pts = [tuple(2 * x for x in v) for v in fixtures.cube(3).vertices]
+        pts += [tuple((x + y) // 2 for x, y in zip(a, b)) for a, b in combinations(pts, 2)]
+        p = hull(pts)
+        assert p == _hull_exhaustive(pts)
+        assert p.vertices == tuple(tuple(2 * x for x in v) for v in fixtures.cube(3).vertices)
+
+    @given(point_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exhaustive(self, pts):
+        try:
+            expected = _hull_exhaustive(pts)
+        except DimensionDeficiencyError:
+            with pytest.raises(DimensionDeficiencyError):
+                hull(pts)
+            return
+        assert hull(pts) == expected
+
+    @given(point_sets(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_unimodular_image(self, pts, rng):
+        try:
+            p = hull(pts)
+        except DimensionDeficiencyError:
+            return
+        n = p.dim
+        u = [list(row) for row in identity(n)]
+        for _ in range(3 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                k = rng.choice((-2, -1, 1, 2))
+                u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+            else:
+                u[i] = [-x for x in u[i]]
+            if rng.random() < 0.5:
+                u[i], u[j] = u[j], u[i]
+        images = [mat_vec(u, x) for x in pts]
+        rng.shuffle(images)
+        q = hull(images)
+        dual_map = transpose(matrix_inverse_unimodular(u))
+        assert {(mat_vec(dual_map, f.normal), f.rhs) for f in p.facets} == {
+            (f.normal, f.rhs) for f in q.facets
+        }
+        assert sorted(mat_vec(u, v) for v in p.vertices) == list(q.vertices)
 
 
 class TestHull:

@@ -1,0 +1,26 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import toricfano
+
+SOURCES = sorted(Path(toricfano.__file__).parent.glob("*.py"))
+
+
+def test_sources_found():
+    assert any(path.name == "polytope.py" for path in SOURCES)
+
+
+def test_no_assert_invariants():
+    """Runtime invariants raise named exceptions, so ``python -O`` keeps them."""
+    offenders = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}: assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    offenders.append(f"{path.name}:{node.lineno}: raise AssertionError")
+    assert offenders == []

@@ -103,23 +103,6 @@ def test_closure_and_inverses():
             assert mat_mul(a, b) in elems
 
 
-def test_generators_generate():
-    g = polytope_automorphisms(fixtures.cross_polytope(2))
-    gens = g.generators
-    known = {identity(2)}
-    frontier = [identity(2)]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for gen in gens:
-                prod = mat_mul(a, gen)
-                if prod not in known:
-                    known.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    assert known == set(g.elements)
-
-
 def test_elements_permute_vertices():
     q = fixtures.hexagon()
     g = polytope_automorphisms(q)
