@@ -7,13 +7,12 @@ be recomputed from the record.
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import factorial
 
-from .linalg import dot
 from .lp import feasible_point
 from .measures import (
     codim2_volume,
+    count_integer_points,
     ehrhart,
     fano_index,
     volume_and_barycenter,
@@ -127,14 +126,15 @@ def check_ehrhart_bound(dp: DualPair, interior_check_max_dim=5) -> EhrhartBoundR
     """vol(P) against (n+1)^n/n! and the weaker closed-form bound.
 
     P is reflexive by construction, so the origin is its only interior
-    lattice point; in small dimensions this is re-verified by enumeration.
+    lattice point; in small dimensions this is re-verified by counting the
+    lattice points of the strict system <u, x> >= rhs + 1.
     """
     p = dp.p
     n = p.dim
     checked = False
     if n <= interior_check_max_dim:
-        interior = _interior_lattice_points(p)
-        if interior != [(0,) * n]:
+        strict = [(f.normal, f.rhs + 1) for f in p.facets]
+        if count_integer_points(strict) != 1 or not p.contains_origin_interior():
             raise ValueError("origin is not the unique interior lattice point")
         checked = True
     vol, _ = volume_and_barycenter(p)
@@ -151,15 +151,6 @@ def check_ehrhart_bound(dp: DualPair, interior_check_max_dim=5) -> EhrhartBoundR
         known_bound_holds=vol <= known,
         interior_point_checked=checked,
     )
-
-
-def _interior_lattice_points(p):
-    """All strictly interior lattice points (small dimensions)."""
-    n = p.dim
-    los = [min(v[j] for v in p.vertices) for j in range(n)]
-    his = [max(v[j] for v in p.vertices) for j in range(n)]
-    box = product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
-    return [x for x in box if all(dot(f.normal, x) > f.rhs for f in p.facets)]
 
 
 def check_bishop(dp: DualPair) -> BishopRecord:

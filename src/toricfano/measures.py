@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, gcd
+from operator import mul
 
 from .linalg import (
     det,
@@ -130,60 +131,74 @@ def _fm_eliminate(cons):
 
 
 def count_lattice_points(p: LatticePolytope, k=1):
-    """Exact number of lattice points in the k-th dilate.
-
-    Coordinate-recursive slicing: successive exact eliminations give the
-    integer range of each coordinate given the previous ones.
-    """
+    """Exact number of lattice points in the k-th dilate."""
     if k < 1:
         raise MeasureError("dilation factor must be a positive integer")
-    n = p.dim
-    if n == 0:
+    if p.dim == 0:
         return 1
-    # <u, x> >= k*rhs  as  <-u, x> <= -k*rhs
+    return count_integer_points([(f.normal, k * f.rhs) for f in p.facets])
+
+
+def count_integer_points(halfspaces):
+    """Number of integer x with <u, x> >= b for every (u, b) in ``halfspaces``.
+
+    Coordinate-recursive slicing: successive exact eliminations give the
+    integer range of each coordinate given the previous ones.  The system
+    must describe a bounded set.
+    """
+    n = len(halfspaces[0][0])
+    # <u, x> >= b  as  <-u, x> <= -b
+    cons = [(tuple(-x for x in u), -b) for u, b in halfspaces]
     systems = [None] * n
-    cons = [(tuple(-x for x in f.normal), -k * f.rhs) for f in p.facets]
     systems[n - 1] = cons
     for d in range(n - 1, 0, -1):
         cons = _fm_eliminate(cons)
         if cons is None:
             return 0
         systems[d - 1] = cons
+    return _count_level(systems, 0, (), [b for _, b in systems[0]])
 
-    return _count_level(systems, 0, ())
 
+def _slice_bounds(cons, rests):
+    """Integer range of the next coordinate over a fixed prefix.
 
-def _slice_bounds(cons, prefix):
-    """Rational range of the next coordinate given the fixed ``prefix``."""
+    ``rests`` holds b - <a, prefix> for each constraint <a, x> <= b; with c
+    the last coefficient, the coordinate is at most rest / c for c > 0 and
+    at least rest / c for c < 0, and floor and ceiling are exact integer
+    divisions.
+    """
     lo, hi = None, None
-    for a, b in cons:
+    for (a, _), rest in zip(cons, rests):
         c = a[-1]
-        rest = b - sum(aj * xj for aj, xj in zip(a, prefix))
         if c > 0:
-            val = Fraction(rest, c)
+            val = rest // c
             if hi is None or val < hi:
                 hi = val
         elif c < 0:
-            val = Fraction(rest, c)
+            val = -(-rest // c)
             if lo is None or val > lo:
                 lo = val
     return lo, hi
 
 
-def _count_level(systems, d, prefix):
-    """Lattice points whose first d coordinates are ``prefix``."""
-    lo, hi = _slice_bounds(systems[d], prefix)
+def _count_level(systems, d, prefix, rests):
+    """Lattice points whose first d coordinates are ``prefix``.
+
+    ``rests`` holds b - <a, prefix> for each constraint of ``systems[d]``;
+    the next level's residuals are formed once here and updated by one
+    product per coordinate value.
+    """
+    lo, hi = _slice_bounds(systems[d], rests)
     if lo is None or hi is None:
         raise MeasureError("unbounded slice; input is not a polytope")
-    ilo = -((-lo.numerator) // lo.denominator)  # ceil
-    ihi = hi.numerator // hi.denominator        # floor
-    if ihi < ilo:
+    if hi < lo:
         return 0
     if d == len(systems) - 1:
-        return ihi - ilo + 1
+        return hi - lo + 1
+    base = [(b - sum(map(mul, a, prefix)), a[d]) for a, b in systems[d + 1]]
     total = 0
-    for x in range(ilo, ihi + 1):
-        total += _count_level(systems, d + 1, prefix + (x,))
+    for x in range(lo, hi + 1):
+        total += _count_level(systems, d + 1, prefix + (x,), [r - c * x for r, c in base])
     return total
 
 
@@ -196,12 +211,27 @@ def count_lattice_points_bruteforce(p: LatticePolytope, k=1):
     return sum(all(dot(f.normal, x) >= k * f.rhs for f in p.facets) for x in box)
 
 
+@lru_cache(maxsize=256)
 def ehrhart(p: LatticePolytope) -> EhrhartPolynomial:
-    """Exact interpolation of the lattice point counting polynomial."""
+    """Ehrhart polynomial of a reflexive polytope from floor(n/2) dilates.
+
+    Hibi's form of Ehrhart-Macdonald reciprocity, L(-k) = (-1)^n L(k-1) for
+    reflexive P, gives the values at k = -1..-(n//2 + 1) from L(0) = 1 and
+    the counts at k = 1..n//2; the n + 1 values of smallest |k| fix the
+    polynomial by exact interpolation.
+    """
+    if not p.is_reflexive():
+        raise MeasureError("Ehrhart reciprocity needs a reflexive polytope")
     n = p.dim
-    counts = [1] + [count_lattice_points(p, k) for k in range(1, n + 1)]
-    vandermonde = [[Fraction(k) ** i for i in range(n + 1)] for k in range(n + 1)]
-    coeffs = solve_exact(vandermonde, [Fraction(c) for c in counts])
+    m = n // 2
+    values = {0: 1}
+    for k in range(1, m + 1):
+        values[k] = count_lattice_points(p, k)
+    for k in range(1, m + 2):
+        values[-k] = (-1) ** n * values[k - 1]
+    ks = sorted(values, key=abs)[: n + 1]
+    vandermonde = [[Fraction(k) ** i for i in range(n + 1)] for k in ks]
+    coeffs = solve_exact(vandermonde, [Fraction(values[k]) for k in ks])
     return EhrhartPolynomial(coefficients=tuple(coeffs))
 
 
@@ -226,19 +256,17 @@ def relative_volume(face_vertices):
     if len(lattice_basis) != d:
         raise MeasureError("induced lattice rank differs from the face dimension")
     cols = list(zip(*lattice_basis))  # n x d
+    # least-squares-free exact solve on d independent rows of the basis
+    rows = []
+    for i in range(n):
+        if rank([cols[j] for j in rows] + [cols[i]]) > len(rows):
+            rows.append(i)
+        if len(rows) == d:
+            break
+    sub_rows = [cols[i] for i in rows]
     coords = []
     for diff in diffs:
-        # least-squares-free exact solve: pick d independent rows
-        sub_rows = []
-        sub_rhs = []
-        for i in range(n):
-            cand = sub_rows + [cols[i]]
-            if rank(cand) > len(sub_rows):
-                sub_rows.append(cols[i])
-                sub_rhs.append(diff[i])
-            if len(sub_rows) == d:
-                break
-        c = solve_exact(sub_rows, sub_rhs)
+        c = solve_exact(sub_rows, [diff[i] for i in rows])
         if any(x.denominator != 1 for x in c):
             raise MeasureError("face vertex is not in the induced lattice")
         coords.append(tuple(int(x) for x in c))

@@ -255,8 +255,14 @@ def dual_pair_of(points) -> DualPair:
     return dual(hull(points))
 
 
+@lru_cache(maxsize=1)
 def faces_codim2(p: LatticePolytope):
-    """All ridges, each as (vertex index frozenset, (facet index, facet index))."""
+    """All ridges, each as (vertex index frozenset, (facet index, facet index)).
+
+    The eq1 and half-bound checks of one entry ask for the same polytope's
+    ridges in turn; a cache of one serves both without keeping every
+    entry's ridges alive for a whole scan.
+    """
     n = p.dim
     out = []
     for i, j in combinations(range(len(p.facets)), 2):
@@ -267,7 +273,7 @@ def faces_codim2(p: LatticePolytope):
         diffs = [vec_sub(v, vs[0]) for v in vs[1:]]
         if (n - 2 == 0 and len(s) == 1) or (diffs and rank(diffs) == n - 2):
             out.append((s, (i, j)))
-    return out
+    return tuple(out)
 
 
 def free_sum(q1: LatticePolytope, q2: LatticePolytope) -> LatticePolytope:

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfano import fixtures
 from toricfano.conjectures import (
@@ -11,7 +14,22 @@ from toricfano.conjectures import (
     check_ehrhart_bound,
     run_all,
 )
-from toricfano.polytope import dual, hull
+from toricfano.linalg import dot
+from toricfano.measures import count_integer_points
+from toricfano.polytope import DimensionDeficiencyError, DualPair, dual, hull
+
+
+def _interior_lattice_points(p):
+    """Oracle: the strictly interior lattice points, by a bounding-box scan."""
+    n = p.dim
+    los = [min(v[j] for v in p.vertices) for j in range(n)]
+    his = [max(v[j] for v in p.vertices) for j in range(n)]
+    box = product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+    return [x for x in box if all(dot(f.normal, x) > f.rhs for f in p.facets)]
+
+
+def _interior_count(p):
+    return count_integer_points([(f.normal, f.rhs + 1) for f in p.facets])
 
 
 class TestEq1:
@@ -32,6 +50,13 @@ class TestEq1:
         r = check_eq1(cx5_pair)
         assert r.a_n_minus_2 == Fraction(223, 3)
         assert r.third_of_codim2_vol == Fraction(290, 3)
+        assert r.holds and not r.equality
+
+    @pytest.mark.slow
+    def test_paper_example_q1(self, q1_pair):
+        r = check_eq1(q1_pair, override=True)
+        assert r.a_n_minus_2 == Fraction(10486, 15)
+        assert r.third_of_codim2_vol == 920
         assert r.holds and not r.equality
 
     def test_dimension_cap(self, q1_pair):
@@ -82,6 +107,18 @@ class TestEhrhartBound:
         assert r.known_bound_holds
         assert r.interior_point_checked
 
+    def test_rejects_extra_interior_points(self):
+        # 2P for P the square: nine interior lattice points
+        dp = DualPair(q=None, p=hull([(-2, -2), (2, -2), (-2, 2), (2, 2)]))
+        with pytest.raises(ValueError):
+            check_ehrhart_bound(dp)
+
+    def test_rejects_origin_on_boundary(self):
+        # (1, 1) is the one interior lattice point; the origin is a vertex
+        dp = DualPair(q=None, p=hull([(0, 0), (3, 0), (0, 3)]))
+        with pytest.raises(ValueError):
+            check_ehrhart_bound(dp)
+
     def test_structural_fallback_in_high_dimension(self, q1_pair):
         r = check_ehrhart_bound(q1_pair)
         assert r.holds
@@ -116,3 +153,34 @@ class TestRunAll:
         assert sum(1 for f in report.conj11 if not f.feasible) == 2
         assert report.ehrhart_bound.holds
         assert report.bishop.holds
+
+
+class TestInteriorCount:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: dual(fixtures.simplex_fano(2)).p,
+            lambda: dual(fixtures.cross_polytope(3)).p,
+            lambda: dual(fixtures.hexagon()).p,
+            lambda: dual(fixtures.cx5()).p,
+            lambda: fixtures.cube(3),
+        ],
+        ids=["p2", "cross3", "hexagon", "cx5", "cube3"],
+    )
+    def test_reflexive_fixtures_have_only_the_origin(self, make):
+        p = make()
+        assert _interior_lattice_points(p) == [(0,) * p.dim]
+        assert _interior_count(p) == 1
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n + 1, max_size=n + 4)
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_box_scan(self, pts):
+        try:
+            p = hull(pts)
+        except DimensionDeficiencyError:
+            return
+        assert _interior_count(p) == len(_interior_lattice_points(p))

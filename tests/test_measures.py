@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfano import fixtures
-from toricfano.linalg import mat_vec
+from toricfano.linalg import mat_vec, solve_exact
 from toricfano.measures import (
     MeasureError,
     boundary_volume,
@@ -16,7 +19,13 @@ from toricfano.measures import (
     relative_volume,
     volume_and_barycenter,
 )
-from toricfano.polytope import dual, hull, restrict_to_subspace
+from toricfano.polytope import (
+    DimensionDeficiencyError,
+    direct_product,
+    dual,
+    hull,
+    restrict_to_subspace,
+)
 
 
 class TestVolumeBarycenter:
@@ -65,6 +74,74 @@ class TestCounting:
     def test_rejects_nonpositive_dilate(self, p2_pair):
         with pytest.raises(MeasureError):
             count_lattice_points(p2_pair.p, 0)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n + 1, max_size=n + 4)
+        ),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_bruteforce_on_random_polytopes(self, pts, k):
+        # arbitrary position: facets with non-unit normals and rhs of either
+        # sign give negative residuals and inexact divisions in the slicing
+        try:
+            p = hull(pts)
+        except DimensionDeficiencyError:
+            return
+        assert count_lattice_points(p, k) == count_lattice_points_bruteforce(p, k)
+
+
+def _ehrhart_vandermonde(p):
+    """Oracle: interpolate the counts at k = 0..n, no reciprocity."""
+    n = p.dim
+    counts = [1] + [count_lattice_points(p, k) for k in range(1, n + 1)]
+    vandermonde = [[Fraction(k) ** i for i in range(n + 1)] for k in range(n + 1)]
+    return tuple(solve_exact(vandermonde, [Fraction(c) for c in counts]))
+
+
+# the smooth Fano summands of the benchmark's small-fano family
+SUMMANDS = {
+    "seg": [(1,), (-1,)],
+    "p2": [(1, 0), (0, 1), (-1, -1)],
+    "bl1": [(1, 0), (0, 1), (1, 1), (-1, -1)],
+    "bl2": [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)],
+    "hex": [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)],
+    "p3": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+    "p4": [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)],
+}
+PRODUCT_PAIRS = [
+    (a, b)
+    for a, b in combinations_with_replacement(SUMMANDS, 2)
+    if len(SUMMANDS[a][0]) + len(SUMMANDS[b][0]) <= 5
+]
+REFLEXIVE_FIXTURES = [
+    ("segment", lambda: hull([(-1,), (1,)])),
+    ("cube2", lambda: fixtures.cube(2)),
+    ("p2_dual", lambda: dual(fixtures.simplex_fano(2)).p),
+    ("p3_dual", lambda: dual(fixtures.simplex_fano(3)).p),
+    *[(f"cross{n}_dual", lambda n=n: dual(fixtures.cross_polytope(n)).p) for n in (2, 3, 4)],
+    ("hexagon_dual", lambda: dual(fixtures.hexagon()).p),
+    ("cx5_dual", lambda: dual(fixtures.cx5()).p),
+]
+
+
+class TestEhrhartReciprocity:
+    @pytest.mark.parametrize("make", [m for _, m in REFLEXIVE_FIXTURES],
+                             ids=[name for name, _ in REFLEXIVE_FIXTURES])
+    def test_fixture_matches_vandermonde(self, make):
+        p = make()
+        assert ehrhart(p).coefficients == _ehrhart_vandermonde(p)
+
+    @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids=["x".join(p) for p in PRODUCT_PAIRS])
+    def test_product_of_duals_matches_vandermonde(self, pair):
+        a, b = (dual(hull(SUMMANDS[s])).p for s in pair)
+        p = direct_product(a, b)
+        assert ehrhart(p).coefficients == _ehrhart_vandermonde(p)
+
+    def test_rejects_non_reflexive(self):
+        with pytest.raises(MeasureError):
+            ehrhart(hull([(0, 0), (2, 0), (0, 2)]))
 
 
 class TestEhrhart:
