@@ -7,6 +7,7 @@ be recomputed from the record.
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from .lp import feasible_point
@@ -15,9 +16,10 @@ from .measures import (
     count_integer_points,
     ehrhart,
     fano_index,
+    vertex_cones,
     volume_and_barycenter,
 )
-from .polytope import DualPair, faces_codim2
+from .polytope import DualPair
 
 
 class DimensionCapExceeded(Exception):
@@ -94,16 +96,13 @@ def check_conj11(dp: DualPair):
     """Per-facet feasibility of the half-bound point criterion.
 
     For each facet F of P: is there x in aff(F) with <u_G, x> <= 1/2 for
-    every facet G sharing a ridge with F?  Adjacency means ridge-sharing.
+    every facet G sharing a ridge with F?
     """
     p = dp.p
     _, bary = volume_and_barycenter(p)
     if any(b != 0 for b in bary):
         warnings.warn("criterion hypothesis b_P = 0 does not hold", stacklevel=2)
-    adjacency = {i: set() for i in range(len(p.facets))}
-    for _, (i, j) in faces_codim2(p):
-        adjacency[i].add(j)
-        adjacency[j].add(i)
+    adjacency = facet_adjacency(p)
     out = []
     for i, f in enumerate(p.facets):
         ineqs = [
@@ -120,6 +119,20 @@ def check_conj11(dp: DualPair):
             )
         )
     return out
+
+
+def facet_adjacency(p):
+    """{facet index: indices of the facets sharing a ridge with it}.
+
+    P is simple, so two facets share a ridge exactly when they share a
+    vertex, and the facets at each vertex come with its cone.
+    """
+    adjacency = {i: set() for i in range(len(p.facets))}
+    for facets, _ in vertex_cones(p):
+        for i, j in combinations(facets, 2):
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    return adjacency
 
 
 def check_ehrhart_bound(dp: DualPair, interior_check_max_dim=5) -> EhrhartBoundRecord:

@@ -24,7 +24,7 @@ from math import factorial
 from . import conjectures as conj
 from .criteria import full_verdict
 from .measures import ehrhart, fano_index, volume_and_barycenter
-from .polytope import dual, hull, is_smooth_fano
+from .polytope import PolytopeError, dual, hull, is_smooth_fano
 from .symmetry import automorphism_group, vertex_sum
 
 
@@ -147,15 +147,20 @@ class ScanOptions:
 def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     """One AnalysisReport dict for a (name, dim, rows) entry.
 
-    Entries failing the smooth-Fano validation get a certificate and no
-    downstream analysis; this is data, not an error.
+    Entries failing the smooth-Fano validation, or whose rows have no
+    full-dimensional hull, get a certificate and no downstream analysis;
+    this is data, not an error.
     """
     name, dim, rows = entry
     t0 = time.monotonic()
     report = {"name": name, "dim": dim, "n_vertices": None}
-    q = hull(rows)
-    report["n_vertices"] = q.n_vertices
-    smooth, certificate = is_smooth_fano(q)
+    try:
+        q = hull(rows)
+    except PolytopeError as exc:
+        smooth, certificate = False, f"hull: {exc}"
+    else:
+        report["n_vertices"] = q.n_vertices
+        smooth, certificate = is_smooth_fano(q)
     report["is_smooth_fano"] = smooth
     if not smooth:
         report["certificate"] = certificate

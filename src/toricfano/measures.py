@@ -8,12 +8,12 @@ affine lattice = 1), the convention compatible with Ehrhart coefficients.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import factorial, gcd
+from itertools import combinations, product
+from math import factorial, gcd, prod
 from operator import mul
 
 from .linalg import (
-    det,
+    adjugate,
     dot,
     kernel_basis,
     rank,
@@ -21,13 +21,7 @@ from .linalg import (
     solve_exact,
     vec_sub,
 )
-from .polytope import (
-    LatticePolytope,
-    SubspacePolytope,
-    faces_codim2,
-    hull,
-    pulling_triangulation,
-)
+from .polytope import LatticePolytope, SubspacePolytope, hull
 
 
 class MeasureError(Exception):
@@ -51,36 +45,72 @@ class EhrhartPolynomial:
         return acc
 
 
-@lru_cache(maxsize=256)
-def volume_and_barycenter(p: LatticePolytope):
-    """Exact Euclidean volume and barycenter via a boundary triangulation.
+@lru_cache(maxsize=1)
+def vertex_cones(p: LatticePolytope):
+    """Per vertex (in vertex order): its n facet indices and its n edges.
 
-    The polytope is coned from its first vertex over a pulling triangulation
-    of each facet; the barycenter is the volume-weighted mean of simplex
-    centroids (independent of the apex choice).
+    P must be simple with unimodular vertex cones, as the dual of a smooth
+    Fano polytope is.  The edges e_j are the columns of E_v = U_v^-1, where
+    the rows of U_v are the normals of the facets through v, so
+    <u_i, e_j> = delta_ij: e_j runs along the facets other than the j-th
+    and is a lattice basis together with the others.  One entry's volume,
+    ridge volume and adjacency callers ask for the same polytope in turn,
+    so a cache of one serves them all.
     """
     n = p.dim
-    if n == 0:
-        return Fraction(1), ()
-    apex = p.vertices[0]
-    nfact = factorial(n)
+    at = [[] for _ in p.vertices]
+    for fi, f in enumerate(p.facets):
+        for i in f.vertex_indices:
+            at[i].append(fi)
+    out = []
+    for v, facets in zip(p.vertices, at):
+        if len(facets) != n:
+            raise MeasureError(f"vertex {v} lies on {len(facets)} facets, expected {n}")
+        d, adj = adjugate([p.facets[fi].normal for fi in facets])
+        if d not in (1, -1):
+            raise MeasureError(f"vertex {v} has a cone of determinant {d}, not unimodular")
+        out.append((tuple(facets), tuple(tuple(d * x for x in col) for col in zip(*adj))))
+    return tuple(out)
+
+
+def _generic_functional(cones, n):
+    """c = (1, N, ..., N^(n-1)) with <c, e> != 0 on every edge e.
+
+    With N = 2 max|e_k| + 1 every coordinate is a balanced base-N digit, and
+    a nonzero digit string has a nonzero value.
+    """
+    big = max(abs(x) for _, edges in cones for e in edges for x in e)
+    return tuple((2 * big + 1) ** k for k in range(n))
+
+
+@lru_cache(maxsize=256)
+def volume_and_barycenter(p: LatticePolytope):
+    """Exact Euclidean volume and barycenter by the Brion-Lawrence formula.
+
+    For a simple polytope with unimodular vertex cones and a functional c
+    generic on the edges, with a_j = -<c, e_j> and pi = prod_j a_j at each
+    vertex v: vol = sum_v <c,v>^n / (n! pi), and the integral of x is the
+    c-gradient of S(c) = sum_v <c,v>^(n+1) / ((n+1)! pi), that is
+    sum_v [<c,v>^n v / (n! pi) + <c,v>^(n+1) / ((n+1)! pi) sum_j e_j / a_j].
+    ``vertex_cones`` raises ``MeasureError`` on any other polytope.
+    """
+    n = p.dim
+    cones = vertex_cones(p)
+    c = _generic_functional(cones, n)
     vol = Fraction(0)
-    weighted = [Fraction(0)] * n
-    for t in pulling_triangulation(p):
-        vs = [p.vertices[i] for i in t]
-        if apex in vs:
-            continue
-        d = det([list(vec_sub(v, apex)) for v in vs])
-        if d == 0:
-            continue
-        w = Fraction(abs(d), nfact)
-        vol += w
-        cent = [Fraction(apex[j] + sum(v[j] for v in vs), n + 1) for j in range(n)]
-        for j in range(n):
-            weighted[j] += w * cent[j]
-    if vol == 0:
-        raise MeasureError("polytope has zero volume")
-    return vol, tuple(c / vol for c in weighted)
+    moment = [Fraction(0)] * n         # n! times the integral of x
+    for v, (_, edges) in zip(p.vertices, cones):
+        a = [-dot(c, e) for e in edges]
+        pi = prod(a)
+        s = dot(c, v)
+        vol += Fraction(s**n, pi)
+        # <c,v>^n v / pi + <c,v>^(n+1) / ((n+1) pi^2) sum_j (pi / a_j) e_j
+        first = (n + 1) * pi * s**n
+        second = [sum(pi // aj * e[k] for aj, e in zip(a, edges)) for k in range(n)]
+        den = (n + 1) * pi * pi
+        for k in range(n):
+            moment[k] += Fraction(first * v[k] + s ** (n + 1) * second[k], den)
+    return vol / factorial(n), tuple(m / vol for m in moment)
 
 
 def volume(p: LatticePolytope):
@@ -240,7 +270,9 @@ def relative_volume(face_vertices):
 
     The face is mapped to Z^d via a basis of the full induced affine lattice
     (computed through Smith normal form saturation) and measured there with
-    unit fundamental domain.  A single vertex counts 1 by convention.
+    unit fundamental domain.  A single vertex counts 1 by convention.  The
+    face must be simple with unimodular vertex cones in that lattice, as
+    every face of a smooth polytope is.
     """
     vs = [tuple(int(x) for x in v) for v in face_vertices]
     if len(vs) == 1:
@@ -283,11 +315,26 @@ def boundary_volume(p: LatticePolytope):
 
 
 def codim2_volume(p: LatticePolytope):
-    """Total relative volume of all ridges."""
+    """Total relative volume of all ridges, by the Brion-Lawrence formula.
+
+    Facets j and k through v cut out a ridge whose cone at v is spanned by
+    the other n - 2 edges, a basis of the ridge's lattice; summed over the
+    pairs at each vertex this is
+    sum_v <c,v>^(n-2) e_2(a) / ((n-2)! pi), with a and pi as in
+    ``volume_and_barycenter`` and e_2 the second elementary symmetric
+    polynomial.
+    """
+    n = p.dim
+    if n < 2:
+        return Fraction(0)
+    cones = vertex_cones(p)
+    c = _generic_functional(cones, n)
     total = Fraction(0)
-    for s, _ in faces_codim2(p):
-        total += relative_volume([p.vertices[i] for i in sorted(s)])
-    return total
+    for v, (_, edges) in zip(p.vertices, cones):
+        a = [-dot(c, e) for e in edges]
+        e2 = sum(x * y for x, y in combinations(a, 2))
+        total += Fraction(dot(c, v) ** (n - 2) * e2, prod(a))
+    return total / factorial(n - 2)
 
 
 def coefficient_of_asymmetry(s):

@@ -259,9 +259,9 @@ def dual_pair_of(points) -> DualPair:
 def faces_codim2(p: LatticePolytope):
     """All ridges, each as (vertex index frozenset, (facet index, facet index)).
 
-    The eq1 and half-bound checks of one entry ask for the same polytope's
-    ridges in turn; a cache of one serves both without keeping every
-    entry's ridges alive for a whole scan.
+    Any polytope, simple or not; the scan reads the ridges of a simple one
+    off its vertex cones (``measures.vertex_cones``) instead.  A cache of
+    one keeps no more than one polytope's ridges alive.
     """
     n = p.dim
     out = []
@@ -356,76 +356,3 @@ def restrict_to_subspace(p: LatticePolytope, basis) -> SubspacePolytope:
         vertices=tuple(sorted(verts)),
         constraints=tuple(cons),
     )
-
-
-@lru_cache(maxsize=256)
-def face_children(p: LatticePolytope):
-    """Face poset of the boundary, top-down.
-
-    Returns (children, dims): ``children`` maps a face's vertex index set to
-    the list of its facets (one dimension lower); ``dims`` maps each face to
-    its dimension.  Faces are the intersections of facet vertex sets, so no
-    rank computations are needed below the top level.
-    """
-    facet_sets = [f.vertex_indices for f in p.facets]
-    children = {}
-    dims = {}
-    frontier = list(dict.fromkeys(facet_sets))
-    for s in frontier:
-        dims[s] = p.dim - 1
-    while frontier:
-        nxt = []
-        for s in frontier:
-            if s in children:
-                continue
-            cands = set()
-            for fs in facet_sets:
-                inter = s & fs
-                if inter and inter != s:
-                    cands.add(inter)
-            maximal = [
-                c for c in cands
-                if not any(c < other for other in cands)
-            ]
-            children[s] = maximal
-            for c in maximal:
-                if c not in dims:
-                    dims[c] = dims[s] - 1
-                    nxt.append(c)
-        frontier = nxt
-    for s in dims:
-        children.setdefault(s, [])
-    return children, dims
-
-
-@lru_cache(maxsize=256)
-def pulling_triangulation(p: LatticePolytope):
-    """Triangulation of the boundary: simplices as sorted vertex index tuples.
-
-    Each facet is triangulated by recursively pulling its lexicographically
-    first vertex; facet triangulations are independent, which is all the
-    origin-cone volume computation needs.
-    """
-    children, dims = face_children(p)
-    cache = {}
-    simplices = []
-    for f in p.facets:
-        simplices.extend(_pull(f.vertex_indices, children, dims, cache))
-    return simplices
-
-
-def _pull(s, children, dims, cache):
-    """Pulling triangulation of face ``s`` from its smallest vertex index."""
-    if s in cache:
-        return cache[s]
-    if len(s) == dims[s] + 1:
-        result = [tuple(sorted(s))]
-    else:
-        w = min(s)
-        result = []
-        for c in children[s]:
-            if w not in c:
-                for t in _pull(c, children, dims, cache):
-                    result.append((w,) + t)
-    cache[s] = result
-    return result

@@ -12,11 +12,12 @@ from toricfano.conjectures import (
     check_conj11,
     check_eq1,
     check_ehrhart_bound,
+    facet_adjacency,
     run_all,
 )
 from toricfano.linalg import dot
 from toricfano.measures import count_integer_points
-from toricfano.polytope import DimensionDeficiencyError, DualPair, dual, hull
+from toricfano.polytope import DimensionDeficiencyError, DualPair, dual, faces_codim2, hull
 
 
 def _interior_lattice_points(p):
@@ -77,6 +78,22 @@ class TestConj11:
         records = check_conj11(cx5_pair)
         bad = {r.facet_normal for r in records if not r.feasible}
         assert bad == set(fixtures.CX5_BAD_DUAL_VERTICES)
+
+    @pytest.mark.parametrize(
+        "make",
+        [*(lambda n=n: fixtures.simplex_fano(n) for n in range(1, 5)),
+         *(lambda n=n: fixtures.cross_polytope(n) for n in range(2, 5)),
+         fixtures.hexagon, fixtures.cx5, fixtures.q1],
+        ids=[*(f"p{n}" for n in range(1, 5)), *(f"cross{n}" for n in range(2, 5)),
+             "hexagon", "cx5", "q1"],
+    )
+    def test_adjacency_matches_ridges(self, make):
+        p = dual(make()).p
+        expected = {i: set() for i in range(len(p.facets))}
+        for _, (i, j) in faces_codim2(p):
+            expected[i].add(j)
+            expected[j].add(i)
+        assert facet_adjacency(p) == expected
 
     def test_warns_when_barycenter_nonzero(self):
         dp = dual(hull([(1, 0), (0, 1), (-1, -1), (1, 1)]))

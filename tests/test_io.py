@@ -20,8 +20,7 @@ from toricfano.io import (
     parse,
     scan,
 )
-from toricfano.measures import volume_and_barycenter
-from toricfano.polytope import face_children, pulling_triangulation
+from toricfano.measures import vertex_cones, volume_and_barycenter
 
 GOOD = """\
 # two entries, with comments and blank lines
@@ -43,6 +42,26 @@ vertices 4
 0 -1
 end
 """
+
+
+# degenerate entries first: a segment and a collinear triple in the plane
+MIXED = """\
+polytope flat
+dim 2
+vertices 2
+1 0
+-1 0
+end
+
+polytope line
+dim 2
+vertices 3
+1 1
+2 2
+3 3
+end
+
+""" + GOOD
 
 
 class TestParse:
@@ -119,6 +138,16 @@ class TestAnalyze:
         assert isinstance(r["certificate"], str) and r["certificate"]
         assert "is_ke" not in r
 
+    def test_degenerate_entry_gets_hull_certificate(self):
+        r = analyze_entry(parse(MIXED).entry("flat"))
+        assert r == {
+            "name": "flat",
+            "dim": 2,
+            "n_vertices": None,
+            "is_smooth_fano": False,
+            "certificate": "hull: too few points to span the space",
+        }
+
     def test_ehrhart_dim_cap(self):
         entry = parse(GOOD).entry("plane")
         r = analyze_entry(entry, ScanOptions(ehrhart_max_dim=1))
@@ -135,7 +164,7 @@ class TestNoReferenceCycles:
         # hexagon (+) P3, the free sum of two small smooth Fano polytopes
         rows = [v + (0, 0, 0) for v in fixtures.HEXAGON_VERTICES]
         rows += [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, -1, -1, -1)]
-        for cached in (volume_and_barycenter, pulling_triangulation, face_children):
+        for cached in (volume_and_barycenter, vertex_cones):
             cached.cache_clear()
         gc.collect()
         gc.garbage.clear()
@@ -278,6 +307,22 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(["check", good_file, "--name", "missing"])
         assert exc.value.code == 1
+
+    def test_scan_continues_past_degenerate_entries(self, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_text(MIXED)
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out-{jobs}.json"
+            assert main(["scan", str(path), "--conjectures", "--jobs", jobs, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        data = json.loads(outs[0])
+        assert [r["name"] for r in data] == ["flat", "line", "plane", "cross"]
+        for r in data[:2]:
+            assert r["n_vertices"] is None and r["is_smooth_fano"] is False
+            assert r["certificate"].startswith("hull: ")
+        assert all(r["is_smooth_fano"] and "conjectures" in r for r in data[2:])
 
     def test_console_script_runs(self, good_file):
         proc = subprocess.run(

@@ -1,12 +1,13 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfano import fixtures
-from toricfano.linalg import mat_vec, solve_exact
+from toricfano.linalg import det, dot, identity, mat_vec, solve_exact, vec_sub
 from toricfano.measures import (
     MeasureError,
     boundary_volume,
@@ -17,15 +18,111 @@ from toricfano.measures import (
     ehrhart,
     fano_index,
     relative_volume,
+    vertex_cones,
     volume_and_barycenter,
 )
 from toricfano.polytope import (
     DimensionDeficiencyError,
     direct_product,
     dual,
+    faces_codim2,
     hull,
     restrict_to_subspace,
 )
+
+
+def _face_children(p):
+    """Face poset of the boundary, top-down.
+
+    Returns (children, dims): ``children`` maps a face's vertex index set to
+    the list of its facets (one dimension lower); ``dims`` maps each face to
+    its dimension.  Faces are the intersections of facet vertex sets, so no
+    rank computations are needed below the top level.
+    """
+    facet_sets = [f.vertex_indices for f in p.facets]
+    children = {}
+    dims = {}
+    frontier = list(dict.fromkeys(facet_sets))
+    for s in frontier:
+        dims[s] = p.dim - 1
+    while frontier:
+        nxt = []
+        for s in frontier:
+            if s in children:
+                continue
+            cands = set()
+            for fs in facet_sets:
+                inter = s & fs
+                if inter and inter != s:
+                    cands.add(inter)
+            maximal = [c for c in cands if not any(c < other for other in cands)]
+            children[s] = maximal
+            for c in maximal:
+                if c not in dims:
+                    dims[c] = dims[s] - 1
+                    nxt.append(c)
+        frontier = nxt
+    for s in dims:
+        children.setdefault(s, [])
+    return children, dims
+
+
+def _pull(s, children, dims, cache):
+    """Pulling triangulation of face ``s`` from its smallest vertex index."""
+    if s in cache:
+        return cache[s]
+    if len(s) == dims[s] + 1:
+        result = [tuple(sorted(s))]
+    else:
+        w = min(s)
+        result = []
+        for c in children[s]:
+            if w not in c:
+                for t in _pull(c, children, dims, cache):
+                    result.append((w,) + t)
+    cache[s] = result
+    return result
+
+
+def _pulling_triangulation(p):
+    """Boundary triangulation: each facet pulled from its first vertex."""
+    children, dims = _face_children(p)
+    cache = {}
+    simplices = []
+    for f in p.facets:
+        simplices.extend(_pull(f.vertex_indices, children, dims, cache))
+    return simplices
+
+
+def _volume_and_barycenter_triangulated(p):
+    """Oracle: cone the boundary triangulation from the first vertex.
+
+    One determinant and one centroid per simplex; works on any polytope.
+    """
+    n = p.dim
+    apex = p.vertices[0]
+    vol = Fraction(0)
+    weighted = [Fraction(0)] * n
+    for t in _pulling_triangulation(p):
+        vs = [p.vertices[i] for i in t]
+        if apex in vs:
+            continue
+        d = det([list(vec_sub(v, apex)) for v in vs])
+        if d == 0:
+            continue
+        w = Fraction(abs(d), factorial(n))
+        vol += w
+        for j in range(n):
+            weighted[j] += w * Fraction(apex[j] + sum(v[j] for v in vs), n + 1)
+    return vol, tuple(c / vol for c in weighted)
+
+
+def _codim2_volume_by_ridges(p):
+    """Oracle: every ridge re-hulled and measured in its own lattice."""
+    return sum(
+        (relative_volume([p.vertices[i] for i in sorted(s)]) for s, _ in faces_codim2(p)),
+        Fraction(0),
+    )
 
 
 class TestVolumeBarycenter:
@@ -204,6 +301,94 @@ class TestCodim2:
 
     def test_projective_plane_dual(self, p2_pair):
         assert codim2_volume(p2_pair.p) == 3
+
+
+SMOOTH_DUALS = [
+    *[(f"p{n}_dual", lambda n=n: dual(fixtures.simplex_fano(n)).p) for n in (2, 3, 4)],
+    *[(f"cross{n}_dual", lambda n=n: dual(fixtures.cross_polytope(n)).p) for n in (2, 3, 4)],
+    ("hexagon_dual", lambda: dual(fixtures.hexagon()).p),
+    ("cx5_dual", lambda: dual(fixtures.cx5()).p),
+]
+# more smooth polytopes: cubes and a shifted triangle, and q1's dual, whose
+# ridge oracle is slow
+SMOOTH_OTHERS = [
+    ("cube2", lambda: fixtures.cube(2)),
+    ("cube3", lambda: fixtures.cube(3)),
+    ("triangle3", lambda: hull([(0, 0), (3, 0), (0, 3)])),
+    ("q1_dual", lambda: dual(fixtures.q1()).p),
+]
+
+
+def _product_of_duals(names):
+    duals = [dual(hull(SUMMANDS[s])).p for s in names]
+    return duals[0] if len(duals) == 1 else direct_product(*duals)
+
+
+class TestVertexFormula:
+    @pytest.mark.parametrize("make", [m for _, m in SMOOTH_DUALS + SMOOTH_OTHERS],
+                             ids=[name for name, _ in SMOOTH_DUALS + SMOOTH_OTHERS])
+    def test_fixture_matches_triangulation(self, make):
+        p = make()
+        assert volume_and_barycenter(p) == _volume_and_barycenter_triangulated(p)
+
+    @pytest.mark.parametrize("make", [m for _, m in SMOOTH_DUALS],
+                             ids=[name for name, _ in SMOOTH_DUALS])
+    def test_fixture_codim2_matches_ridges(self, make):
+        p = make()
+        assert codim2_volume(p) == _codim2_volume_by_ridges(p)
+
+    @pytest.mark.slow
+    def test_q1_codim2_matches_ridges(self, q1_pair):
+        assert codim2_volume(q1_pair.p) == _codim2_volume_by_ridges(q1_pair.p)
+
+    @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids=["x".join(p) for p in PRODUCT_PAIRS])
+    def test_product_of_duals_matches_oracles(self, pair):
+        p = _product_of_duals(pair)
+        assert volume_and_barycenter(p) == _volume_and_barycenter_triangulated(p)
+        assert codim2_volume(p) == _codim2_volume_by_ridges(p)
+
+    def test_edges_invert_the_facet_normals(self, cx5_pair):
+        p = cx5_pair.p
+        for facets, edges in vertex_cones(p):
+            normals = [p.facets[i].normal for i in facets]
+            assert tuple(tuple(dot(u, e) for e in edges) for u in normals) == identity(p.dim)
+
+    @given(
+        st.sampled_from(PRODUCT_PAIRS + [(s,) for s in SUMMANDS]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unimodular_image(self, names, rng):
+        p = _product_of_duals(names)
+        n = p.dim
+        u = [list(row) for row in identity(n)]
+        for _ in range(3 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                k = rng.choice((-2, -1, 1, 2))
+                u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+            else:
+                u[i] = [-x for x in u[i]]
+            if rng.random() < 0.5:
+                u[i], u[j] = u[j], u[i]
+        q = hull([mat_vec(u, v) for v in p.vertices])
+        vol, bary = volume_and_barycenter(p)
+        assert volume_and_barycenter(q) == (vol, tuple(mat_vec(u, bary)))
+        assert codim2_volume(q) == codim2_volume(p)
+
+    def test_rejects_non_simple(self):
+        # the octahedron: four facets through each vertex in dimension 3
+        p = fixtures.cross_polytope(3)
+        for measure in (volume_and_barycenter, codim2_volume):
+            with pytest.raises(MeasureError, match="lies on 4 facets"):
+                measure(p)
+
+    def test_rejects_non_unimodular_cone(self):
+        # a simple triangle whose vertex cones have determinant 3
+        p = hull([(0, 0), (2, 1), (1, 2)])
+        for measure in (volume_and_barycenter, codim2_volume):
+            with pytest.raises(MeasureError, match="determinant"):
+                measure(p)
 
 
 class TestAsymmetry:
