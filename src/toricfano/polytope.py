@@ -251,10 +251,6 @@ def dual(q: LatticePolytope) -> DualPair:
     return DualPair(q=q, p=p)
 
 
-def dual_pair_of(points) -> DualPair:
-    return dual(hull(points))
-
-
 @lru_cache(maxsize=1)
 def faces_codim2(p: LatticePolytope):
     """All ridges, each as (vertex index frozenset, (facet index, facet index)).

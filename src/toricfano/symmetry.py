@@ -1,23 +1,21 @@
 """Lattice automorphism groups of polytopes and their fixed subspaces.
 
-The search anchors on one unimodular facet of the Fano-side polytope: every
-automorphism maps that facet's vertex basis onto an ordered vertex tuple of
-some facet, so candidates are enumerated facet by facet with backtracking.
-Two invariants prune the search: a vertex's sorted profile of facet values,
-and pairwise common-facet counts.
+The search anchors on one unimodular facet of the Fano-side polytope, with
+vertex basis B0: every automorphism maps that basis onto an ordered vertex
+tuple (w_0, ..., w_{n-1}) of some facet, and is then A = W B0^-1.  Each
+vertex is written once in the anchor basis, lambda_v = B0^-1 v (integral, as
+B0 is unimodular), so its image A v = sum_i lambda_v,i w_i is fixed as soon
+as w_0 .. w_k are, k being the last nonzero coordinate of lambda_v.  The
+backtracking over facet tuples checks those images against vert(Q) at each
+depth and drops a partial tuple at the first image that is not a vertex;
+only a complete tuple builds its matrix.  Two invariants prune the search
+as well: a vertex's sorted profile of facet values, and pairwise
+common-facet counts.
 """
 
 from dataclasses import dataclass
 
-from .linalg import (
-    dot,
-    identity,
-    kernel_basis,
-    mat_mul,
-    mat_vec,
-    matrix_inverse_unimodular,
-    transpose,
-)
+from .linalg import dot, identity, kernel_basis, mat_vec, matrix_inverse_unimodular, transpose
 from .polytope import DualPair, LatticePolytope, PolytopeError
 
 
@@ -44,24 +42,33 @@ def trivial_group(dim, polytope=None):
     return SymmetryGroup(dim=dim, elements=(identity(dim),), polytope=polytope)
 
 
-def polytope_automorphisms(q: LatticePolytope, prune=True) -> SymmetryGroup:
+@dataclass(frozen=True)
+class _Search:
+    """What the backtracking reads, fixed once per polytope."""
+
+    base: list             # anchor vertex indices, in basis order
+    verts: tuple
+    vertex_set: frozenset
+    profiles: list         # per vertex, sorted facet values
+    common: list           # per vertex pair, number of common facets
+    checks: list           # checks[k]: sparse lambda_v of vertices fixed at depth k
+
+
+def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
     """Full group of unimodular maps permuting vert(q).
 
     Requires some facet of q to have exactly ``dim`` vertices (true for every
-    smooth Fano polytope).  ``prune=False`` disables both search invariants;
-    the result must not change (used as an oracle in the test suite).
+    smooth Fano polytope), and refuses with ``SingularMatrixError`` when that
+    facet's vertices are not a lattice basis.
     """
     n = q.dim
     verts = q.vertices
-    vindex = {v: i for i, v in enumerate(verts)}
     facets = q.facets
     anchor = next((f for f in facets if len(f.vertex_indices) == n), None)
     if anchor is None:
         raise PolytopeError("automorphism search needs a simplicial facet")
 
-    profiles = []
-    for v in verts:
-        profiles.append(tuple(sorted(dot(f.normal, v) for f in facets)))
+    profiles = [tuple(sorted(dot(f.normal, v) for f in facets)) for v in verts]
     nv = len(verts)
     common = [[0] * nv for _ in range(nv)]
     for f in facets:
@@ -71,46 +78,58 @@ def polytope_automorphisms(q: LatticePolytope, prune=True) -> SymmetryGroup:
                 common[a][b] += 1
 
     base = sorted(anchor.vertex_indices)
-    b0 = transpose([verts[i] for i in base])  # columns are the anchor basis
-    b0_inv = matrix_inverse_unimodular(b0)
+    b0_inv = matrix_inverse_unimodular(transpose([verts[i] for i in base]))
+    # A basis vertex maps to its own w_k and the origin to itself, so
+    # neither needs a check; every other vertex is checked at the depth of
+    # its last nonzero anchor coordinate.
+    checks = [[] for _ in range(n)]
+    for j, v in enumerate(verts):
+        lam = [(i, c) for i, c in enumerate(mat_vec(b0_inv, v)) if c]
+        if lam and j not in base:
+            checks[lam[-1][0]].append(lam)
+    # column c of A = W B0^-1 is sum_i B0^-1[i][c] w_i
+    columns = [[(i, b0_inv[i][c]) for i in range(n) if b0_inv[i][c]] for c in range(n)]
 
-    vertex_set = set(verts)
-    invariants = (profiles, common) if prune else None
+    search = _Search(base, verts, frozenset(verts), profiles, common, checks)
     found = set()
     for facet in facets:
-        targets = sorted(facet.vertex_indices)
-        for assignment in _assignments(base, targets, [], invariants):
-            w = transpose([verts[i] for i in assignment])
-            a = mat_mul(w, b0_inv)
-            if all(mat_vec(a, v) in vertex_set for v in verts):
-                found.add(a)
+        for images in _assignments(search, sorted(facet.vertex_indices), [], []):
+            found.add(transpose([_combine(terms, images) for terms in columns]))
 
     return SymmetryGroup(dim=n, elements=tuple(sorted(found)), polytope=q)
 
 
-def _assignments(base, targets, assignment, invariants):
-    """Each ordered choice of distinct targets for ``base`` extending ``assignment``.
+def _combine(terms, images):
+    """sum of c * images[i] over the sparse terms (i, c)."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return images[terms[0][0]]
+    return tuple(map(sum, zip(*[[c * x for x in images[i]] for i, c in terms])))
 
-    ``invariants`` is None or (profiles, common): then a target must match
-    its source's facet-value profile and common-facet counts.
+
+def _assignments(search, targets, assignment, images):
+    """Each vertex-preserving choice of distinct targets extending ``assignment``.
+
+    Yields the images w_0 .. w_{n-1} of the anchor basis.  A target must
+    match its source's facet-value profile and common-facet counts, and
+    every vertex image it completes must be a vertex.
     """
     pos = len(assignment)
-    if pos == len(base):
-        yield assignment
+    if pos == len(search.base):
+        yield images
         return
-    src = base[pos]
+    src = search.base[pos]
+    profiles, common = search.profiles, search.common
     for t in targets:
-        if t in assignment:
+        if t in assignment or profiles[t] != profiles[src]:
             continue
-        if invariants is not None:
-            profiles, common = invariants
-            if profiles[t] != profiles[src]:
-                continue
-            if any(common[t][assignment[j]] != common[src][base[j]] for j in range(pos)):
-                continue
-        assignment.append(t)
-        yield from _assignments(base, targets, assignment, invariants)
-        assignment.pop()
+        if any(common[t][assignment[j]] != common[src][search.base[j]] for j in range(pos)):
+            continue
+        images.append(search.verts[t])
+        if all(_combine(lam, images) in search.vertex_set for lam in search.checks[pos]):
+            assignment.append(t)
+            yield from _assignments(search, targets, assignment, images)
+            assignment.pop()
+        images.pop()
 
 
 def transport_group(g: SymmetryGroup, polytope=None) -> SymmetryGroup:
@@ -124,9 +143,9 @@ def transport_group(g: SymmetryGroup, polytope=None) -> SymmetryGroup:
     return SymmetryGroup(dim=g.dim, elements=elems, polytope=polytope)
 
 
-def automorphism_group(dp: DualPair, prune=True):
+def automorphism_group(dp: DualPair):
     """Groups of the Fano side and the dual side of a dual pair."""
-    gq = polytope_automorphisms(dp.q, prune=prune)
+    gq = polytope_automorphisms(dp.q)
     gp = transport_group(gq, polytope=dp.p)
     return gq, gp
 

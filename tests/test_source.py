@@ -24,3 +24,23 @@ def test_no_assert_invariants():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     offenders.append(f"{path.name}:{node.lineno}: raise AssertionError")
     assert offenders == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports is referenced in it (``__init__`` re-exports)."""
+    offenders = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert offenders == []

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_measures import PRODUCT_PAIRS, SUMMANDS
 from toricfano import fixtures
 from toricfano.criteria import lct, max_pairing
 from toricfano.linalg import (
+    SingularMatrixError,
     dot,
     identity,
     kernel_basis,
@@ -13,7 +17,7 @@ from toricfano.linalg import (
     matrix_inverse_unimodular,
     transpose,
 )
-from toricfano.polytope import dual, restrict_to_subspace
+from toricfano.polytope import PolytopeError, dual, free_sum, hull, restrict_to_subspace
 from toricfano.symmetry import (
     FixedSpace,
     SymmetryGroup,
@@ -25,6 +29,63 @@ from toricfano.symmetry import (
     trivial_group,
     vertex_sum,
 )
+
+
+def _automorphisms_oracle(q, prune):
+    """The search without the early vertex check: one matrix per candidate.
+
+    Every ordered tuple of distinct vertices of a facet is a candidate image
+    of the anchor basis; its matrix W B0^-1 is kept when it maps every
+    vertex to a vertex.  ``prune`` filters the candidates by the facet-value
+    profiles and common-facet counts first.
+    """
+    n, verts, facets = q.dim, q.vertices, q.facets
+    anchor = next(f for f in facets if len(f.vertex_indices) == n)
+    profiles = [tuple(sorted(dot(f.normal, v) for f in facets)) for v in verts]
+    common = [[sum(1 for f in facets if {a, b} <= f.vertex_indices) for b in range(len(verts))]
+              for a in range(len(verts))]
+    base = sorted(anchor.vertex_indices)
+    b0_inv = matrix_inverse_unimodular(transpose([verts[i] for i in base]))
+
+    def assignments(targets, assignment):
+        pos = len(assignment)
+        if pos == n:
+            yield assignment
+            return
+        src = base[pos]
+        for t in targets:
+            if t in assignment:
+                continue
+            if prune and (
+                profiles[t] != profiles[src]
+                or any(common[t][assignment[j]] != common[src][base[j]] for j in range(pos))
+            ):
+                continue
+            yield from assignments(targets, assignment + [t])
+
+    vertex_set = set(verts)
+    found = set()
+    for facet in facets:
+        for assignment in assignments(sorted(facet.vertex_indices), []):
+            a = mat_mul(transpose([verts[i] for i in assignment]), b0_inv)
+            if all(mat_vec(a, v) in vertex_set for v in verts):
+                found.add(a)
+    return tuple(sorted(found))
+
+
+def _elementary_unimodular(n, rng):
+    """A matrix of GL(n, Z) from random row additions, negations and swaps."""
+    u = [list(row) for row in identity(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            k = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+        else:
+            u[i] = [-x for x in u[i]]
+        if rng.random() < 0.5:
+            u[i], u[j] = u[j], u[i]
+    return tuple(tuple(row) for row in u)
 
 
 # Differential oracles: the direct forms that transport_group and
@@ -111,11 +172,43 @@ def test_elements_permute_vertices():
         assert {mat_vec(a, v) for v in vs} == vs
 
 
-def test_pruning_oracle():
-    for q in [fixtures.simplex_fano(2), fixtures.cross_polytope(2), fixtures.simplex_fano(3), fixtures.cross_polytope(3)]:
-        fast = polytope_automorphisms(q, prune=True)
-        slow = polytope_automorphisms(q, prune=False)
-        assert fast.elements == slow.elements
+@pytest.mark.parametrize("name", PAIRS)
+def test_search_matches_unpruned_oracle(request, name):
+    q = request.getfixturevalue(name).q
+    assert polytope_automorphisms(q).elements == _automorphisms_oracle(q, prune=False)
+
+
+def test_search_matches_pruned_oracle_q1(q1_pair, q1_groups):
+    assert q1_groups[0].elements == _automorphisms_oracle(q1_pair.q, prune=True)
+
+
+@given(
+    st.sampled_from(PRODUCT_PAIRS + [(s,) for s in SUMMANDS]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_unimodular_image_conjugates_group(names, rng):
+    """The group of U.Q is U G U^-1: anchor bases there are not permutations."""
+    parts = [hull(SUMMANDS[s]) for s in names]
+    q = parts[0] if len(parts) == 1 else free_sum(*parts)
+    u = _elementary_unimodular(q.dim, rng)
+    u_inv = matrix_inverse_unimodular(u)
+    images = [mat_vec(u, v) for v in q.vertices]
+    rng.shuffle(images)
+    expected = sorted(mat_mul(mat_mul(u, a), u_inv) for a in polytope_automorphisms(q).elements)
+    assert polytope_automorphisms(hull(images)).elements == tuple(expected)
+
+
+def test_refuses_without_simplicial_facet():
+    with pytest.raises(PolytopeError, match="automorphism search needs a simplicial facet"):
+        polytope_automorphisms(fixtures.cube(3))
+
+
+def test_refuses_non_unimodular_anchor():
+    # the anchor edge (1, 2), (2, 1) has determinant -3: its anchor
+    # coordinates would not be integral, so the search must refuse
+    with pytest.raises(SingularMatrixError):
+        polytope_automorphisms(hull([(0, 0), (2, 1), (1, 2)]))
 
 
 def test_transport_consistency(p2_pair):
