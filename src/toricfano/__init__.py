@@ -1,6 +1,6 @@
 """Exact-arithmetic Kaehler-Einstein criteria for smooth toric Fano polytopes."""
 
-from .criteria import KEVerdict, alpha_invariant, full_verdict, ke_test, lct, tian_condition
+from .criteria import KEVerdict, alpha_invariant, full_verdict, lct, tian_condition
 from .measures import (
     EhrhartPolynomial,
     coefficient_of_asymmetry,
@@ -28,7 +28,6 @@ from .symmetry import (
     SymmetryGroup,
     automorphism_group,
     fixed_space,
-    is_symmetric,
     vertex_sum,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "KEVerdict",
     "alpha_invariant",
     "full_verdict",
-    "ke_test",
     "lct",
     "tian_condition",
     "EhrhartPolynomial",
@@ -61,7 +59,6 @@ __all__ = [
     "SymmetryGroup",
     "automorphism_group",
     "fixed_space",
-    "is_symmetric",
     "vertex_sum",
 ]
 

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .io import ParseError, ScanOptions, analyze_entry, emit, parse, scan
-from .polytope import DimensionDeficiencyError, PolytopeError, dual, hull, is_smooth_fano
+from .polytope import PolytopeError, dual, hull, is_smooth_fano
 
 
 def _load(path):
@@ -67,14 +67,12 @@ def cmd_dual(args):
     pf = _load(args.file)
     (entry,) = _select(pf, args.name)
     name, dim, rows = entry
+    q = None
     try:
-        dp = dual(hull(rows))
-    except (PolytopeError, DimensionDeficiencyError) as exc:
-        smooth, certificate = (None, None)
-        try:
-            smooth, certificate = is_smooth_fano(hull(rows))
-        except Exception:
-            pass
+        q = hull(rows)
+        dp = dual(q)
+    except PolytopeError as exc:
+        certificate = is_smooth_fano(q)[1] if q is not None else None
         detail = f" ({certificate})" if certificate else ""
         print(f"error: cannot dualize {name!r}: {exc}{detail}", file=sys.stderr)
         raise SystemExit(1) from None

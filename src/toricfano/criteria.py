@@ -30,38 +30,40 @@ class KEVerdict:
     tian_holds: bool
 
 
-def ke_test(dp: DualPair) -> bool:
-    """Einstein-metric existence: dual barycenter exactly zero."""
-    _, bary = volume_and_barycenter(dp.p)
-    return all(b == 0 for b in bary)
-
-
 def _p_side_group(dp, groups=None) -> SymmetryGroup:
     if groups is None:
         groups = automorphism_group(dp)
     return groups[1]
 
 
-def _max_pairing(dp, fs_p: FixedSpace):
+def _fixed_slice(dp, fs_p: FixedSpace):
+    """P cut by the dual-side fixed space, built once per verdict.
+
+    None when the fixed space is {0}; P itself when it is all of R^n.
+    """
     if fs_p.dim == 0:
-        return Fraction(0)
+        return None
     if fs_p.dim == dp.p.dim:
-        witnesses = dp.p.vertices
-    else:
-        witnesses = restrict_to_subspace(dp.p, fs_p.basis).ambient_vertices()
+        return dp.p
+    return restrict_to_subspace(dp.p, fs_p.basis)
+
+
+def _max_pairing(dp, slice_p):
+    if slice_p is None:
+        return Fraction(0)
+    witnesses = slice_p.vertices if slice_p is dp.p else slice_p.ambient_vertices()
     return max(Fraction(dot(w, v)) for w in witnesses for v in dp.q.vertices)
 
 
-def _alpha(dp, fs_q: FixedSpace, fs_p: FixedSpace):
+def _alpha(fs_q: FixedSpace, slice_p):
     if fs_q.dim == 0:
         return Fraction(1)
-    slice_p = restrict_to_subspace(dp.p, fs_p.basis)
     return 1 / (1 + coefficient_of_asymmetry(slice_p))
 
 
 def max_pairing(dp: DualPair, g: SymmetryGroup):
     """max{<w, v> : w in vert(P_G), v in vert(Q)} for a dual-side subgroup g."""
-    return _max_pairing(dp, fixed_space(g))
+    return _max_pairing(dp, _fixed_slice(dp, fixed_space(g)))
 
 
 def lct(dp: DualPair, g: SymmetryGroup = None, groups=None) -> Fraction:
@@ -79,7 +81,7 @@ def alpha_invariant(dp: DualPair, groups=None) -> Fraction:
     if groups is None:
         groups = automorphism_group(dp)
     gq, gp = groups
-    return _alpha(dp, fixed_space(gq), fixed_space(gp))
+    return _alpha(fixed_space(gq), _fixed_slice(dp, fixed_space(gp)))
 
 
 def tian_condition(dp: DualPair, g: SymmetryGroup = None, groups=None) -> bool:
@@ -95,11 +97,12 @@ def tian_condition(dp: DualPair, g: SymmetryGroup = None, groups=None) -> bool:
 
 
 def full_verdict(dp: DualPair, groups=None) -> KEVerdict:
-    """One-pass verdict record; the groups and both fixed spaces are computed once."""
+    """One-pass verdict record; the groups, both fixed spaces and the slice are computed once."""
     if groups is None:
         groups = automorphism_group(dp)
     gq, gp = groups
     fs_q, fs_p = fixed_space(gq), fixed_space(gp)
+    slice_p = _fixed_slice(dp, fs_p)
     _, bary = volume_and_barycenter(dp.p)
     return KEVerdict(
         is_ke=all(b == 0 for b in bary),
@@ -108,7 +111,7 @@ def full_verdict(dp: DualPair, groups=None) -> KEVerdict:
         fixed_dim=fs_q.dim,
         fixed_dim_dual=fs_p.dim,
         fixed_basis=fs_q.basis,
-        alpha=_alpha(dp, fs_q, fs_p),
-        lct=1 / (1 + _max_pairing(dp, fs_p)),
+        alpha=_alpha(fs_q, slice_p),
+        lct=1 / (1 + _max_pairing(dp, slice_p)),
         tian_holds=fs_p.dim == 0,
     )

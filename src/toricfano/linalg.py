@@ -70,19 +70,19 @@ def identity(n):
 
 
 def det(m):
-    """Exact determinant.
+    """Exact determinant of a square ``int`` matrix by fraction-free Bareiss elimination.
 
-    Integer matrices go through fraction-free Bareiss elimination; anything
-    with rational entries falls back to ordinary rational elimination.
+    Bareiss divides exactly only over the integers, so any other entry type
+    is refused rather than floor-divided into a wrong value.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError("determinant requires a square matrix")
+    if not all(isinstance(x, int) for row in m for x in row):
+        raise TypeError("det requires int entries")
     if n == 0:
         return 1
-    if all(isinstance(x, int) for row in m for x in row):
-        return _det_bareiss([list(row) for row in m])
-    return _det_rational([[Fraction(x) for x in row] for row in m])
+    return _det_bareiss([list(row) for row in m])
 
 
 def _det_bareiss(a):
@@ -134,27 +134,6 @@ def adjugate(m):
                 a[i] = [(pivot * x - aik * y) // prev for x, y in zip(a[i], row_k)]
         prev = pivot
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
-
-
-def _det_rational(a):
-    n = len(a)
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        result *= pivot
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / pivot
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return sign * result
 
 
 def solve_exact(a, b):
@@ -234,124 +213,43 @@ def kernel_basis(m, ncols=None):
     return basis
 
 
-def smith_normal_form(m):
-    """Smith normal form S = U.m.V with U, V unimodular.
-
-    Diagonal entries are nonnegative and each divides the next.
-    Returns (S, U, V).
-    """
-    a = [list(r) for r in m]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    u = [list(r) for r in identity(nr)]
-    v = [list(r) for r in identity(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):
-        # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, q):
-        # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        # find smallest nonzero entry in the trailing block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        if a[t][t] < 0:
-            negate_row(t)
-        # clear row and column t
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        if a[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # enforce divisibility of the trailing block by a[t][t]
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, -1)
-            continue
-        t += 1
-    s = tuple(tuple(row) for row in a)
-    return s, tuple(tuple(row) for row in u), tuple(tuple(row) for row in v)
-
-
 def saturated_kernel(m):
     """Basis of the full integer kernel lattice Z^n ∩ ker(m).
 
-    The basis spans all integer solutions of m.x = 0 (a saturated sublattice),
-    not just the span of some rational kernel basis.  Returns a list of
-    integer vectors (columns of the Smith transform V at zero elementaries).
+    Euclid on pairs of columns, each step applied to the identity V as well,
+    reduces m to m.V = [H | 0] with H in column echelon form of full column
+    rank.  V is unimodular, so its columns over the zero block span every
+    integer solution of m.x = 0 (a saturated sublattice), not just the span
+    of some rational kernel basis.
     """
-    nc = len(m[0]) if m else 0
     if not m:
         raise DimensionError("saturated_kernel of empty matrix")
-    s, _, v = smith_normal_form(m)
-    nr = len(m)
-    cols = []
-    for j in range(nc):
-        diag = s[j][j] if j < nr else 0
-        if diag == 0:
-            cols.append(tuple(v[i][j] for i in range(nc)))
-    return cols
+    n = len(m[0])
+    cols = [list(c) for c in zip(*m)]
+    v = [list(c) for c in identity(n)]
+    r = 0  # columns r.. are zero on every row reduced so far
+    for i in range(len(m)):
+        while r < n:
+            live = [j for j in range(r, n) if cols[j][i] != 0]
+            if not live:
+                break
+            p = min(live, key=lambda j: abs(cols[j][i]))
+            cols[r], cols[p] = cols[p], cols[r]
+            v[r], v[p] = v[p], v[r]
+            rest = [j for j in range(r + 1, n) if cols[j][i] != 0]
+            if not rest:
+                r += 1
+                break
+            for j in rest:
+                q = cols[j][i] // cols[r][i]
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[r])]
+                v[j] = [x - q * y for x, y in zip(v[j], v[r])]
+    return [tuple(c) for c in v[r:]]
 
 
 def matrix_inverse_unimodular(a):
     """Inverse of an integer matrix with determinant ±1 (stays integral)."""
-    n = len(a)
-    d = det(a)
+    d, adj = adjugate(a)
     if d not in (1, -1):
         raise SingularMatrixError("matrix is not unimodular")
-    inv = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        col = solve_exact(a, e)
-        inv.append(tuple(int(x) for x in col))
-    return tuple(zip(*[list(c) for c in inv]))
+    return adj if d == 1 else tuple(tuple(-x for x in row) for row in adj)

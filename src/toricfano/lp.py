@@ -1,13 +1,14 @@
-"""Exact rational linear programming.
+"""Exact rational feasibility of linear systems.
 
-Dense two-phase tableau simplex over ``Fraction`` with Bland's anticycling
-rule.  Small and predictable; every returned point and value is exact.
+``feasible_point`` runs the first phase of the two-phase simplex on a dense
+``Fraction`` tableau with Bland's anticycling rule: it minimizes the sum of
+the artificial variables.  A zero minimum gives an exact feasible point; a
+positive one gives a Farkas certificate of infeasibility, verified against
+the original system before it is returned.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .linalg import dot
 
 #: hard pivot ceiling; Bland's rule terminates long before this on sane input
 PIVOT_LIMIT = 200_000
@@ -22,45 +23,21 @@ class SimplexInvariantError(Exception):
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """max/min of objective.x subject to <a, x> <= b per constraint."""
-
-    constraints: tuple  # of (coeffs tuple, rhs)
-    objective: tuple
-    sense: str = "max"  # "max" | "min"
-
-
-@dataclass(frozen=True)
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Fraction | None = None
+    status: str  # "optimal" (feasible) | "infeasible"
     point: tuple | None = None
     farkas: tuple | None = None
 
 
 class _Tableau:
-    """min c.y  s.t.  T y = rhs, y >= 0, with Bland's rule."""
+    """min cost.y  s.t.  T y = rhs, y >= 0, with Bland's rule."""
 
-    def __init__(self, rows, rhs, basis, ncols):
+    def __init__(self, rows, rhs, basis, cost, cost_rhs):
         self.rows = rows          # list of lists of Fraction
         self.rhs = rhs            # list of Fraction, all >= 0
         self.basis = basis        # basic variable per row
-        self.ncols = ncols
-        self.cost = None          # reduced-cost row
-        self.cost_rhs = None
-
-    def set_objective(self, c):
-        cost = [Fraction(x) for x in c]
-        cost_rhs = Fraction(0)
-        for i, bv in enumerate(self.basis):
-            if cost[bv] != 0:
-                f = cost[bv]
-                row = self.rows[i]
-                for j in range(self.ncols):
-                    cost[j] -= f * row[j]
-                cost_rhs -= f * self.rhs[i]
-        self.cost = cost
-        self.cost_rhs = cost_rhs
+        self.cost = cost          # reduced-cost row
+        self.cost_rhs = cost_rhs  # minus the objective value
 
     def pivot(self, r, c):
         pr = self.rows[r]
@@ -78,15 +55,12 @@ class _Tableau:
             self.cost_rhs -= f * self.rhs[r]
         self.basis[r] = c
 
-    def optimize(self, allowed):
-        """Run simplex; returns 'optimal' or 'unbounded'."""
+    def minimize(self):
+        """Pivot until no reduced cost is negative; the cost is bounded below by 0."""
         for _ in range(PIVOT_LIMIT):
-            enter = next(
-                (j for j in range(self.ncols) if allowed[j] and self.cost[j] < 0),
-                None,
-            )
+            enter = next((j for j, x in enumerate(self.cost) if x < 0), None)
             if enter is None:
-                return "optimal"
+                return
             leave = None
             best = None
             for i, row in enumerate(self.rows):
@@ -98,83 +72,49 @@ class _Tableau:
                         best = ratio
                         leave = i
             if leave is None:
-                return "unbounded"
+                raise SimplexInvariantError("phase 1 is bounded below by 0 yet came out unbounded")
             self.pivot(leave, enter)
         raise PivotLimitExceeded("simplex pivot ceiling reached")
 
 
-def _solve_standard(constraints, objective, sense):
-    """Core solver for <a, x> <= b over free variables x."""
+def _phase1(constraints, n):
+    """Phase 1 of the simplex for <a, x> <= b over free variables x."""
     m = len(constraints)
-    n = len(objective)
-    # columns: x+ (n), x- (n), slacks (m), artificials (appended as needed)
+    # columns: x+ (n), x- (n), slacks (m), one artificial per row with b < 0
     nbase = 2 * n + m
+    art_rows = [i for i, (_, b) in enumerate(constraints) if b < 0]
     rows = []
     rhs = []
     basis = []
-    art_cols = []
-    art_row = []
     for i, (a, b) in enumerate(constraints):
         row = [Fraction(x) for x in a] + [Fraction(-x) for x in a]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        row += [Fraction(int(j == i)) for j in range(m)]
+        row += [Fraction(0)] * len(art_rows)
         b = Fraction(b)
         if b < 0:
             row = [-x for x in row]
             b = -b
+            basis.append(nbase + art_rows.index(i))
+            row[basis[-1]] = Fraction(1)
+        else:
+            basis.append(2 * n + i)
         rows.append(row)
         rhs.append(b)
-        if row[2 * n + i] == 1:
-            basis.append(2 * n + i)
-        else:
-            art_cols.append(nbase + len(art_cols))
-            art_row.append(i)
-            basis.append(art_cols[-1])
-    ncols = nbase + len(art_cols)
-    for i, row in enumerate(rows):
-        ext = [Fraction(0)] * len(art_cols)
-        rows[i] = row + ext
-    for k, i in enumerate(art_row):
-        rows[i][nbase + k] = Fraction(1)
-
-    t = _Tableau(rows, rhs, basis, ncols)
-    allowed = [True] * ncols
-
-    if art_cols:
-        phase1 = [Fraction(0)] * ncols
-        for c in art_cols:
-            phase1[c] = Fraction(1)
-        t.set_objective(phase1)
-        if t.optimize(allowed) != "optimal":
-            raise SimplexInvariantError("phase 1 is bounded below by 0 yet came out unbounded")
-        if -t.cost_rhs > 0:
-            return LPResult(status="infeasible", farkas=_extract_farkas(t, constraints, n, m))
-        # drive any artificial out of the basis, then freeze those columns
-        for i, bv in enumerate(t.basis):
-            if bv >= nbase:
-                c = next(
-                    (j for j in range(nbase) if t.rows[i][j] != 0),
-                    None,
-                )
-                if c is not None:
-                    t.pivot(i, c)
-        for c in art_cols:
-            allowed[c] = False
-
-    obj = [Fraction(x) for x in objective] + [Fraction(-x) for x in objective]
-    obj += [Fraction(0)] * (m + len(art_cols))
-    if sense == "max":
-        obj = [-x for x in obj]
-    t.set_objective(obj)
-    status = t.optimize(allowed)
-    if status == "unbounded":
-        return LPResult(status="unbounded")
+    # reduced costs of sum(artificials): price each artificial row out
+    cost = [Fraction(0)] * nbase + [Fraction(1)] * len(art_rows)
+    cost_rhs = Fraction(0)
+    for i in art_rows:
+        cost = [x - y for x, y in zip(cost, rows[i])]
+        cost_rhs -= rhs[i]
+    t = _Tableau(rows, rhs, basis, cost, cost_rhs)
+    t.minimize()
+    if -t.cost_rhs > 0:
+        return LPResult(status="infeasible", farkas=_extract_farkas(t, constraints, n, m))
     xs = [Fraction(0)] * (2 * n)
     for i, bv in enumerate(t.basis):
         if bv < 2 * n:
             xs[bv] = t.rhs[i]
-    point = tuple(xs[j] - xs[n + j] for j in range(n))
-    value = dot(objective, point)
-    return LPResult(status="optimal", value=value, point=point)
+    return LPResult(status="optimal", point=tuple(xs[j] - xs[n + j] for j in range(n)))
 
 
 def _extract_farkas(t, constraints, n, m):
@@ -198,26 +138,17 @@ def _extract_farkas(t, constraints, n, m):
     return tuple(y)
 
 
-def solve(lp: LinearProgram) -> LPResult:
-    """Exact optimum of a linear program over free variables."""
-    return _solve_standard(tuple(lp.constraints), tuple(lp.objective), lp.sense)
-
-
-def feasible_point(inequalities, equalities=(), dim=None):
+def feasible_point(inequalities, equalities=()):
     """Any exact point satisfying <a,x> <= b and <c,x> = d systems.
 
     Returns an LPResult whose point is a feasible point, or an infeasible
     result with a Farkas witness.  Equalities are handled as constraint
-    pairs.  ``dim`` is required when both systems are empty.
+    pairs.  An empty system has no dimension and raises ``ValueError``.
     """
-    cons = [tuple(c) for c in inequalities]
+    cons = [(tuple(a), b) for a, b in inequalities]
     for a, b in equalities:
         cons.append((tuple(a), b))
         cons.append((tuple(-x for x in a), -b))
     if not cons:
-        if dim is None:
-            raise ValueError("dimension required for an empty system")
-        return LPResult(status="optimal", value=Fraction(0), point=tuple(Fraction(0) for _ in range(dim)))
-    n = len(cons[0][0])
-    zero = tuple(Fraction(0) for _ in range(n))
-    return _solve_standard(tuple((tuple(a), b) for a, b in cons), zero, "min")
+        raise ValueError("an empty system has no dimension")
+    return _phase1(cons, len(cons[0][0]))

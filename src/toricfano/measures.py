@@ -34,16 +34,6 @@ class EhrhartPolynomial:
 
     coefficients: tuple    # of Fraction
 
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def __call__(self, k):
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * k + c
-        return acc
-
 
 @lru_cache(maxsize=1)
 def vertex_cones(p: LatticePolytope):
@@ -269,7 +259,7 @@ def relative_volume(face_vertices):
     """Lattice-normalized volume of a face in its affine hull.
 
     The face is mapped to Z^d via a basis of the full induced affine lattice
-    (computed through Smith normal form saturation) and measured there with
+    (computed by unimodular column reduction) and measured there with
     unit fundamental domain.  A single vertex counts 1 by convention.  The
     face must be simple with unimodular vertex cones in that lattice, as
     every face of a smooth polytope is.

@@ -167,18 +167,6 @@ def fixed_space(g: SymmetryGroup) -> FixedSpace:
     return FixedSpace(dim=len(basis), basis=tuple(basis))
 
 
-def is_symmetric(dp: DualPair, groups=None) -> bool:
-    """True iff only the origin is fixed by the whole automorphism group.
-
-    The fixed subspace is rational, so it contains a nonzero lattice point
-    iff it is nonzero; the test is a fixed-space dimension check.
-    """
-    if groups is None:
-        groups = automorphism_group(dp)
-    gq, _ = groups
-    return fixed_space(gq).dim == 0
-
-
 def vertex_sum(q: LatticePolytope):
     """Coordinate-wise sum of all vertices."""
     out = [0] * q.dim

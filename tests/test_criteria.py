@@ -4,7 +4,6 @@ from toricfano import fixtures
 from toricfano.criteria import (
     alpha_invariant,
     full_verdict,
-    ke_test,
     lct,
     max_pairing,
     tian_condition,
@@ -16,15 +15,15 @@ from toricfano.symmetry import automorphism_group, trivial_group
 class TestKETest:
     def test_symmetric_examples_pass(self, p2_pair, cross3_pair, hexagon_pair):
         for dp in [p2_pair, cross3_pair, hexagon_pair]:
-            assert ke_test(dp)
+            assert full_verdict(dp).is_ke
 
     def test_blowup_of_plane_fails(self):
         # del Pezzo surface of degree 8: not Einstein, barycenter nonzero
         dp = dual(hull([(1, 0), (0, 1), (-1, -1), (1, 1)]))
-        assert not ke_test(dp)
+        assert not full_verdict(dp).is_ke
 
     def test_counterexample_fixture_passes(self, cx5_pair):
-        assert ke_test(cx5_pair)
+        assert full_verdict(cx5_pair).is_ke
 
 
 class TestPairingAndLct:

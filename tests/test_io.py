@@ -290,6 +290,28 @@ class TestCLI:
         assert dim == 2
         assert set(rows) == {(-1, -1), (-1, 2), (2, -1)}
 
+    @pytest.mark.parametrize(
+        ("name", "rows", "message"),
+        [
+            ("seg", "0 0\n1 1\n2 2", "points do not affinely span the space"),
+            (
+                "tri",
+                "0 0\n2 0\n0 2",
+                "dualization needs the origin strictly interior (origin is not strictly interior)",
+            ),
+        ],
+        ids=["collinear", "origin-on-boundary"],
+    )
+    def test_dual_refused(self, tmp_path, capsys, name, rows, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"polytope {name}\ndim 2\nvertices 3\n{rows}\nend\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", str(path), "--name", name])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot dualize {name!r}: {message}\n"
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("bogus\n")

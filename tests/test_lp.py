@@ -1,75 +1,41 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfano.lp import LinearProgram, feasible_point, solve
+from toricfano.lp import feasible_point
+
+
+def assert_farkas(y, constraints):
+    """y >= 0 with y.A = 0 and y.b < 0, checked against the original data."""
+    assert y is not None
+    assert all(c >= 0 for c in y)
+    n = len(constraints[0][0])
+    assert all(sum(yi * a[j] for yi, (a, _) in zip(y, constraints)) == 0 for j in range(n))
+    assert sum(yi * b for yi, (_, b) in zip(y, constraints)) < 0
 
 
 class TestSolve:
-    def test_simple_max(self):
-        # max x + y on the unit square [0,1]^2
-        lp = LinearProgram(
-            constraints=(
-                ((1, 0), 1),
-                ((0, 1), 1),
-                ((-1, 0), 0),
-                ((0, -1), 0),
-            ),
-            objective=(1, 1),
-        )
-        r = solve(lp)
-        assert r.status == "optimal"
-        assert r.value == 2
-        assert r.point == (1, 1)
-
-    def test_min_sense(self):
-        lp = LinearProgram(
-            constraints=(((1,), 3), ((-1,), 2)),
-            objective=(1,),
-            sense="min",
-        )
-        r = solve(lp)
-        assert r.status == "optimal"
-        assert r.value == -2
-
-    def test_fractional_optimum(self):
-        # max y s.t. 2y <= 1, -y <= 0
-        lp = LinearProgram(constraints=(((0, 2), 1), ((0, -1), 0), ((1, 0), 0), ((-1, 0), 0)), objective=(0, 1))
-        r = solve(lp)
-        assert r.value == Fraction(1, 2)
-
-    def test_unbounded(self):
-        lp = LinearProgram(constraints=(((-1,), 0),), objective=(1,))
-        assert solve(lp).status == "unbounded"
-
     def test_infeasible_with_farkas(self):
         # x <= -1 and -x <= 0 cannot both hold
-        lp = LinearProgram(constraints=(((1,), -1), ((-1,), 0)), objective=(1,))
-        r = solve(lp)
+        cons = (((1,), -1), ((-1,), 0))
+        r = feasible_point(cons)
         assert r.status == "infeasible"
-        y = r.farkas
-        assert y is not None
-        assert all(c >= 0 for c in y)
-        # y.A = 0 and y.b < 0, checked against the original data
-        assert y[0] * 1 + y[1] * (-1) == 0
-        assert y[0] * (-1) + y[1] * 0 < 0
+        assert r.point is None
+        assert_farkas(r.farkas, cons)
 
     def test_free_variables(self):
-        # x may be negative: max -x with x >= -5
-        lp = LinearProgram(constraints=(((-1,), 5),), objective=(-1,))
-        r = solve(lp)
-        assert r.value == 5
-        assert r.point == (-5,)
+        # every feasible x is at most -5, so the point must go negative
+        r = feasible_point([((1,), -5), ((-1,), 7)])
+        assert r.status == "optimal"
+        (x,) = r.point
+        assert -7 <= x <= -5
 
     def test_degenerate_vertex_terminates(self):
-        # many constraints meeting at one point; Bland's rule must not cycle
-        cons = tuple(((a, b), 0) for a in (-1, 0, 1) for b in (-1, 0, 1) if (a, b) != (0, 0))
-        lp = LinearProgram(constraints=cons, objective=(1, 1))
-        r = solve(lp)
+        # eight constraints meeting at one point; Bland's rule must not cycle
+        cons = [((a, b), a + b) for a in (-1, 0, 1) for b in (-1, 0, 1) if (a, b) != (0, 0)]
+        r = feasible_point(cons)
         assert r.status == "optimal"
-        assert r.value == 0
+        assert r.point == (1, 1)
 
 
 class TestFeasiblePoint:
@@ -90,19 +56,19 @@ class TestFeasiblePoint:
         assert r.farkas is not None
 
     def test_dim_required_when_empty(self):
-        r = feasible_point([], dim=2)
-        assert r.status == "optimal"
-        assert len(r.point) == 2
+        # an empty system carries no dimension, and none can be passed
+        with pytest.raises(ValueError):
+            feasible_point([])
 
 
 @st.composite
 def bounded_lps(draw):
+    """A box-bounded system <a, x> <= b plus one drawn equality."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
     coeff = st.integers(-4, 4)
     extra = [tuple(draw(st.lists(coeff, min_size=n, max_size=n))) for _ in range(m)]
     rhss = [draw(st.integers(-3, 6)) for _ in range(m)]
-    # box constraints keep every instance bounded
     cons = []
     for j in range(n):
         e = [0] * n
@@ -110,35 +76,23 @@ def bounded_lps(draw):
         cons.append((tuple(e), 5))
         cons.append((tuple(-x for x in e), 5))
     cons.extend(zip(extra, rhss))
-    obj = tuple(draw(st.lists(coeff, min_size=n, max_size=n)))
-    return LinearProgram(constraints=tuple(cons), objective=obj)
+    eq = (tuple(draw(st.lists(coeff, min_size=n, max_size=n))), draw(st.integers(-6, 6)))
+    return cons, eq
 
 
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(bounded_lps())
-    def test_certificates_are_exact(self, lp):
-        r = solve(lp)
+    def test_certificates_are_exact(self, system):
+        cons, (c, d) = system
+        r = feasible_point(cons, equalities=[(c, d)])
         assert r.status in ("optimal", "infeasible")
         if r.status == "optimal":
-            # returned point satisfies every constraint exactly
-            for a, b in lp.constraints:
-                assert sum(c * x for c, x in zip(a, r.point)) <= b
-            assert sum(c * x for c, x in zip(lp.objective, r.point)) == r.value
+            # the returned point satisfies every constraint exactly
+            for a, b in cons:
+                assert sum(ai * x for ai, x in zip(a, r.point)) <= b
+            assert sum(ci * x for ci, x in zip(c, r.point)) == d
         else:
-            y = r.farkas
-            assert all(c >= 0 for c in y)
-            n = len(lp.objective)
-            comb = [sum(yi * a[j] for yi, (a, _) in zip(y, lp.constraints)) for j in range(n)]
-            assert all(c == 0 for c in comb)
-            assert sum(yi * b for yi, (_, b) in zip(y, lp.constraints)) < 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(bounded_lps())
-    def test_max_dominates_feasible_points(self, lp):
-        r = solve(lp)
-        if r.status != "optimal":
-            return
-        f = feasible_point(lp.constraints)
-        assert f.status == "optimal"
-        assert sum(c * x for c, x in zip(lp.objective, f.point)) <= r.value
+            # equalities enter the witness as the pair <c,x> <= d, <-c,x> <= -d
+            pairs = cons + [(c, d), (tuple(-x for x in c), -d)]
+            assert_farkas(r.farkas, pairs)

@@ -259,7 +259,8 @@ class TestEhrhart:
         e = ehrhart(p)
         assert e.coefficients[0] == 1
         for k in (1, 2):
-            assert e(k) == count_lattice_points(p, k)
+            value = sum(c * k**i for i, c in enumerate(e.coefficients))
+            assert value == count_lattice_points(p, k)
 
     def test_top_and_second_coefficients(self, p3_pair, hexagon_pair):
         for dp in [p3_pair, hexagon_pair]:

@@ -44,3 +44,18 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         offenders += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert offenders == []
+
+
+def test_no_nested_functions():
+    """No ``def`` inside a function: a recursive closure keeps its frame alive
+    in a reference cycle.  Lambdas are allowed."""
+    offenders = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders += [
+                    f"{path.name}:{inner.lineno}: {inner.name} in {node.name}"
+                    for inner in ast.walk(node)
+                    if inner is not node and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+    assert offenders == []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from test_measures import PRODUCT_PAIRS, SUMMANDS
 from toricfano import fixtures
-from toricfano.criteria import lct, max_pairing
+from toricfano.criteria import full_verdict, lct, max_pairing
 from toricfano.linalg import (
     SingularMatrixError,
     dot,
@@ -23,7 +23,6 @@ from toricfano.symmetry import (
     SymmetryGroup,
     automorphism_group,
     fixed_space,
-    is_symmetric,
     polytope_automorphisms,
     transport_group,
     trivial_group,
@@ -234,9 +233,8 @@ def test_fixed_space_cross():
 
 
 def test_is_symmetric_fixtures(p2_pair, cross2_pair, hexagon_pair):
-    assert is_symmetric(p2_pair)
-    assert is_symmetric(cross2_pair)
-    assert is_symmetric(hexagon_pair)
+    for dp in (p2_pair, cross2_pair, hexagon_pair):
+        assert full_verdict(dp).is_symmetric
 
 
 def test_vertex_sum():
