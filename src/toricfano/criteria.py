@@ -1,20 +1,17 @@
 """Headline decision procedures for smooth toric Fano dual pairs.
 
 Everything here is an exact comparison; no tolerances appear anywhere.
+The alpha-invariant and the group-invariant lct are one number, read off the
+group average of vert(P) (see ``max_pairing`` and ``alpha_invariant``).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import dot
-from .measures import coefficient_of_asymmetry, volume_and_barycenter
-from .polytope import DualPair, restrict_to_subspace
-from .symmetry import (
-    FixedSpace,
-    SymmetryGroup,
-    automorphism_group,
-    fixed_space,
-)
+from .linalg import dot, mat_vec
+from .measures import volume_and_barycenter
+from .polytope import DualPair
+from .symmetry import SymmetryGroup, automorphism_group, fixed_space, group_sum
 
 
 @dataclass(frozen=True)
@@ -30,61 +27,41 @@ class KEVerdict:
     tian_holds: bool
 
 
-def _p_side_group(dp, groups=None) -> SymmetryGroup:
-    if groups is None:
-        groups = automorphism_group(dp)
-    return groups[1]
+def max_pairing(dp: DualPair, g: SymmetryGroup) -> Fraction:
+    """max{<w, v> : w in P_G, v in vert(Q)} for a dual-side group g.
 
-
-def _fixed_slice(dp, fs_p: FixedSpace):
-    """P cut by the dual-side fixed space, built once per verdict.
-
-    None when the fixed space is {0}; P itself when it is all of R^n.
+    P is convex and G-invariant, so the slice P_G = P cut by Fix(G) is the
+    image of P under the group average pi = S/|G|, S = sum(a).  A linear
+    function therefore has the same maximum over P_G as over the averages
+    of vert(P), and S is an integer matrix.
     """
-    if fs_p.dim == 0:
-        return None
-    if fs_p.dim == dp.p.dim:
-        return dp.p
-    return restrict_to_subspace(dp.p, fs_p.basis)
+    s = group_sum(g)
+    averages = {mat_vec(s, w) for w in dp.p.vertices}
+    return Fraction(max(dot(w, v) for w in averages for v in dp.q.vertices), g.order)
 
 
-def _max_pairing(dp, slice_p):
-    if slice_p is None:
-        return Fraction(0)
-    witnesses = slice_p.vertices if slice_p is dp.p else slice_p.ambient_vertices()
-    return max(Fraction(dot(w, v)) for w in witnesses for v in dp.q.vertices)
-
-
-def _alpha(fs_q: FixedSpace, slice_p):
-    if fs_q.dim == 0:
-        return Fraction(1)
-    return 1 / (1 + coefficient_of_asymmetry(slice_p))
-
-
-def max_pairing(dp: DualPair, g: SymmetryGroup):
-    """max{<w, v> : w in vert(P_G), v in vert(Q)} for a dual-side subgroup g."""
-    return _max_pairing(dp, _fixed_slice(dp, fixed_space(g)))
-
-
-def lct(dp: DualPair, g: SymmetryGroup = None, groups=None) -> Fraction:
+def lct(dp: DualPair, g: SymmetryGroup = None) -> Fraction:
     """Group-invariant log canonical threshold 1/(1 + max pairing).
 
     ``g`` acts on the dual side; defaults to the full automorphism group.
     """
     if g is None:
-        g = _p_side_group(dp, groups)
+        g = automorphism_group(dp)[1]
     return 1 / (1 + max_pairing(dp, g))
 
 
-def alpha_invariant(dp: DualPair, groups=None) -> Fraction:
-    """1 for symmetric pairs, else 1/(1 + asymmetry of the fixed-space slice)."""
-    if groups is None:
-        groups = automorphism_group(dp)
-    gq, gp = groups
-    return _alpha(fixed_space(gq), _fixed_slice(dp, fixed_space(gp)))
+def alpha_invariant(dp: DualPair) -> Fraction:
+    """1/(1 + asymmetry of P_G), which is the lct of the full group.
+
+    The facets of P_G read <v, x> >= -1 for v in vert(Q), so -P_G lies in
+    s*P_G exactly when <v, w> <= s for every such v and every w in P_G: the
+    asymmetry of P_G is the max pairing.  When Fix(G) = {0} both are 0 and
+    alpha is 1.
+    """
+    return lct(dp)
 
 
-def tian_condition(dp: DualPair, g: SymmetryGroup = None, groups=None) -> bool:
+def tian_condition(dp: DualPair, g: SymmetryGroup = None) -> bool:
     """True iff the fixed-space slice of P is the single point {0}.
 
     Equivalent to lct > n/(n+1); since the slice is full-dimensional in the
@@ -92,17 +69,17 @@ def tian_condition(dp: DualPair, g: SymmetryGroup = None, groups=None) -> bool:
     the fixed space itself is zero.
     """
     if g is None:
-        g = _p_side_group(dp, groups)
+        g = automorphism_group(dp)[1]
     return fixed_space(g).dim == 0
 
 
 def full_verdict(dp: DualPair, groups=None) -> KEVerdict:
-    """One-pass verdict record; the groups, both fixed spaces and the slice are computed once."""
+    """One-pass verdict record; groups, both fixed spaces and alpha = lct are computed once."""
     if groups is None:
         groups = automorphism_group(dp)
     gq, gp = groups
     fs_q, fs_p = fixed_space(gq), fixed_space(gp)
-    slice_p = _fixed_slice(dp, fs_p)
+    threshold = 1 / (1 + max_pairing(dp, gp))
     _, bary = volume_and_barycenter(dp.p)
     return KEVerdict(
         is_ke=all(b == 0 for b in bary),
@@ -111,7 +88,7 @@ def full_verdict(dp: DualPair, groups=None) -> KEVerdict:
         fixed_dim=fs_q.dim,
         fixed_dim_dual=fs_p.dim,
         fixed_basis=fs_q.basis,
-        alpha=_alpha(fs_q, slice_p),
-        lct=1 / (1 + _max_pairing(dp, slice_p)),
+        alpha=threshold,
+        lct=threshold,
         tian_holds=fs_p.dim == 0,
     )

@@ -115,9 +115,14 @@ def adjugate(m):
 
     Fraction-free Gauss-Jordan (Bareiss-Montante) on [m | I]: every division
     is exact, the left block ends as +-det(m).I and the right block as the
-    same multiple of m^-1.
+    same multiple of m^-1.  As in ``det``, entries other than ``int`` are
+    refused rather than floor-divided into a wrong value.
     """
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise DimensionError("adjugate requires a square matrix")
+    if not all(isinstance(x, int) for row in m for x in row):
+        raise TypeError("adjugate requires int entries")
     a = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(m)]
     sign = prev = 1
     for k in range(n):

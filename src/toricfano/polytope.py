@@ -8,7 +8,6 @@ equality is equality of that canonical form.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -251,13 +250,11 @@ def dual(q: LatticePolytope) -> DualPair:
     return DualPair(q=q, p=p)
 
 
-@lru_cache(maxsize=1)
 def faces_codim2(p: LatticePolytope):
     """All ridges, each as (vertex index frozenset, (facet index, facet index)).
 
     Any polytope, simple or not; the scan reads the ridges of a simple one
-    off its vertex cones (``measures.vertex_cones``) instead.  A cache of
-    one keeps no more than one polytope's ridges alive.
+    off its vertex cones (``measures.vertex_cones``) instead.
     """
     n = p.dim
     out = []

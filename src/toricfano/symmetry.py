@@ -158,13 +158,17 @@ def fixed_space(g: SymmetryGroup) -> FixedSpace:
     x is its own group average, which is fixed.  So R has the same row
     space, hence the same RREF and basis, as all rows of every a - I.
     """
-    n, order = g.dim, len(g.elements)
     reynolds = [
-        [sum(a[i][j] for a in g.elements) - (order if i == j else 0) for j in range(n)]
-        for i in range(n)
+        [x - (g.order if i == j else 0) for j, x in enumerate(row)]
+        for i, row in enumerate(group_sum(g))
     ]
     basis = kernel_basis(reynolds)
     return FixedSpace(dim=len(basis), basis=tuple(basis))
+
+
+def group_sum(g: SymmetryGroup):
+    """Entrywise sum of the elements, |G| times the group average."""
+    return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*g.elements))
 
 
 def vertex_sum(q: LatticePolytope):

@@ -1,5 +1,11 @@
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_measures import PRODUCT_PAIRS, SUMMANDS
+from test_symmetry import PAIRS, _elementary_unimodular, groups_of, smallest_cyclic_subgroup
 from toricfano import fixtures
 from toricfano.criteria import (
     alpha_invariant,
@@ -8,8 +14,10 @@ from toricfano.criteria import (
     max_pairing,
     tian_condition,
 )
-from toricfano.polytope import dual, hull
-from toricfano.symmetry import automorphism_group, trivial_group
+from toricfano.linalg import mat_vec
+from toricfano.measures import coefficient_of_asymmetry
+from toricfano.polytope import dual, free_sum, hull, restrict_to_subspace
+from toricfano.symmetry import automorphism_group, fixed_space, trivial_group
 
 
 class TestKETest:
@@ -51,9 +59,9 @@ class TestAlphaTian:
             assert tian_condition(dp)
 
     def test_headline_nonsymmetric_values(self, q1_pair, q1_groups):
-        assert alpha_invariant(q1_pair, groups=q1_groups) == Fraction(1, 2)
-        assert lct(q1_pair, groups=q1_groups) == Fraction(1, 2)
-        assert not tian_condition(q1_pair, groups=q1_groups)
+        assert alpha_invariant(q1_pair) == Fraction(1, 2)
+        assert lct(q1_pair, g=q1_groups[1]) == Fraction(1, 2)
+        assert not tian_condition(q1_pair, g=q1_groups[1])
 
 
 class TestFullVerdict:
@@ -82,3 +90,61 @@ class TestFullVerdict:
         assert v.alpha == Fraction(1, 2)
         assert v.lct == Fraction(1, 2)
         assert not v.tian_holds
+
+
+# Differential oracle: the slice route the verdict used to take.  P cut by
+# Fix(g) is built facet subset by facet subset, and the threshold is
+# 1/(1 + its coefficient of asymmetry).
+
+def slice_threshold(dp, g):
+    fs = fixed_space(g)
+    if fs.dim == 0:
+        return Fraction(1)
+    sliced = dp.p if fs.dim == dp.p.dim else restrict_to_subspace(dp.p, fs.basis)
+    return 1 / (1 + coefficient_of_asymmetry(sliced))
+
+
+def free_sum_of(names):
+    parts = [hull(SUMMANDS[s]) for s in names]
+    return parts[0] if len(parts) == 1 else free_sum(*parts)
+
+
+def assert_matches_slice_oracle(dp, groups):
+    gp = groups[1]
+    v = full_verdict(dp, groups=groups)
+    assert v.alpha == v.lct == slice_threshold(dp, gp)
+    for g in (trivial_group(dp.p.dim, dp.p), smallest_cyclic_subgroup(gp)):
+        assert lct(dp, g=g) == slice_threshold(dp, g)
+
+
+class TestSliceOracle:
+    @pytest.mark.parametrize("name", PAIRS + ["q1_pair"])
+    def test_fixture(self, request, name):
+        assert_matches_slice_oracle(request.getfixturevalue(name), groups_of(request, name))
+
+    @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids=["+".join(p) for p in PRODUCT_PAIRS])
+    def test_free_sum(self, pair):
+        dp = dual(free_sum_of(pair))
+        assert_matches_slice_oracle(dp, automorphism_group(dp))
+
+    def test_fixed_dimensions_covered(self, p2_pair, q1_pair, q1_groups):
+        # the oracle runs on fixed spaces {0}, a line, a plane and all of R^n
+        bl = dual(free_sum_of(("bl1", "bl2")))
+        assert full_verdict(p2_pair).fixed_dim_dual == 0
+        assert full_verdict(q1_pair, groups=q1_groups).fixed_dim_dual == 1
+        assert full_verdict(bl).fixed_dim_dual == 2
+        assert fixed_space(trivial_group(bl.p.dim)).dim == bl.p.dim
+
+    @given(
+        st.sampled_from(PRODUCT_PAIRS + [(s,) for s in SUMMANDS]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unimodular_image(self, names, rng):
+        q = free_sum_of(names)
+        u = _elementary_unimodular(q.dim, rng)
+        dp, dpu = dual(q), dual(hull([mat_vec(u, v) for v in q.vertices]))
+        fields = ("alpha", "lct", "fixed_dim", "fixed_dim_dual", "tian_holds")
+        v, vu = full_verdict(dp), full_verdict(dpu)
+        assert [getattr(vu, f) for f in fields] == [getattr(v, f) for f in fields]
+        assert vu.alpha == slice_threshold(dpu, automorphism_group(dpu)[1])

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import types
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import toricfano
 from toricfano import fixtures
 from toricfano.cli import main
 from toricfano.io import (
@@ -347,10 +349,15 @@ class TestCLI:
         assert all(r["is_smooth_fano"] and "conjectures" in r for r in data[2:])
 
     def test_console_script_runs(self, good_file):
+        # the child imports the package from the same tree as this process
+        src = str(Path(toricfano.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-m", "toricfano.cli", "scan", good_file, "--format", "csv"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("name,")

@@ -78,6 +78,15 @@ class TestAdjugate:
         with pytest.raises(SingularMatrixError):
             adjugate([[1, 2], [2, 4]])
 
+    def test_rational_entries_rejected(self):
+        # floor division would report det 1/2 as singular; refuse the input
+        with pytest.raises(TypeError):
+            adjugate([[Fraction(1, 2), 1], [1, 3]])
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            adjugate([[1, 2, 3], [4, 5, 6]])
+
     @given(
         st.lists(
             st.lists(st.integers(-9, 9), min_size=4, max_size=4),
@@ -199,6 +208,15 @@ class TestUnimodularInverse:
     def test_rejects_non_unimodular(self):
         with pytest.raises(SingularMatrixError):
             matrix_inverse_unimodular(((2, 0), (0, 1)))
+
+    def test_rejects_rational_entries(self):
+        # the true inverse ((1, -1/2), (0, 1)) is not integral
+        with pytest.raises(TypeError):
+            matrix_inverse_unimodular([[1, Fraction(1, 2)], [0, 1]])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionError):
+            matrix_inverse_unimodular([[1, 0, 0], [0, 1, 0]])
 
 
 def test_permutation_matrices_det():
