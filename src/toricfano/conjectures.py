@@ -22,10 +22,6 @@ from .measures import (
 from .polytope import DualPair
 
 
-class DimensionCapExceeded(Exception):
-    """Raised when an Ehrhart-based check is refused above the dimension cap."""
-
-
 @dataclass(frozen=True)
 class Eq1Record:
     a_n_minus_2: Fraction
@@ -50,7 +46,6 @@ class EhrhartBoundRecord:
     simplex_shape: bool | None   # only meaningful when equality holds
     known_bound: Fraction
     known_bound_holds: bool
-    interior_point_checked: bool
 
 
 @dataclass(frozen=True)
@@ -71,17 +66,12 @@ class ConjectureReport:
     bishop: BishopRecord
 
 
-def check_eq1(dp: DualPair, max_dim=5, override=False) -> Eq1Record:
+def check_eq1(dp: DualPair) -> Eq1Record:
     """Second-highest Ehrhart coefficient against a third of the ridge volume."""
     p = dp.p
     n = p.dim
     if n < 2:
         raise ValueError("needs dimension at least 2")
-    if n > max_dim and not override:
-        raise DimensionCapExceeded(
-            f"Ehrhart computation in dimension {n} exceeds the cap {max_dim}; "
-            "pass override to force it"
-        )
     a = ehrhart(p).coefficients[n - 2]
     third = codim2_volume(p) / 3
     return Eq1Record(
@@ -144,12 +134,10 @@ def check_ehrhart_bound(dp: DualPair, interior_check_max_dim=5) -> EhrhartBoundR
     """
     p = dp.p
     n = p.dim
-    checked = False
     if n <= interior_check_max_dim:
         strict = [(f.normal, f.rhs + 1) for f in p.facets]
         if count_integer_points(strict) != 1 or not p.contains_origin_interior():
             raise ValueError("origin is not the unique interior lattice point")
-        checked = True
     vol, _ = volume_and_barycenter(p)
     bound = Fraction((n + 1) ** n, factorial(n))
     equality = vol == bound
@@ -162,7 +150,6 @@ def check_ehrhart_bound(dp: DualPair, interior_check_max_dim=5) -> EhrhartBoundR
         simplex_shape=(p.n_vertices == n + 1) if equality else None,
         known_bound=known,
         known_bound_holds=vol <= known,
-        interior_point_checked=checked,
     )
 
 
@@ -186,15 +173,10 @@ def check_bishop(dp: DualPair) -> BishopRecord:
 
 
 def run_all(dp: DualPair, ehrhart_max_dim=5) -> ConjectureReport:
-    if dp.p.dim < 2:
-        eq1 = None
-    else:
-        try:
-            eq1 = check_eq1(dp, max_dim=ehrhart_max_dim)
-        except DimensionCapExceeded:
-            eq1 = None
+    """Every check; eq1 is None outside dimensions 2 .. ``ehrhart_max_dim``."""
+    n = dp.p.dim
     return ConjectureReport(
-        eq1=eq1,
+        eq1=check_eq1(dp) if 2 <= n <= ehrhart_max_dim else None,
         conj11=tuple(check_conj11(dp)),
         ehrhart_bound=check_ehrhart_bound(dp, interior_check_max_dim=ehrhart_max_dim),
         bishop=check_bishop(dp),

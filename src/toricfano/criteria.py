@@ -74,11 +74,17 @@ def tian_condition(dp: DualPair, g: SymmetryGroup = None) -> bool:
 
 
 def full_verdict(dp: DualPair, groups=None) -> KEVerdict:
-    """One-pass verdict record; groups, both fixed spaces and alpha = lct are computed once."""
+    """One-pass verdict record; groups, the fixed space and alpha = lct are computed once.
+
+    The dual group is the transposes of the Fano-side group G, so its fixed
+    space is ker(S^T - |G| I) with S = sum(G).  A matrix and its transpose
+    have one rank, so both fixed spaces have one dimension: Tian's condition
+    is the symmetry verdict.
+    """
     if groups is None:
         groups = automorphism_group(dp)
     gq, gp = groups
-    fs_q, fs_p = fixed_space(gq), fixed_space(gp)
+    fs_q = fixed_space(gq)
     threshold = 1 / (1 + max_pairing(dp, gp))
     _, bary = volume_and_barycenter(dp.p)
     return KEVerdict(
@@ -86,9 +92,9 @@ def full_verdict(dp: DualPair, groups=None) -> KEVerdict:
         barycenter=bary,
         is_symmetric=fs_q.dim == 0,
         fixed_dim=fs_q.dim,
-        fixed_dim_dual=fs_p.dim,
+        fixed_dim_dual=fs_q.dim,
         fixed_basis=fs_q.basis,
         alpha=threshold,
         lct=threshold,
-        tian_holds=fs_p.dim == 0,
+        tian_holds=fs_q.dim == 0,
     )

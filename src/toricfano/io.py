@@ -17,7 +17,7 @@ import io as _io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -132,8 +132,15 @@ def fmt_rat(x):
     return f"{f.numerator}/{f.denominator}"
 
 
-def fmt_vec(v):
-    return [fmt_rat(x) for x in v]
+def _plain(x):
+    """JSON-ready form: Fraction as ``fmt_rat``, sequences and dataclass fields recursively."""
+    if isinstance(x, Fraction):
+        return fmt_rat(x)
+    if isinstance(x, (tuple, list)):
+        return [_plain(y) for y in x]
+    if is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
+    return x
 
 
 @dataclass(frozen=True)
@@ -172,17 +179,15 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     groups = automorphism_group(dp)
     gq, gp = groups
     verdict = full_verdict(dp, groups=groups)
-    report["barycenter"] = fmt_vec(verdict.barycenter)
+    report["barycenter"] = _plain(verdict.barycenter)
     report["is_ke"] = verdict.is_ke
     report["is_symmetric"] = verdict.is_symmetric
     report["group_order"] = gq.order
     report["group_order_dual"] = gp.order
     report["fixed_dim"] = verdict.fixed_dim
     report["fixed_dim_dual"] = verdict.fixed_dim_dual
-    report["fixed_generator"] = (
-        [int(x) for x in verdict.fixed_basis[0]] if verdict.fixed_dim == 1 else None
-    )
-    report["vertex_sum"] = [int(x) for x in vertex_sum(q)]
+    report["fixed_generator"] = _plain(verdict.fixed_basis[0]) if verdict.fixed_dim == 1 else None
+    report["vertex_sum"] = _plain(vertex_sum(q))
     report["alpha"] = fmt_rat(verdict.alpha)
     report["lct"] = fmt_rat(verdict.lct)
     report["tian_holds"] = verdict.tian_holds
@@ -191,54 +196,12 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     report["degree"] = fmt_rat(factorial(dp.p.dim) * vol)
     report["fano_index"] = fano_index(dp.p)
     if dp.p.dim <= options.ehrhart_max_dim:
-        report["ehrhart"] = fmt_vec(ehrhart(dp.p).coefficients)
+        report["ehrhart"] = _plain(ehrhart(dp.p).coefficients)
     if options.conjectures:
-        report["conjectures"] = _conjecture_dict(dp, options)
+        report["conjectures"] = _plain(conj.run_all(dp, ehrhart_max_dim=options.ehrhart_max_dim))
     if options.timing:
         report["seconds"] = time.monotonic() - t0
     return report
-
-
-def _conjecture_dict(dp, options):
-    rep = conj.run_all(dp, ehrhart_max_dim=options.ehrhart_max_dim)
-    out = {}
-    if rep.eq1 is not None:
-        out["eq1"] = {
-            "a_n_minus_2": fmt_rat(rep.eq1.a_n_minus_2),
-            "third_of_codim2_vol": fmt_rat(rep.eq1.third_of_codim2_vol),
-            "holds": rep.eq1.holds,
-            "equality": rep.eq1.equality,
-        }
-    else:
-        out["eq1"] = None
-    out["conj11"] = [
-        {
-            "facet_index": f.facet_index,
-            "facet_normal": list(f.facet_normal),
-            "feasible": f.feasible,
-        }
-        for f in rep.conj11
-    ]
-    eb = rep.ehrhart_bound
-    out["ehrhart_bound"] = {
-        "vol": fmt_rat(eb.vol),
-        "bound": fmt_rat(eb.bound),
-        "holds": eb.holds,
-        "equality": eb.equality,
-        "simplex_shape": eb.simplex_shape,
-        "known_bound": fmt_rat(eb.known_bound),
-        "known_bound_holds": eb.known_bound_holds,
-    }
-    b = rep.bishop
-    out["bishop"] = {
-        "index": b.index,
-        "degree": fmt_rat(b.degree),
-        "lhs": fmt_rat(b.lhs),
-        "bound": b.bound,
-        "holds": b.holds,
-        "sharp": b.sharp,
-    }
-    return out
 
 
 def scan(pf: PolytopeFile, options: ScanOptions = ScanOptions()):

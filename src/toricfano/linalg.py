@@ -142,23 +142,14 @@ def adjugate(m):
 
 
 def solve_exact(a, b):
-    """Solve a square system a.x = b exactly over the rationals."""
+    """Solve a square system a.x = b exactly over the rationals, from the RREF of [a | b]."""
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise DimensionError("solve_exact requires a square system")
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot = aug[k][k]
-        aug[k] = [x / pivot for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return tuple(row[n] for row in aug)
+    ech, pivots = rref([[*row, bi] for row, bi in zip(a, b)])
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return tuple(row[n] for row in ech)
 
 
 def rref(rows):

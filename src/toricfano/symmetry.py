@@ -8,9 +8,8 @@ B0 is unimodular), so its image A v = sum_i lambda_v,i w_i is fixed as soon
 as w_0 .. w_k are, k being the last nonzero coordinate of lambda_v.  The
 backtracking over facet tuples checks those images against vert(Q) at each
 depth and drops a partial tuple at the first image that is not a vertex;
-only a complete tuple builds its matrix.  Two invariants prune the search
-as well: a vertex's sorted profile of facet values, and pairwise
-common-facet counts.
+only a complete tuple builds its matrix.  A vertex's sorted profile of
+facet values prunes the search as well: a target must match its source's.
 """
 
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ class SymmetryGroup:
 
     dim: int
     elements: tuple        # sorted tuple of matrices (tuples of row tuples)
-    polytope: LatticePolytope | None = None
 
     @property
     def order(self):
@@ -38,8 +36,8 @@ class FixedSpace:
     basis: tuple           # primitive integer vectors, possibly empty
 
 
-def trivial_group(dim, polytope=None):
-    return SymmetryGroup(dim=dim, elements=(identity(dim),), polytope=polytope)
+def trivial_group(dim):
+    return SymmetryGroup(dim=dim, elements=(identity(dim),))
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,6 @@ class _Search:
     verts: tuple
     vertex_set: frozenset
     profiles: list         # per vertex, sorted facet values
-    common: list           # per vertex pair, number of common facets
     checks: list           # checks[k]: sparse lambda_v of vertices fixed at depth k
 
 
@@ -69,13 +66,6 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
         raise PolytopeError("automorphism search needs a simplicial facet")
 
     profiles = [tuple(sorted(dot(f.normal, v) for f in facets)) for v in verts]
-    nv = len(verts)
-    common = [[0] * nv for _ in range(nv)]
-    for f in facets:
-        inc = sorted(f.vertex_indices)
-        for a in inc:
-            for b in inc:
-                common[a][b] += 1
 
     base = sorted(anchor.vertex_indices)
     b0_inv = matrix_inverse_unimodular(transpose([verts[i] for i in base]))
@@ -90,13 +80,13 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
     # column c of A = W B0^-1 is sum_i B0^-1[i][c] w_i
     columns = [[(i, b0_inv[i][c]) for i in range(n) if b0_inv[i][c]] for c in range(n)]
 
-    search = _Search(base, verts, frozenset(verts), profiles, common, checks)
+    search = _Search(base, verts, frozenset(verts), profiles, checks)
     found = set()
     for facet in facets:
         for images in _assignments(search, sorted(facet.vertex_indices), [], []):
             found.add(transpose([_combine(terms, images) for terms in columns]))
 
-    return SymmetryGroup(dim=n, elements=tuple(sorted(found)), polytope=q)
+    return SymmetryGroup(dim=n, elements=tuple(sorted(found)))
 
 
 def _combine(terms, images):
@@ -110,19 +100,17 @@ def _assignments(search, targets, assignment, images):
     """Each vertex-preserving choice of distinct targets extending ``assignment``.
 
     Yields the images w_0 .. w_{n-1} of the anchor basis.  A target must
-    match its source's facet-value profile and common-facet counts, and
-    every vertex image it completes must be a vertex.
+    match its source's facet-value profile, and every vertex image it
+    completes must be a vertex.
     """
     pos = len(assignment)
     if pos == len(search.base):
         yield images
         return
     src = search.base[pos]
-    profiles, common = search.profiles, search.common
+    profiles = search.profiles
     for t in targets:
         if t in assignment or profiles[t] != profiles[src]:
-            continue
-        if any(common[t][assignment[j]] != common[src][search.base[j]] for j in range(pos)):
             continue
         images.append(search.verts[t])
         if all(_combine(lam, images) in search.vertex_set for lam in search.checks[pos]):
@@ -132,7 +120,7 @@ def _assignments(search, targets, assignment, images):
         images.pop()
 
 
-def transport_group(g: SymmetryGroup, polytope=None) -> SymmetryGroup:
+def transport_group(g: SymmetryGroup) -> SymmetryGroup:
     """Dual-side action of the group, the set of inverse-transposes.
 
     ``g.elements`` must be a group (closed under products and inverses).
@@ -140,13 +128,13 @@ def transport_group(g: SymmetryGroup, polytope=None) -> SymmetryGroup:
     the set of transposes and no matrix is inverted.
     """
     elems = tuple(sorted(transpose(a) for a in g.elements))
-    return SymmetryGroup(dim=g.dim, elements=elems, polytope=polytope)
+    return SymmetryGroup(dim=g.dim, elements=elems)
 
 
 def automorphism_group(dp: DualPair):
     """Groups of the Fano side and the dual side of a dual pair."""
     gq = polytope_automorphisms(dp.q)
-    gp = transport_group(gq, polytope=dp.p)
+    gp = transport_group(gq)
     return gq, gp
 
 

@@ -123,7 +123,7 @@ class TestCriterion6FormulaAgreement:
             assert r["alpha"] == r["lct"], r["name"]
 
     def test_trivial_group_lct_against_oracle(self, p2_pair):
-        g = trivial_group(2, p2_pair.p)
+        g = trivial_group(2)
         oracle = 1 / (
             1
             + max(

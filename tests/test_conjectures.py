@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfano import fixtures
+from toricfano import conjectures, fixtures
 from toricfano.conjectures import (
-    DimensionCapExceeded,
     check_bishop,
     check_conj11,
     check_eq1,
@@ -55,14 +54,10 @@ class TestEq1:
 
     @pytest.mark.slow
     def test_paper_example_q1(self, q1_pair):
-        r = check_eq1(q1_pair, override=True)
+        r = check_eq1(q1_pair)
         assert r.a_n_minus_2 == Fraction(10486, 15)
         assert r.third_of_codim2_vol == 920
         assert r.holds and not r.equality
-
-    def test_dimension_cap(self, q1_pair):
-        with pytest.raises(DimensionCapExceeded):
-            check_eq1(q1_pair)
 
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
@@ -101,13 +96,27 @@ class TestConj11:
             check_conj11(dp)
 
 
+@pytest.fixture
+def interior_counts(monkeypatch):
+    """Calls the Ehrhart-bound check makes to count the strict interior."""
+    calls = []
+    count = conjectures.count_integer_points
+
+    def counted(cons):
+        calls.append(cons)
+        return count(cons)
+
+    monkeypatch.setattr(conjectures, "count_integer_points", counted)
+    return calls
+
+
 class TestEhrhartBound:
-    def test_plane_is_sharp(self, p2_pair):
+    def test_plane_is_sharp(self, p2_pair, interior_counts):
         r = check_ehrhart_bound(p2_pair)
         assert r.vol == r.bound == Fraction(9, 2)
         assert r.holds and r.equality
         assert r.simplex_shape is True
-        assert r.interior_point_checked
+        assert len(interior_counts) == 1
 
     def test_square_strict(self):
         r = check_ehrhart_bound(dual(fixtures.cross_polytope(2)))
@@ -116,13 +125,13 @@ class TestEhrhartBound:
         assert r.holds and not r.equality
         assert r.simplex_shape is None
 
-    def test_counterexample_fixture(self, cx5_pair):
+    def test_counterexample_fixture(self, cx5_pair, interior_counts):
         r = check_ehrhart_bound(cx5_pair)
         assert r.vol == Fraction(301, 10)
         assert r.bound == Fraction(324, 5)
         assert r.holds
         assert r.known_bound_holds
-        assert r.interior_point_checked
+        assert len(interior_counts) == 1
 
     def test_rejects_extra_interior_points(self):
         # 2P for P the square: nine interior lattice points
@@ -136,10 +145,10 @@ class TestEhrhartBound:
         with pytest.raises(ValueError):
             check_ehrhart_bound(dp)
 
-    def test_structural_fallback_in_high_dimension(self, q1_pair):
+    def test_structural_fallback_in_high_dimension(self, q1_pair, interior_counts):
         r = check_ehrhart_bound(q1_pair)
         assert r.holds
-        assert not r.interior_point_checked
+        assert interior_counts == []
 
 
 class TestBishop:
@@ -170,6 +179,9 @@ class TestRunAll:
         assert sum(1 for f in report.conj11 if not f.feasible) == 2
         assert report.ehrhart_bound.holds
         assert report.bishop.holds
+
+    def test_eq1_skipped_above_the_cap(self, cx5_pair):
+        assert run_all(cx5_pair, ehrhart_max_dim=4).eq1 is None
 
 
 class TestInteriorCount:

@@ -36,7 +36,7 @@ class TestKETest:
 
 class TestPairingAndLct:
     def test_trivial_group_equals_global_lct(self, p2_pair):
-        g = trivial_group(2, p2_pair.p)
+        g = trivial_group(2)
         # max <w, v> over all of P and Q for the dual of the plane is 2
         assert max_pairing(p2_pair, g) == 2
         assert lct(p2_pair, g) == Fraction(1, 3)
@@ -47,7 +47,7 @@ class TestPairingAndLct:
 
     def test_trivial_group_on_cube(self):
         dp = dual(fixtures.cross_polytope(2))  # P is the square
-        g = trivial_group(2, dp.p)
+        g = trivial_group(2)
         assert max_pairing(dp, g) == 1
         assert lct(dp, g) == Fraction(1, 2)
 
@@ -113,7 +113,9 @@ def assert_matches_slice_oracle(dp, groups):
     gp = groups[1]
     v = full_verdict(dp, groups=groups)
     assert v.alpha == v.lct == slice_threshold(dp, gp)
-    for g in (trivial_group(dp.p.dim, dp.p), smallest_cyclic_subgroup(gp)):
+    # fixed_dim_dual is read off the Fano-side fixed space by the rank identity
+    assert v.fixed_dim_dual == fixed_space(gp).dim
+    for g in (trivial_group(dp.p.dim), smallest_cyclic_subgroup(gp)):
         assert lct(dp, g=g) == slice_threshold(dp, g)
 
 
