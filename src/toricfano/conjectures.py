@@ -20,6 +20,7 @@ from .measures import (
     volume_and_barycenter,
 )
 from .polytope import DualPair
+from .symmetry import SymmetryGroup, automorphism_group
 
 
 @dataclass(frozen=True)
@@ -82,32 +83,34 @@ def check_eq1(dp: DualPair) -> Eq1Record:
     )
 
 
-def check_conj11(dp: DualPair):
+def check_conj11(dp: DualPair, group: SymmetryGroup = None):
     """Per-facet feasibility of the half-bound point criterion.
 
     For each facet F of P: is there x in aff(F) with <u_G, x> <= 1/2 for
-    every facet G sharing a ridge with F?
+    every facet G sharing a ridge with F?  A lattice automorphism of P
+    permutes its facets and keeps their ridges, so every facet of one orbit
+    has the same answer: one LP is solved per orbit, at its least facet
+    index, ``group.orbits[i] == i``.  ``group`` is the dual-side group of
+    ``automorphism_group`` (its default), whose orbits are P's facet orbits.
     """
+    if group is None:
+        group = automorphism_group(dp)[1]
     p = dp.p
     _, bary = volume_and_barycenter(p)
     if any(b != 0 for b in bary):
         warnings.warn("criterion hypothesis b_P = 0 does not hold", stacklevel=2)
     adjacency = facet_adjacency(p)
+    feasible = {}
     out = []
-    for i, f in enumerate(p.facets):
-        ineqs = [
-            (p.facets[j].normal, Fraction(1, 2))
-            for j in sorted(adjacency[i])
-        ]
-        eqs = [(f.normal, Fraction(f.rhs))]
-        res = feasible_point(ineqs, eqs)
-        out.append(
-            FacetFeasibility(
-                facet_index=i,
-                facet_normal=f.normal,
-                feasible=res.status == "optimal",
-            )
-        )
+    for i, (f, rep) in enumerate(zip(p.facets, group.orbits, strict=True)):
+        if rep == i:
+            ineqs = [
+                (p.facets[j].normal, Fraction(1, 2))
+                for j in sorted(adjacency[i])
+            ]
+            eqs = [(f.normal, Fraction(f.rhs))]
+            feasible[i] = feasible_point(ineqs, eqs).status == "optimal"
+        out.append(FacetFeasibility(facet_index=i, facet_normal=f.normal, feasible=feasible[rep]))
     return out
 
 
@@ -172,12 +175,15 @@ def check_bishop(dp: DualPair) -> BishopRecord:
     )
 
 
-def run_all(dp: DualPair, ehrhart_max_dim=5) -> ConjectureReport:
-    """Every check; eq1 is None outside dimensions 2 .. ``ehrhart_max_dim``."""
+def run_all(dp: DualPair, ehrhart_max_dim=5, group: SymmetryGroup = None) -> ConjectureReport:
+    """Every check; eq1 is None outside dimensions 2 .. ``ehrhart_max_dim``.
+
+    ``group`` is the dual-side group, passed to ``check_conj11``.
+    """
     n = dp.p.dim
     return ConjectureReport(
         eq1=check_eq1(dp) if 2 <= n <= ehrhart_max_dim else None,
-        conj11=tuple(check_conj11(dp)),
+        conj11=tuple(check_conj11(dp, group)),
         ehrhart_bound=check_ehrhart_bound(dp, interior_check_max_dim=ehrhart_max_dim),
         bishop=check_bishop(dp),
     )

@@ -8,10 +8,10 @@ group average of vert(P) (see ``max_pairing`` and ``alpha_invariant``).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import dot, mat_vec
+from .linalg import dot, mat_vec, transpose
 from .measures import volume_and_barycenter
 from .polytope import DualPair
-from .symmetry import SymmetryGroup, automorphism_group, fixed_space, group_sum
+from .symmetry import SymmetryGroup, automorphism_group, fixed_space, group_sum, reynolds_kernel
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,12 @@ def max_pairing(dp: DualPair, g: SymmetryGroup) -> Fraction:
     function therefore has the same maximum over P_G as over the averages
     of vert(P), and S is an integer matrix.
     """
-    s = group_sum(g)
+    return _max_pairing_of_sum(dp, group_sum(g), g.order)
+
+
+def _max_pairing_of_sum(dp, s, order):
     averages = {mat_vec(s, w) for w in dp.p.vertices}
-    return Fraction(max(dot(w, v) for w in averages for v in dp.q.vertices), g.order)
+    return Fraction(max(dot(w, v) for w in averages for v in dp.q.vertices), order)
 
 
 def lct(dp: DualPair, g: SymmetryGroup = None) -> Fraction:
@@ -74,18 +77,19 @@ def tian_condition(dp: DualPair, g: SymmetryGroup = None) -> bool:
 
 
 def full_verdict(dp: DualPair, groups=None) -> KEVerdict:
-    """One-pass verdict record; groups, the fixed space and alpha = lct are computed once.
+    """One-pass verdict record; groups, group sum, fixed space and alpha = lct computed once.
 
-    The dual group is the transposes of the Fano-side group G, so its fixed
-    space is ker(S^T - |G| I) with S = sum(G).  A matrix and its transpose
-    have one rank, so both fixed spaces have one dimension: Tian's condition
-    is the symmetry verdict.
+    The dual group is the transposes of the Fano-side group G, so its sum is
+    S^T with S = sum(G), and its fixed space is ker(S^T - |G| I).  A matrix
+    and its transpose have one rank, so both fixed spaces have one
+    dimension: Tian's condition is the symmetry verdict.
     """
     if groups is None:
         groups = automorphism_group(dp)
-    gq, gp = groups
-    fs_q = fixed_space(gq)
-    threshold = 1 / (1 + max_pairing(dp, gp))
+    gq = groups[0]
+    s = group_sum(gq)
+    fs_q = reynolds_kernel(s, gq.order)
+    threshold = 1 / (1 + _max_pairing_of_sum(dp, transpose(s), gq.order))
     _, bary = volume_and_barycenter(dp.p)
     return KEVerdict(
         is_ke=all(b == 0 for b in bary),

@@ -198,7 +198,8 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     if dp.p.dim <= options.ehrhart_max_dim:
         report["ehrhart"] = _plain(ehrhart(dp.p).coefficients)
     if options.conjectures:
-        report["conjectures"] = _plain(conj.run_all(dp, ehrhart_max_dim=options.ehrhart_max_dim))
+        checks = conj.run_all(dp, ehrhart_max_dim=options.ehrhart_max_dim, group=gp)
+        report["conjectures"] = _plain(checks)
     if options.timing:
         report["seconds"] = time.monotonic() - t0
     return report

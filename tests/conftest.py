@@ -47,6 +47,16 @@ def q1_groups(q1_pair):
 
 
 @pytest.fixture(scope="session")
+def q2_pair():
+    return dual(fixtures.q2())
+
+
+@pytest.fixture(scope="session")
+def q2_groups(q2_pair):
+    return automorphism_group(q2_pair)
+
+
+@pytest.fixture(scope="session")
 def corpus_file():
     return parse(fixtures.corpus_text())
 

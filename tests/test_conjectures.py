@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_measures import PRODUCT_PAIRS, SUMMANDS
 from toricfano import conjectures, fixtures
 from toricfano.conjectures import (
+    FacetFeasibility,
     check_bishop,
     check_conj11,
     check_eq1,
@@ -15,8 +17,37 @@ from toricfano.conjectures import (
     run_all,
 )
 from toricfano.linalg import dot
+from toricfano.lp import feasible_point
 from toricfano.measures import count_integer_points
-from toricfano.polytope import DimensionDeficiencyError, DualPair, dual, faces_codim2, hull
+from toricfano.polytope import (
+    DimensionDeficiencyError,
+    DualPair,
+    dual,
+    faces_codim2,
+    free_sum,
+    hull,
+)
+
+FIXTURE_DUALS = [
+    *(lambda n=n: dual(fixtures.simplex_fano(n)) for n in range(1, 5)),
+    *(lambda n=n: dual(fixtures.cross_polytope(n)) for n in range(2, 5)),
+    lambda: dual(fixtures.hexagon()),
+    lambda: dual(fixtures.cx5()),
+]
+FIXTURE_DUAL_IDS = [*(f"p{n}" for n in range(1, 5)), *(f"cross{n}" for n in range(2, 5)),
+                    "hexagon", "cx5"]
+
+
+def _conj11_per_facet(dp):
+    """Oracle: conj11 with one LP for every facet, no orbits."""
+    p = dp.p
+    adjacency = facet_adjacency(p)
+    out = []
+    for i, f in enumerate(p.facets):
+        ineqs = [(p.facets[j].normal, Fraction(1, 2)) for j in sorted(adjacency[i])]
+        res = feasible_point(ineqs, [(f.normal, Fraction(f.rhs))])
+        out.append(FacetFeasibility(i, f.normal, res.status == "optimal"))
+    return out
 
 
 def _interior_lattice_points(p):
@@ -94,6 +125,50 @@ class TestConj11:
         dp = dual(hull([(1, 0), (0, 1), (-1, -1), (1, 1)]))
         with pytest.warns(UserWarning):
             check_conj11(dp)
+
+
+class TestConj11Orbits:
+    """One LP per facet orbit gives the records of one LP per facet."""
+
+    @pytest.mark.parametrize("make", FIXTURE_DUALS, ids=FIXTURE_DUAL_IDS)
+    def test_fixture_duals_match_per_facet(self, make):
+        dp = make()
+        assert check_conj11(dp) == _conj11_per_facet(dp)
+
+    def test_bl1_matches_per_facet(self):
+        dp = dual(hull(SUMMANDS["bl1"]))
+        with pytest.warns(UserWarning):
+            records = check_conj11(dp)
+        assert records == _conj11_per_facet(dp)
+
+    @pytest.mark.parametrize("name", ["q1", "q2"])
+    def test_q_matches_per_facet(self, request, name):
+        dp, (_, gp) = (request.getfixturevalue(f"{name}_{x}") for x in ("pair", "groups"))
+        assert check_conj11(dp, gp) == _conj11_per_facet(dp)
+
+    @pytest.mark.filterwarnings("ignore:criterion hypothesis")
+    @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids=["+".join(p) for p in PRODUCT_PAIRS])
+    def test_free_sums_match_per_facet(self, pair):
+        dp = dual(free_sum(*(hull(SUMMANDS[s]) for s in pair)))
+        assert check_conj11(dp) == _conj11_per_facet(dp)
+
+    @pytest.mark.parametrize(
+        "name, lps",
+        [("p2_pair", 1), ("cross3_pair", 1), ("hexagon_pair", 1), ("cx5_pair", 2),
+         ("q1_pair", 4), ("q2_pair", 5)],
+    )
+    def test_one_lp_per_facet_orbit(self, request, monkeypatch, name, lps):
+        dp = request.getfixturevalue(name)
+        calls = []
+        solve = conjectures.feasible_point
+
+        def counted(ineqs, eqs):
+            calls.append(eqs)
+            return solve(ineqs, eqs)
+
+        monkeypatch.setattr(conjectures, "feasible_point", counted)
+        check_conj11(dp)
+        assert len(calls) == lps
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -131,9 +132,24 @@ PAIRS = ["p2_pair", "p3_pair", "cross2_pair", "cross3_pair", "hexagon_pair", "cx
 
 
 def groups_of(request, name):
-    if name == "q1_pair":
-        return request.getfixturevalue("q1_groups")
+    if name in ("q1_pair", "q2_pair"):
+        return request.getfixturevalue(name.replace("pair", "groups"))
     return automorphism_group(request.getfixturevalue(name))
+
+
+def orbits_oracle(q, g):
+    """Least vertex index reached from each vertex, by applying every element."""
+    index = {v: j for j, v in enumerate(q.vertices)}
+    return tuple(min(index[mat_vec(a, v)] for a in g.elements) for v in q.vertices)
+
+
+def facet_orbits_oracle(p, g):
+    """Least facet index reached from each facet of p, by mapping its vertex set."""
+    index = {frozenset(p.facet_vertices(f)): i for i, f in enumerate(p.facets)}
+    return tuple(
+        min(index[frozenset(mat_vec(a, w) for w in p.facet_vertices(f))] for a in g.elements)
+        for f in p.facets
+    )
 
 
 def test_cross_polytope_order_8():
@@ -196,6 +212,42 @@ def test_unimodular_image_conjugates_group(names, rng):
     rng.shuffle(images)
     expected = sorted(mat_mul(mat_mul(u, a), u_inv) for a in polytope_automorphisms(q).elements)
     assert polytope_automorphisms(hull(images)).elements == tuple(expected)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_dual_facet_normals_are_the_vertices(request, name):
+    dp = request.getfixturevalue(name)
+    assert [f.normal for f in dp.p.facets] == list(dp.q.vertices)
+
+
+@pytest.mark.parametrize("name", PAIRS + ["q1_pair", "q2_pair"])
+def test_orbits_match_oracle(request, name):
+    gq, gp = groups_of(request, name)
+    assert gq.orbits == orbits_oracle(request.getfixturevalue(name).q, gq)
+    assert gp.orbits == gq.orbits
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_dual_orbits_are_facet_orbits(request, name):
+    _, gp = groups_of(request, name)
+    assert gp.orbits == facet_orbits_oracle(request.getfixturevalue(name).p, gp)
+
+
+@given(
+    st.sampled_from(PRODUCT_PAIRS + [(s,) for s in SUMMANDS]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_unimodular_image_keeps_orbit_sizes(names, rng):
+    parts = [hull(SUMMANDS[s]) for s in names]
+    q = parts[0] if len(parts) == 1 else free_sum(*parts)
+    u = _elementary_unimodular(q.dim, rng)
+    image = hull([mat_vec(u, v) for v in q.vertices])
+
+    def sizes(p):
+        return sorted(Counter(polytope_automorphisms(p).orbits).values())
+
+    assert sizes(image) == sizes(q)
 
 
 def test_refuses_without_simplicial_facet():
