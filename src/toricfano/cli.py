@@ -56,8 +56,12 @@ def cmd_scan(args):
     reports = scan(pf, options)
     data = emit(reports, args.format)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            print(f"error: {args.out}: {exc.strerror}", file=sys.stderr)
+            raise SystemExit(1) from None
     else:
         sys.stdout.buffer.write(data)
     return 0

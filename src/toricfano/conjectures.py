@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
+from .linalg import transpose
 from .lp import feasible_point
 from .measures import (
     codim2_volume,
@@ -20,7 +21,7 @@ from .measures import (
     volume_and_barycenter,
 )
 from .polytope import DualPair
-from .symmetry import SymmetryGroup, automorphism_group
+from .symmetry import SymmetryGroup, automorphism_group, orbit_of
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,9 @@ def check_conj11(dp: DualPair, group: SymmetryGroup = None):
     every facet G sharing a ridge with F?  A lattice automorphism of P
     permutes its facets and keeps their ridges, so every facet of one orbit
     has the same answer: one LP is solved per orbit, at its least facet
-    index, ``group.orbits[i] == i``.  ``group`` is the dual-side group of
-    ``automorphism_group`` (its default), whose orbits are P's facet orbits.
+    index.  ``group`` is the dual-side group (default: ``automorphism_group``);
+    h maps the facet with normal u to the one with normal h^-T u, and the
+    maps u -> h^-T u are the group of the transposed generators.
     """
     if group is None:
         group = automorphism_group(dp)[1]
@@ -100,17 +102,17 @@ def check_conj11(dp: DualPair, group: SymmetryGroup = None):
     if any(b != 0 for b in bary):
         warnings.warn("criterion hypothesis b_P = 0 does not hold", stacklevel=2)
     adjacency = facet_adjacency(p)
-    feasible = {}
+    index = {f.normal: i for i, f in enumerate(p.facets)}
+    normal_maps = [transpose(h) for h in group.generators]
+    feasible = [None] * len(p.facets)
     out = []
-    for i, (f, rep) in enumerate(zip(p.facets, group.orbits, strict=True)):
-        if rep == i:
-            ineqs = [
-                (p.facets[j].normal, Fraction(1, 2))
-                for j in sorted(adjacency[i])
-            ]
-            eqs = [(f.normal, Fraction(f.rhs))]
-            feasible[i] = feasible_point(ineqs, eqs).status == "optimal"
-        out.append(FacetFeasibility(facet_index=i, facet_normal=f.normal, feasible=feasible[rep]))
+    for i, f in enumerate(p.facets):
+        if feasible[i] is None:
+            ineqs = [(p.facets[j].normal, Fraction(1, 2)) for j in sorted(adjacency[i])]
+            ok = feasible_point(ineqs, [(f.normal, Fraction(f.rhs))]).status == "optimal"
+            for u in orbit_of(f.normal, normal_maps):
+                feasible[index[u]] = ok
+        out.append(FacetFeasibility(facet_index=i, facet_normal=f.normal, feasible=feasible[i]))
     return out
 
 

@@ -2,16 +2,17 @@
 
 Everything here is an exact comparison; no tolerances appear anywhere.
 The alpha-invariant and the group-invariant lct are one number, read off the
-group average of vert(P) (see ``max_pairing`` and ``alpha_invariant``).
+group average of vert(P), which is the centroid of each vertex orbit (see
+``max_pairing`` and ``alpha_invariant``).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import dot, mat_vec, transpose
+from .linalg import dot
 from .measures import volume_and_barycenter
 from .polytope import DualPair
-from .symmetry import SymmetryGroup, automorphism_group, fixed_space, group_sum, reynolds_kernel
+from .symmetry import SymmetryGroup, automorphism_group, fixed_space, orbit_of
 
 
 @dataclass(frozen=True)
@@ -31,16 +32,19 @@ def max_pairing(dp: DualPair, g: SymmetryGroup) -> Fraction:
     """max{<w, v> : w in P_G, v in vert(Q)} for a dual-side group g.
 
     P is convex and G-invariant, so the slice P_G = P cut by Fix(G) is the
-    image of P under the group average pi = S/|G|, S = sum(a).  A linear
-    function therefore has the same maximum over P_G as over the averages
-    of vert(P), and S is an integer matrix.
+    image of P under the group average.  A linear function therefore has
+    the same maximum over P_G as over the averages of vert(P).  The average
+    of w is the centroid of its orbit O, so each orbit gives the integer
+    pairings <sum(O), v> over |O|.
     """
-    return _max_pairing_of_sum(dp, group_sum(g), g.order)
-
-
-def _max_pairing_of_sum(dp, s, order):
-    averages = {mat_vec(s, w) for w in dp.p.vertices}
-    return Fraction(max(dot(w, v) for w in averages for v in dp.q.vertices), order)
+    seen, best = set(), []
+    for w in dp.p.vertices:
+        if w not in seen:
+            orbit = orbit_of(w, g.generators)
+            seen.update(orbit)
+            s = tuple(map(sum, zip(*orbit)))
+            best.append(Fraction(max(dot(s, v) for v in dp.q.vertices), len(orbit)))
+    return max(best)
 
 
 def lct(dp: DualPair, g: SymmetryGroup = None) -> Fraction:
@@ -77,19 +81,17 @@ def tian_condition(dp: DualPair, g: SymmetryGroup = None) -> bool:
 
 
 def full_verdict(dp: DualPair, groups=None) -> KEVerdict:
-    """One-pass verdict record; groups, group sum, fixed space and alpha = lct computed once.
+    """One-pass verdict record; groups, fixed space and alpha = lct computed once.
 
-    The dual group is the transposes of the Fano-side group G, so its sum is
-    S^T with S = sum(G), and its fixed space is ker(S^T - |G| I).  A matrix
-    and its transpose have one rank, so both fixed spaces have one
-    dimension: Tian's condition is the symmetry verdict.
+    The dual group is the transposes of the Fano-side group G, so its
+    Reynolds operator is the transpose of G's.  A matrix and its transpose
+    have one rank, so both fixed spaces have one dimension: Tian's condition
+    is the symmetry verdict.
     """
     if groups is None:
         groups = automorphism_group(dp)
-    gq = groups[0]
-    s = group_sum(gq)
-    fs_q = reynolds_kernel(s, gq.order)
-    threshold = 1 / (1 + _max_pairing_of_sum(dp, transpose(s), gq.order))
+    fs_q = fixed_space(groups[0])
+    threshold = 1 / (1 + max_pairing(dp, groups[1]))
     _, bary = volume_and_barycenter(dp.p)
     return KEVerdict(
         is_ke=all(b == 0 for b in bary),

@@ -1,25 +1,28 @@
 """Lattice automorphism groups of polytopes and their fixed subspaces.
 
 The search anchors on one unimodular facet of the Fano-side polytope, with
-vertex basis B0: every automorphism maps that basis onto an ordered vertex
-tuple (w_0, ..., w_{n-1}) of some facet, and is then A = W B0^-1.  Each
-vertex is written once in the anchor basis, lambda_v = B0^-1 v (integral, as
-B0 is unimodular), so its image A v = sum_i lambda_v,i w_i is fixed as soon
-as w_0 .. w_k are, k being the last nonzero coordinate of lambda_v.  The
-backtracking over facet tuples checks those images against vert(Q) at each
-depth and drops a partial tuple at the first image that is not a vertex;
-only a complete tuple builds its matrix.  A vertex's sorted profile of
-facet values prunes the search as well: a target must match its source's.
+vertex basis B0 = (b_0, ..., b_{n-1}): every automorphism maps that basis
+onto an ordered vertex tuple (w_0, ..., w_{n-1}) of some facet, and is then
+A = W B0^-1.  Each vertex is written once in the anchor basis, lambda_v =
+B0^-1 v (integral, as B0 is unimodular), so its image A v = sum_i
+lambda_v,i w_i is fixed as soon as w_0 .. w_k are, k being the last nonzero
+coordinate of lambda_v.  The backtracking over facet tuples checks those
+images against vert(Q) at each depth and drops a partial tuple at the
+first image that is not a vertex.  A vertex's sorted profile of facet
+values prunes the search as well: a target must match its source's.
 
-The check looks each image up by its vertex index, so a complete tuple also
-says where its element moves every vertex.  The search lists every element,
-so the least index each vertex reaches is the orbit map of vert(Q), recorded
-as ``SymmetryGroup.orbits``.  By duality these are the facet orbits of P.
+The group is kept as the generators of its stabilizer chain on the anchor
+basis (Sims 1970): G_k fixes b_0 .. b_{k-1}.  Built for k = n-1 down to 0,
+every generator found so far lies in G_k, and each candidate image t of b_k
+outside the orbit of b_k under them gets one search for an element of G_k
+with b_k -> t.  Then the orbit Delta_k of b_k is all of G_k b_k, and
+|G| = prod |Delta_k|.  Orbits, fixed spaces and group averages are read
+from the generators; no element list is built.
 """
 
 from dataclasses import dataclass
 
-from .linalg import dot, identity, kernel_basis, mat_vec, matrix_inverse_unimodular, transpose
+from .linalg import dot, kernel_basis, mat_mul, mat_vec, matrix_inverse_unimodular, transpose
 from .polytope import DualPair, LatticePolytope, PolytopeError
 
 
@@ -28,12 +31,8 @@ class SymmetryGroup:
     """Finite group of unimodular matrices mapping a polytope onto itself."""
 
     dim: int
-    elements: tuple        # sorted tuple of matrices (tuples of row tuples)
-    orbits: tuple = None   # orbits[j]: least index in the orbit of vertex j (None: not searched)
-
-    @property
-    def order(self):
-        return len(self.elements)
+    generators: tuple      # matrices (tuples of row tuples) generating the group
+    order: int
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class FixedSpace:
 
 
 def trivial_group(dim):
-    return SymmetryGroup(dim=dim, elements=(identity(dim),))
+    return SymmetryGroup(dim=dim, generators=(), order=1)
 
 
 @dataclass(frozen=True)
@@ -52,18 +51,13 @@ class _Search:
 
     base: list             # anchor vertex indices, in basis order
     verts: tuple
-    vertex_index: dict     # vertex -> its index in verts
+    vertex_set: frozenset
     profiles: list         # per vertex, sorted facet values
-    checks: list           # checks[k]: (j, sparse lambda_v_j) of vertices fixed at depth k
+    checks: list           # checks[k]: sparse lambda_v of the vertices fixed at depth k
 
 
 def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
-    """Full group of unimodular maps permuting vert(q), with its vertex orbits.
-
-    ``orbits[j]`` is the least index of a vertex in the orbit of vertex j.
-    For a dual pair, ``p.facets[j].normal == q.vertices[j]`` (``dual`` sorts
-    both lists alike) and A maps the facet with normal v to the one with
-    normal Av, so this is also the orbit map of P's facets.
+    """Full group of unimodular maps permuting vert(q), by its stabilizer chain.
 
     Requires some facet of q to have exactly ``dim`` vertices (true for every
     smooth Fano polytope), and refuses with ``SingularMatrixError`` when that
@@ -87,21 +81,29 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
     for j, v in enumerate(verts):
         lam = [(i, c) for i, c in enumerate(mat_vec(b0_inv, v)) if c]
         if lam and j not in base:
-            checks[lam[-1][0]].append((j, lam))
-    # column c of A = W B0^-1 is sum_i B0^-1[i][c] w_i
-    columns = [[(i, b0_inv[i][c]) for i in range(n) if b0_inv[i][c]] for c in range(n)]
+            checks[lam[-1][0]].append(lam)
 
-    search = _Search(base, verts, {v: j for j, v in enumerate(verts)}, profiles, checks)
-    found = set()
-    orbits = list(range(len(verts)))
-    for facet in facets:
-        for images, moves in _assignments(search, sorted(facet.vertex_indices), [], [], []):
-            found.add(transpose([_combine(terms, images) for terms in columns]))
-            for j, k in moves:
-                if k < orbits[j]:
-                    orbits[j] = k
+    search = _Search(base, verts, frozenset(verts), profiles, checks)
+    generators = []
+    order = 1
+    for k in reversed(range(n)):
+        b = verts[base[k]]
+        orbit = orbit_of(b, generators)
+        for t, w in enumerate(verts):
+            if profiles[t] != profiles[base[k]] or w in orbit:
+                continue
+            fixed = [*base[:k], t]
+            for facet in facets:
+                if facet.vertex_indices.issuperset(fixed):
+                    options = [[i] for i in fixed] + [sorted(facet.vertex_indices)] * (n - k - 1)
+                    images = _first_assignment(search, options, [])
+                    if images:
+                        generators.append(mat_mul(transpose(images), b0_inv))
+                        orbit = orbit_of(b, generators)
+                        break
+        order *= len(orbit)
 
-    return SymmetryGroup(dim=n, elements=tuple(sorted(found)), orbits=tuple(orbits))
+    return SymmetryGroup(dim=n, generators=tuple(generators), order=order)
 
 
 def _combine(terms, images):
@@ -111,50 +113,51 @@ def _combine(terms, images):
     return tuple(map(sum, zip(*[[c * x for x in images[i]] for i, c in terms])))
 
 
-def _assignments(search, targets, assignment, images, moves):
-    """Each vertex-preserving choice of distinct targets extending ``assignment``.
+def _first_assignment(search, options, images):
+    """First vertex-preserving images w_0 .. w_{n-1} extending ``images``, or None.
 
-    Yields the images w_0 .. w_{n-1} of the anchor basis, and ``moves``: the
-    pairs (vertex index, image index) of every vertex.  A target must match
-    its source's facet-value profile, and every vertex image it completes
-    must be a vertex.
+    ``options[k]`` lists the indices b_k may go to.  A target must be new,
+    match its source's facet-value profile, and every vertex image it
+    completes must be a vertex.
     """
-    pos = len(assignment)
+    pos = len(images)
     if pos == len(search.base):
-        yield images, moves
-        return
+        return images
     src = search.base[pos]
     profiles = search.profiles
-    index = search.vertex_index
-    for t in targets:
-        if t in assignment or profiles[t] != profiles[src]:
+    for t in options[pos]:
+        w = search.verts[t]
+        if w in images or profiles[t] != profiles[src]:
             continue
-        images.append(search.verts[t])
-        depth = len(moves)
-        moves.append((src, t))
-        for j, lam in search.checks[pos]:
-            k = index.get(_combine(lam, images))
-            if k is None:
-                break
-            moves.append((j, k))
-        else:
-            assignment.append(t)
-            yield from _assignments(search, targets, assignment, images, moves)
-            assignment.pop()
-        del moves[depth:]
+        images.append(w)
+        if all(_combine(lam, images) in search.vertex_set for lam in search.checks[pos]):
+            found = _first_assignment(search, options, images)
+            if found is not None:
+                return found
         images.pop()
+    return None
+
+
+def orbit_of(point, generators):
+    """Orbit of ``point`` under the finite group the matrices generate, breadth first."""
+    orbit, seen = [point], {point}
+    for x in orbit:
+        for a in generators:
+            y = mat_vec(a, x)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return tuple(orbit)
 
 
 def transport_group(g: SymmetryGroup) -> SymmetryGroup:
     """Dual-side action of the group, the set of inverse-transposes.
 
-    ``g.elements`` must be a group (closed under products and inverses).
-    Then {a^-T : a in G} = {b^T : b in G} with b = a^-1, so the image is
-    the set of transposes and no matrix is inverted.  The orbits carry over:
-    for the group of Q they are the facet orbits of P.
+    {a^-T : a in G} = {b^T : b in G} with b = a^-1, and transposing turns
+    products around, so the transposes of the generators generate it: no
+    matrix is inverted and the order carries over.
     """
-    elems = tuple(sorted(transpose(a) for a in g.elements))
-    return SymmetryGroup(dim=g.dim, elements=elems, orbits=g.orbits)
+    return SymmetryGroup(g.dim, tuple(transpose(a) for a in g.generators), g.order)
 
 
 def automorphism_group(dp: DualPair):
@@ -167,27 +170,14 @@ def automorphism_group(dp: DualPair):
 def fixed_space(g: SymmetryGroup) -> FixedSpace:
     """Common fixed subspace, as a primitive integer basis.
 
-    ``g.elements`` must be a group (closed under products and inverses).
-    Then the Reynolds sum R = sum(a) - |G|*I has kernel Fix(G): Rx = 0 says
-    x is its own group average, which is fixed.  So R has the same row
-    space, hence the same RREF and basis, as all rows of every a - I.
+    Fix(G) is the common kernel of a - I over the generators a.  Those
+    stacked rows span the annihilator of Fix(G), as do the rows of the
+    Reynolds operator sum(G) - |G|*I, so both have one RREF and one basis.
     """
-    return reynolds_kernel(group_sum(g), g.order)
-
-
-def reynolds_kernel(s, order) -> FixedSpace:
-    """Fix(G) as the kernel of S - |G|*I, from the group sum S and |G|."""
-    reynolds = [
-        [x - (order if i == j else 0) for j, x in enumerate(row)]
-        for i, row in enumerate(s)
-    ]
-    basis = kernel_basis(reynolds)
+    rows = [[x - (i == j) for j, x in enumerate(row)]
+            for a in g.generators for i, row in enumerate(a)]
+    basis = kernel_basis(rows, ncols=g.dim)
     return FixedSpace(dim=len(basis), basis=tuple(basis))
-
-
-def group_sum(g: SymmetryGroup):
-    """Entrywise sum of the elements, |G| times the group average."""
-    return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*g.elements))
 
 
 def vertex_sum(q: LatticePolytope):

@@ -6,13 +6,14 @@ whole-corpus analysis is shared through the session-scoped
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from toricfano import fixtures
 from toricfano.conjectures import check_conj11
 from toricfano.criteria import full_verdict, lct
-from toricfano.io import ScanOptions, emit, scan
+from toricfano.io import ScanOptions, analyze_entry, emit, scan
 from toricfano.linalg import dot
 from toricfano.measures import (
     boundary_volume,
@@ -93,7 +94,6 @@ class TestCriterion3Q3:
         assert_headline_verdicts(r)
 
 
-@pytest.mark.slow
 class TestCriterion4ProductFamily:
     def test_dim9_product(self):
         q = fixtures.product_family(extra_factors=2)
@@ -103,6 +103,15 @@ class TestCriterion4ProductFamily:
         assert not v.is_symmetric
         assert v.barycenter == (0,) * 9
         assert v.is_ke
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_products_of_projective_lines(self, n):
+        """(P^1)^n: the cross polytope, whose group has 2^n n! elements."""
+        r = analyze_entry((f"cross{n}", n, fixtures.cross_polytope(n).vertices))
+        assert r["group_order"] == r["group_order_dual"] == 2**n * factorial(n)
+        assert r["is_symmetric"]
+        assert r["fixed_dim"] == 0
+        assert r["alpha"] == "1"
 
 
 class TestCriterion5Counterexample:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_measures import PRODUCT_PAIRS, SUMMANDS
-from test_symmetry import PAIRS, _elementary_unimodular, groups_of, smallest_cyclic_subgroup
+from test_symmetry import PAIRS, _elementary_unimodular, closure, groups_of, smallest_cyclic_subgroup
 from toricfano import fixtures
 from toricfano.criteria import (
     alpha_invariant,
@@ -14,7 +14,7 @@ from toricfano.criteria import (
     max_pairing,
     tian_condition,
 )
-from toricfano.linalg import mat_vec
+from toricfano.linalg import dot, mat_vec
 from toricfano.measures import coefficient_of_asymmetry
 from toricfano.polytope import dual, free_sum, hull, restrict_to_subspace
 from toricfano.symmetry import automorphism_group, fixed_space, trivial_group
@@ -150,3 +150,30 @@ class TestSliceOracle:
         v, vu = full_verdict(dp), full_verdict(dpu)
         assert [getattr(vu, f) for f in fields] == [getattr(v, f) for f in fields]
         assert vu.alpha == slice_threshold(dpu, automorphism_group(dpu)[1])
+
+
+# Differential oracle: the group-sum route max_pairing used to take.  The
+# group average is S/|G|, S the entrywise sum of every element, so the
+# pairing is the max of <S w, v> over |G|.
+
+def _max_pairing_by_sum(dp, g):
+    elems = closure(g)
+    s = [[sum(col) for col in zip(*rows)] for rows in zip(*elems)]
+    averages = {mat_vec(s, w) for w in dp.p.vertices}
+    return Fraction(max(dot(w, v) for w in averages for v in dp.q.vertices), len(elems))
+
+
+def assert_matches_sum_oracle(dp, gp):
+    for g in (gp, smallest_cyclic_subgroup(gp)):
+        assert max_pairing(dp, g) == _max_pairing_by_sum(dp, g)
+
+
+class TestMaxPairingBySum:
+    @pytest.mark.parametrize("name", PAIRS + ["q1_pair"])
+    def test_fixture(self, request, name):
+        assert_matches_sum_oracle(request.getfixturevalue(name), groups_of(request, name)[1])
+
+    @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids=["+".join(p) for p in PRODUCT_PAIRS])
+    def test_free_sum(self, pair):
+        dp = dual(free_sum_of(pair))
+        assert_matches_sum_oracle(dp, automorphism_group(dp)[1])

@@ -327,6 +327,16 @@ class TestCLI:
             main(["check", "/nonexistent/file.txt"])
         assert exc.value.code == 1
 
+    def test_unwritable_out_exit_code(self, good_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", good_file, "--out", str(out)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out}: No such file or directory\n"
+        assert not out.parent.exists()
+
     def test_missing_name_exit_code(self, good_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", good_file, "--name", "missing"])

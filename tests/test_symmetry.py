@@ -1,5 +1,5 @@
-from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from toricfano.symmetry import (
     SymmetryGroup,
     automorphism_group,
     fixed_space,
+    orbit_of,
     polytope_automorphisms,
     transport_group,
     trivial_group,
@@ -88,18 +89,35 @@ def _elementary_unimodular(n, rng):
     return tuple(tuple(row) for row in u)
 
 
+@cache
+def closure(g):
+    """Every element of g, by breadth-first products with its generators.
+
+    Lists all |G| matrices: keep it to groups of at most about 10^5 elements.
+    """
+    elems = [identity(g.dim)]
+    seen = set(elems)
+    for x in elems:
+        for a in g.generators:
+            y = mat_mul(a, x)
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+    return tuple(sorted(elems))
+
+
 # Differential oracles: the direct forms that transport_group and
 # fixed_space replace by algebraic identities.  Slow on large groups.
 
 def inverse_transpose_oracle(g):
-    return tuple(sorted(transpose(matrix_inverse_unimodular(a)) for a in g.elements))
+    return tuple(sorted(transpose(matrix_inverse_unimodular(a)) for a in closure(g)))
 
 
 def stacked_fixed_space_oracle(g):
     """Kernel of every row of every a - I, stacked (n * |G| rows)."""
     n = g.dim
     rows = []
-    for a in g.elements:
+    for a in closure(g):
         for ra, ri in zip(a, identity(n)):
             row = tuple(x - y for x, y in zip(ra, ri))
             if any(row):
@@ -111,20 +129,19 @@ def stacked_fixed_space_oracle(g):
 
 
 def cyclic_subgroup(g, a):
-    elems = {identity(g.dim)}
-    x = a
-    while x not in elems:
-        elems.add(x)
+    order, x = 1, a
+    while x != identity(g.dim):
+        order += 1
         x = mat_mul(x, a)
-    return SymmetryGroup(dim=g.dim, elements=tuple(sorted(elems)))
+    return SymmetryGroup(g.dim, (a,), order)
 
 
 def smallest_cyclic_subgroup(g):
     """A cyclic subgroup of least order above 1."""
     ident = identity(g.dim)
     return min(
-        (cyclic_subgroup(g, a) for a in g.elements if a != ident),
-        key=lambda c: (c.order, c.elements),
+        (cyclic_subgroup(g, a) for a in closure(g) if a != ident),
+        key=lambda c: (c.order, c.generators),
     )
 
 
@@ -137,19 +154,27 @@ def groups_of(request, name):
     return automorphism_group(request.getfixturevalue(name))
 
 
-def orbits_oracle(q, g):
-    """Least vertex index reached from each vertex, by applying every element."""
-    index = {v: j for j, v in enumerate(q.vertices)}
-    return tuple(min(index[mat_vec(a, v)] for a in g.elements) for v in q.vertices)
+def orbits_oracle(points, g):
+    """The orbit of each point, as a set, by applying every element.
+
+    Orbits of a group partition the points, so each is built once.
+    """
+    elems = closure(g)
+    orbit = {}
+    for v in points:
+        if v not in orbit:
+            orbit.update(dict.fromkeys({mat_vec(a, v) for a in elems}, v))
+    return [{w for w in points if orbit[w] == orbit[v]} for v in points]
 
 
 def facet_orbits_oracle(p, g):
-    """Least facet index reached from each facet of p, by mapping its vertex set."""
+    """The facet indices each facet of p reaches, by mapping its vertex set."""
     index = {frozenset(p.facet_vertices(f)): i for i, f in enumerate(p.facets)}
-    return tuple(
-        min(index[frozenset(mat_vec(a, w) for w in p.facet_vertices(f))] for a in g.elements)
+    elems = closure(g)
+    return [
+        {index[frozenset(mat_vec(a, w) for w in p.facet_vertices(f))] for a in elems}
         for f in p.facets
-    )
+    ]
 
 
 def test_cross_polytope_order_8():
@@ -167,9 +192,15 @@ def test_hexagon_order_12():
     assert g.order == 12
 
 
+@pytest.mark.parametrize("name", PAIRS + ["q1_pair", "q2_pair"])
+def test_order_is_the_closure_size(request, name):
+    for g in groups_of(request, name):
+        assert len(closure(g)) == g.order
+
+
 def test_closure_and_inverses():
     g = polytope_automorphisms(fixtures.simplex_fano(2))
-    elems = set(g.elements)
+    elems = set(closure(g))
     assert identity(2) in elems
     for a in elems:
         assert transpose(matrix_inverse_unimodular(transpose(a))) != None  # invertible
@@ -183,18 +214,18 @@ def test_elements_permute_vertices():
     q = fixtures.hexagon()
     g = polytope_automorphisms(q)
     vs = set(q.vertices)
-    for a in g.elements:
+    for a in closure(g):
         assert {mat_vec(a, v) for v in vs} == vs
 
 
 @pytest.mark.parametrize("name", PAIRS)
 def test_search_matches_unpruned_oracle(request, name):
     q = request.getfixturevalue(name).q
-    assert polytope_automorphisms(q).elements == _automorphisms_oracle(q, prune=False)
+    assert closure(polytope_automorphisms(q)) == _automorphisms_oracle(q, prune=False)
 
 
 def test_search_matches_pruned_oracle_q1(q1_pair, q1_groups):
-    assert q1_groups[0].elements == _automorphisms_oracle(q1_pair.q, prune=True)
+    assert closure(q1_groups[0]) == _automorphisms_oracle(q1_pair.q, prune=True)
 
 
 @given(
@@ -210,8 +241,8 @@ def test_unimodular_image_conjugates_group(names, rng):
     u_inv = matrix_inverse_unimodular(u)
     images = [mat_vec(u, v) for v in q.vertices]
     rng.shuffle(images)
-    expected = sorted(mat_mul(mat_mul(u, a), u_inv) for a in polytope_automorphisms(q).elements)
-    assert polytope_automorphisms(hull(images)).elements == tuple(expected)
+    expected = sorted(mat_mul(mat_mul(u, a), u_inv) for a in closure(polytope_automorphisms(q)))
+    assert closure(polytope_automorphisms(hull(images))) == tuple(expected)
 
 
 @pytest.mark.parametrize("name", PAIRS)
@@ -222,15 +253,21 @@ def test_dual_facet_normals_are_the_vertices(request, name):
 
 @pytest.mark.parametrize("name", PAIRS + ["q1_pair", "q2_pair"])
 def test_orbits_match_oracle(request, name):
-    gq, gp = groups_of(request, name)
-    assert gq.orbits == orbits_oracle(request.getfixturevalue(name).q, gq)
-    assert gp.orbits == gq.orbits
+    dp = request.getfixturevalue(name)
+    for g, points in zip(groups_of(request, name), (dp.q.vertices, dp.p.vertices)):
+        orbits = [set(orbit_of(v, g.generators)) for v in points]
+        assert orbits == orbits_oracle(points, g)
 
 
 @pytest.mark.parametrize("name", PAIRS)
 def test_dual_orbits_are_facet_orbits(request, name):
+    """The map u -> h^-T u of check_conj11 moves facet normals as h moves facets."""
+    p = request.getfixturevalue(name).p
     _, gp = groups_of(request, name)
-    assert gp.orbits == facet_orbits_oracle(request.getfixturevalue(name).p, gp)
+    index = {f.normal: i for i, f in enumerate(p.facets)}
+    normal_maps = [transpose(h) for h in gp.generators]
+    orbits = [{index[u] for u in orbit_of(f.normal, normal_maps)} for f in p.facets]
+    assert orbits == facet_orbits_oracle(p, gp)
 
 
 @given(
@@ -245,7 +282,8 @@ def test_unimodular_image_keeps_orbit_sizes(names, rng):
     image = hull([mat_vec(u, v) for v in q.vertices])
 
     def sizes(p):
-        return sorted(Counter(polytope_automorphisms(p).orbits).values())
+        g = polytope_automorphisms(p)
+        return sorted(len(orbit_of(v, g.generators)) for v in p.vertices)
 
     assert sizes(image) == sizes(q)
 
@@ -265,11 +303,11 @@ def test_refuses_non_unimodular_anchor():
 def test_transport_consistency(p2_pair):
     gq, gp = automorphism_group(p2_pair)
     assert gq.order == gp.order
-    expected = {transpose(matrix_inverse_unimodular(a)) for a in gq.elements}
-    assert set(gp.elements) == expected
+    expected = {transpose(matrix_inverse_unimodular(a)) for a in closure(gq)}
+    assert set(closure(gp)) == expected
     # dual-side elements permute the dual vertices
     vs = set(p2_pair.p.vertices)
-    for a in gp.elements:
+    for a in closure(gp):
         assert {mat_vec(a, v) for v in vs} == vs
 
 
@@ -298,15 +336,15 @@ def test_vertex_sum_fixed_by_group():
     q = fixtures.hexagon()
     g = polytope_automorphisms(q)
     s = vertex_sum(q)
-    for a in g.elements:
+    for a in closure(g):
         assert mat_vec(a, s) == s
 
 
 @pytest.mark.parametrize("name", PAIRS + ["q1_pair"])
 def test_transport_matches_inverse_transpose_oracle(request, name):
     gq, gp = groups_of(request, name)
-    assert gp.elements == inverse_transpose_oracle(gq)
-    assert transport_group(gp).elements == gq.elements
+    assert closure(gp) == inverse_transpose_oracle(gq)
+    assert closure(transport_group(gp)) == closure(gq)
 
 
 @pytest.mark.parametrize("name", PAIRS + ["q1_pair"])
