@@ -8,6 +8,7 @@ affect it); 1 means a parse or usage error.
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .io import ParseError, ScanOptions, analyze_entry, emit, parse, scan
 from .polytope import PolytopeError, dual, hull, is_smooth_fano
@@ -18,7 +19,7 @@ def _load(path):
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(1) from None
     try:
         return parse(text)
@@ -53,17 +54,14 @@ def cmd_scan(args):
         jobs=args.jobs,
         timing=args.timing,
     )
-    reports = scan(pf, options)
-    data = emit(reports, args.format)
-    if args.out:
-        try:
-            with open(args.out, "wb") as fh:
-                fh.write(data)
-        except OSError as exc:
-            print(f"error: {args.out}: {exc.strerror}", file=sys.stderr)
-            raise SystemExit(1) from None
-    else:
-        sys.stdout.buffer.write(data)
+    # an unwritable --out fails before the scan, not after it
+    try:
+        out = open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer)
+    except OSError as exc:
+        print(f"error: {args.out}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(1) from None
+    with out as fh:
+        fh.write(emit(scan(pf, options), args.format))
     return 0
 
 

@@ -93,10 +93,13 @@ def hull(points):
     Facet-to-facet gift wrapping (Chand-Kapur 1970; Swart 1985) over ``int``.
     The supporting hyperplane ``x_0 >= min`` is pivoted about its face until
     that face is a facet; then each ridge of each facet found is pivoted to
-    the neighbouring facet, until no new facet turns up.  A pivot scans the
-    m points once, so on a simplicial polytope the cost is about
-    O(#facets * n * m).  The ridges of a simplicial facet are its drop-one
-    subsets, and one fraction-free adjugate gives all their in-facet normals.
+    the neighbouring facet, until no new facet turns up.  A ridge is keyed
+    by its point set, the same from both of its facets, so it is pivoted
+    once.  A facet's slack <u, p> - b is computed once and gives its
+    incidence; a pivot reads it and scans only the points where it is > 0,
+    so a simplicial polytope costs about O(#ridges * n * m).  The ridges of
+    a simplicial facet are its drop-one subsets, and one fraction-free
+    adjugate gives all their in-facet normals.
     A non-simplicial facet is projected along a coordinate its normal does
     not vanish on, and its ridges are the facets of that projection, found
     by the same wrapping one dimension down.  A point is a vertex exactly
@@ -135,7 +138,8 @@ def _wrap(pts):
         hi = max(range(len(pts)), key=pts.__getitem__)
         return {((1,), pts[lo][0]): frozenset((lo,)), ((-1,), -pts[hi][0]): frozenset((hi,))}
     u = (1,) + (0,) * (n - 1)
-    face = _incident(pts, u, min(p[0] for p in pts))
+    b = min(p[0] for p in pts)
+    slack, face = _support(pts, u, b)
     while True:
         # a normal w to the face inside the hyperplane exists until the face is a facet
         idx = sorted(face)
@@ -143,29 +147,37 @@ def _wrap(pts):
         ker = kernel_basis([vec_sub(pts[i], r0) for i in idx[1:]] + [u])
         if not ker:
             break
-        u, b = _pivot(pts, u, ker[0], r0)
-        face = _incident(pts, u, b)
-    facets = {(u, dot(u, r0)): face}
-    todo = list(facets.items())
+        u, b = _pivot(pts, slack, u, ker[0], r0)
+        slack, face = _support(pts, u, b)
+    facets = {(u, b): face}
+    todo = [(u, slack, face)]
+    crossed = set()    # point sets of the ridges already pivoted across
     while todo:
-        (u, _), face = todo.pop()
-        for r0, w in _ridges(pts, u, face):
-            key = _pivot(pts, u, w, r0)
+        u, slack, face = todo.pop()
+        for ridge, r0, w in _ridges(pts, u, face):
+            if ridge in crossed:
+                continue
+            crossed.add(ridge)
+            key = _pivot(pts, slack, u, w, r0)
             if key not in facets:
-                facets[key] = _incident(pts, *key)
-                todo.append((key, facets[key]))
+                new_slack, facets[key] = _support(pts, *key)
+                todo.append((key[0], new_slack, facets[key]))
     return facets
 
 
-def _incident(pts, u, b):
-    return frozenset(i for i, p in enumerate(pts) if dot(u, p) == b)
+def _support(pts, u, b):
+    """Slack <u, p> - b of every point, and the indices where it is 0."""
+    slack = [dot(u, p) - b for p in pts]
+    return slack, frozenset(i for i, s in enumerate(slack) if s == 0)
 
 
 def _ridges(pts, u, face):
-    """(point r0 on the ridge, w) for each ridge of the facet with normal u.
+    """(ridge, point r0 on it, w) for each ridge of the facet with normal u.
 
-    ``w`` vanishes on the ridge's directions and is positive on the rest of
-    the facet, so u and w span the normals of the hyperplanes through it.
+    ``ridge`` is the frozenset of the indices of the points on the ridge, the
+    same from both facets through it.  ``w`` vanishes on the ridge's
+    directions and is positive on the rest of the facet, so u and w span the
+    normals of the hyperplanes through it.
     """
     idx = sorted(face)
     n = len(u)
@@ -176,29 +188,30 @@ def _ridges(pts, u, face):
         d, adj = adjugate([vec_sub(pts[i], f0) for i in idx[1:]] + [u])
         sign = 1 if d > 0 else -1
         ws = [tuple(sign * x for x in col) for col in list(zip(*adj))[:-1]]
-        out = [(f0, w) for w in ws]
-        out.append((pts[idx[1]], tuple(-sum(c) for c in zip(*ws))))
+        out = [(face - {i}, f0, w) for i, w in zip(idx[1:], ws)]
+        out.append((face - {idx[0]}, pts[idx[1]], tuple(-sum(c) for c in zip(*ws))))
         return out
     # drop a coordinate k with u_k != 0: injective on the facet's hyperplane
     k = next(j for j, x in enumerate(u) if x)
     sub = _wrap([pts[i][:k] + pts[i][k + 1:] for i in idx])
-    return [(pts[idx[min(inc)]], v[:k] + (0,) + v[k:]) for (v, _), inc in sub.items()]
+    return [(frozenset(idx[j] for j in inc), pts[idx[min(inc)]], v[:k] + (0,) + v[k:])
+            for (v, _), inc in sub.items()]
 
 
-def _pivot(pts, u, w, r0):
+def _pivot(pts, slack, u, w, r0):
     """Tilt the hyperplane <u, x> = <u, r0> about its flat where w is constant.
 
-    Every point must have s = <u, p - r0> >= 0, and t = <w, p - r0> >= 0
-    where s = 0.  The hyperplane stops at the point p* with the smallest
-    t/s over s > 0; the result (u', <u', r0>) has u' = s* w - t* u divided
-    by its (positive) gcd, so it keeps pointing into the hull.
+    ``slack`` holds s = <u, p - r0> for every point; each must be >= 0, with
+    t = <w, p - r0> >= 0 where s = 0.  The hyperplane stops at the point p*
+    with the smallest t/s over s > 0, so t is computed only there; the
+    result (u', <u', r0>) has u' = s* w - t* u divided by its (positive)
+    gcd, so it keeps pointing into the hull.
     """
+    c = dot(w, r0)
     best_s = best_t = 0
-    for p in pts:
-        diff = vec_sub(p, r0)
-        s = dot(u, diff)
+    for p, s in zip(pts, slack):
         if s > 0:
-            t = dot(w, diff)
+            t = dot(w, p) - c
             if best_s == 0 or t * best_s < best_t * s:
                 best_s, best_t = s, t
     normal = [best_s * x - best_t * y for x, y in zip(w, u)]

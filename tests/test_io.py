@@ -326,6 +326,7 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(["check", "/nonexistent/file.txt"])
         assert exc.value.code == 1
+        assert capsys.readouterr().err == "error: /nonexistent/file.txt: No such file or directory\n"
 
     def test_unwritable_out_exit_code(self, good_file, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"
@@ -336,6 +337,17 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == f"error: {out}: No such file or directory\n"
         assert not out.parent.exists()
+
+    def test_unwritable_out_fails_before_the_scan(self, good_file, tmp_path, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan ran before --out was opened")
+
+        monkeypatch.setattr("toricfano.cli.scan", no_scan)
+        out = tmp_path / "missing" / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", good_file, "--out", str(out)])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
 
     def test_missing_name_exit_code(self, good_file, capsys):
         with pytest.raises(SystemExit) as exc:

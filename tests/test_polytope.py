@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfano import fixtures
+from toricfano import fixtures, polytope
 from toricfano.linalg import (
     dot,
     identity,
@@ -211,6 +211,25 @@ class TestHull:
         shuffled = list(pts)
         rng.shuffle(shuffled)
         assert hull(shuffled) == a
+
+    @pytest.mark.parametrize("make", [fixtures.cx5, fixtures.q1, fixtures.q2],
+                             ids=["cx5", "q1", "q2"])
+    def test_each_ridge_pivoted_once(self, make, monkeypatch):
+        q = make()
+        assert all(len(f.vertex_indices) == q.dim for f in q.facets)
+        ridges = len(q.facets) * q.dim // 2    # simplicial: n ridges per facet, two facets per ridge
+        pivots = 0
+        pivot = polytope._pivot
+
+        def counting_pivot(*args):
+            nonlocal pivots
+            pivots += 1
+            return pivot(*args)
+
+        monkeypatch.setattr(polytope, "_pivot", counting_pivot)
+        assert hull(q.vertices) == q
+        # the tilt from x_0 >= min to the first facet adds at most n - 1
+        assert ridges <= pivots <= ridges + q.dim - 1
 
 
 class TestDual:
