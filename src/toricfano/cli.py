@@ -3,7 +3,7 @@
 Subcommands: ``check FILE [--name N]``, ``scan FILE [--jobs K]
 [--conjectures] [--ehrhart-max-dim D] [--out PATH] [--format json|csv]``,
 ``dual FILE --name N``.  Exit code 0 means the run completed (verdicts never
-affect it); 1 means a parse or usage error.
+affect it); 1 means an ``error:`` line; 2 means an argparse usage error.
 """
 
 import argparse
@@ -47,6 +47,9 @@ def cmd_check(args):
 
 
 def cmd_scan(args):
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, not {args.jobs}", file=sys.stderr)
+        raise SystemExit(1)
     pf = _load(args.file)
     options = ScanOptions(
         conjectures=args.conjectures,

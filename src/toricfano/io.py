@@ -206,9 +206,10 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
 
 
 def scan(pf: PolytopeFile, options: ScanOptions = ScanOptions()):
-    """Analyze every entry; output order always matches input order."""
-    if options.jobs > 1:
-        with ProcessPoolExecutor(max_workers=options.jobs) as pool:
+    """Analyze every entry, at most one worker each; output is in input order."""
+    jobs = min(options.jobs, len(pf.entries))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_analyze_star, [(e, options) for e in pf.entries]))
     return [analyze_entry(e, options) for e in pf.entries]
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, gcd, prod
-from operator import mul
+from operator import index, mul
 
 from .linalg import (
     adjugate,
@@ -264,7 +264,7 @@ def relative_volume(face_vertices):
     face must be simple with unimodular vertex cones in that lattice, as
     every face of a smooth polytope is.
     """
-    vs = [tuple(int(x) for x in v) for v in face_vertices]
+    vs = [tuple(index(x) for x in v) for v in face_vertices]
     if len(vs) == 1:
         return Fraction(1)
     n = len(vs[0])

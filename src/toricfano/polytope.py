@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import index
 
 from .linalg import (
     adjugate,
@@ -70,23 +71,6 @@ class DualPair:
     p: LatticePolytope     # reflexive dual P = Q*
 
 
-def assemble(vertices, halfspaces):
-    """Canonical polytope from a vertex list and an irredundant facet list.
-
-    ``halfspaces`` is a list of (primitive normal, rhs); incidence is
-    recomputed from scratch.  Used by constructions that already know both
-    representations exactly (dual, direct_product).
-    """
-    verts = sorted(set(tuple(int(x) for x in v) for v in vertices))
-    n = len(verts[0])
-    facets = []
-    for u, b in halfspaces:
-        inc = frozenset(i for i, v in enumerate(verts) if dot(u, v) == b)
-        facets.append(Facet(normal=tuple(u), rhs=b, vertex_indices=inc))
-    facets.sort(key=lambda f: (f.normal, f.rhs))
-    return LatticePolytope(dim=n, vertices=tuple(verts), facets=tuple(facets))
-
-
 def hull(points):
     """Convex hull of integer points: irredundant vertices, facets, incidence.
 
@@ -103,31 +87,31 @@ def hull(points):
     A non-simplicial facet is projected along a coordinate its normal does
     not vanish on, and its ridges are the facets of that projection, found
     by the same wrapping one dimension down.  A point is a vertex exactly
-    when the facets through it meet in that point alone.  Exact,
-    order-insensitive, and robust to redundant input points.
+    when the facets through it meet in that point alone.  Points in a
+    hyperplane leave a pivot no point off it (``DimensionDeficiencyError``).
+    Exact, order-insensitive, robust to redundant points; coordinates are ints.
     """
-    pts = sorted(set(tuple(int(x) for x in p) for p in points))
+    pts = sorted(set(tuple(index(x) for x in p) for p in points))
     if not pts:
         raise DimensionDeficiencyError("no input points")
     n = len(pts[0])
     if len(pts) < n + 1:
         raise DimensionDeficiencyError("too few points to span the space")
-    base = pts[0]
-    diffs = [vec_sub(p, base) for p in pts[1:]]
-    if rank(diffs) < n:
-        raise DimensionDeficiencyError("points do not affinely span the space")
 
     facets = _wrap(pts)
     face_of = [None] * len(pts)    # smallest face through each point
     for inc in facets.values():
         for i in inc:
             face_of[i] = inc if face_of[i] is None else face_of[i] & inc
-    verts = [p for p, face in zip(pts, face_of) if face is not None and len(face) == 1]
-    return assemble(verts, list(facets))
+    verts = [i for i, face in enumerate(face_of) if face is not None and len(face) == 1]
+    vert_of = {i: k for k, i in enumerate(verts)}
+    facets = tuple(Facet(u, b, frozenset(vert_of[i] for i in inc if i in vert_of))
+                   for (u, b), inc in sorted(facets.items()))
+    return LatticePolytope(n, tuple(pts[i] for i in verts), facets)
 
 
 def _wrap(pts):
-    """Facets of the hull of distinct, affinely spanning points.
+    """Facets of the hull of distinct points that must affinely span the space.
 
     Returns {(primitive inward normal u, rhs b): frozenset of the indices of
     the points with <u, p> = b}.
@@ -205,7 +189,7 @@ def _pivot(pts, slack, u, w, r0):
     t = <w, p - r0> >= 0 where s = 0.  The hyperplane stops at the point p*
     with the smallest t/s over s > 0, so t is computed only there; the
     result (u', <u', r0>) has u' = s* w - t* u divided by its (positive)
-    gcd, so it keeps pointing into the hull.
+    gcd, so it keeps pointing into the hull.  No s > 0 means every point is on it.
     """
     c = dot(w, r0)
     best_s = best_t = 0
@@ -214,6 +198,8 @@ def _pivot(pts, slack, u, w, r0):
             t = dot(w, p) - c
             if best_s == 0 or t * best_s < best_t * s:
                 best_s, best_t = s, t
+    if best_s == 0:
+        raise DimensionDeficiencyError("points do not affinely span the space")
     normal = [best_s * x - best_t * y for x, y in zip(w, u)]
     g = 0
     for x in normal:
@@ -251,16 +237,16 @@ def dual(q: LatticePolytope) -> DualPair:
 
     Requires Q reflexive (all facet rhs -1 once normals are primitive), which
     holds for every smooth Fano polytope; then P's vertices are exactly Q's
-    facet normals and P's facets are Q's vertices.
+    facet normals (sorted and distinct, as every rhs is -1) and P's facets
+    are Q's vertices: P's facet j holds vertex i iff Q's facet i holds j.
     """
     if not q.contains_origin_interior():
         raise PolytopeError("dualization needs the origin strictly interior")
     if not q.is_reflexive():
         raise PolytopeError("dual polytope would not be a lattice polytope")
-    p_vertices = [f.normal for f in q.facets]
-    p_halfspaces = [(v, -1) for v in q.vertices]
-    p = assemble(p_vertices, p_halfspaces)
-    return DualPair(q=q, p=p)
+    facets = tuple(Facet(v, -1, frozenset(i for i, f in enumerate(q.facets) if j in f.vertex_indices))
+                   for j, v in enumerate(q.vertices))
+    return DualPair(q=q, p=LatticePolytope(q.dim, tuple(f.normal for f in q.facets), facets))
 
 
 def faces_codim2(p: LatticePolytope):
@@ -297,15 +283,20 @@ def segment() -> LatticePolytope:
 
 
 def direct_product(p1: LatticePolytope, p2: LatticePolytope) -> LatticePolytope:
-    """Cartesian product in block coordinates; vertices are all pairs."""
+    """Cartesian product in block coordinates; F x P2 holds (v_i, w_j) iff F holds v_i."""
     if not (p1.contains_origin_interior() and p2.contains_origin_interior()):
         raise PolytopeError("product needs the origin interior on both sides")
     z1 = (0,) * p1.dim
     z2 = (0,) * p2.dim
-    verts = [v + w for v in p1.vertices for w in p2.vertices]
-    halfspaces = [(f.normal + z2, f.rhs) for f in p1.facets]
-    halfspaces += [(z1 + f.normal, f.rhs) for f in p2.facets]
-    return assemble(verts, halfspaces)
+    m = p2.n_vertices
+    pairs = range(p1.n_vertices * m)    # pair k is (v_{k // m}, w_{k % m}): lexicographic
+    facets = [Facet(f.normal + z2, f.rhs, frozenset(k for k in pairs if k // m in f.vertex_indices))
+              for f in p1.facets]
+    facets += [Facet(z1 + f.normal, f.rhs, frozenset(k for k in pairs if k % m in f.vertex_indices))
+               for f in p2.facets]
+    facets.sort(key=lambda f: (f.normal, f.rhs))
+    verts = tuple(v + w for v in p1.vertices for w in p2.vertices)
+    return LatticePolytope(p1.dim + p2.dim, verts, tuple(facets))
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,29 @@ class TestScanEmit:
         parallel = emit(scan(pf, ScanOptions(conjectures=True, jobs=2)))
         assert serial == parallel
 
+    def test_pool_capped_at_entry_count(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("toricfano.io.ProcessPoolExecutor", InProcessPool)
+        two = parse(GOOD)
+        assert emit(scan(two, ScanOptions(jobs=8))) == emit(scan(two))
+        one = parse(GOOD[: GOOD.index("polytope cross")])
+        assert emit(scan(one, ScanOptions(jobs=8))) == emit(scan(one))
+        assert sizes == [2]    # one entry runs serially, with no pool
+
     def test_json_is_deterministic(self):
         pf = parse(GOOD)
         assert emit(scan(pf)) == emit(scan(pf))
@@ -348,6 +371,21 @@ class TestCLI:
             main(["scan", good_file, "--out", str(out)])
         assert exc.value.code == 1
         assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, good_file, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", good_file, "--jobs", jobs])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be at least 1, not {jobs}\n"
+
+    def test_usage_error_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: toricfano scan")
 
     def test_missing_name_exit_code(self, good_file, capsys):
         with pytest.raises(SystemExit) as exc:

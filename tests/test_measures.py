@@ -292,6 +292,11 @@ class TestRelativeVolume:
         # triangle with vertices e1, e2, e3: a unimodular triangle, volume 1/2
         assert relative_volume([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == Fraction(1, 2)
 
+    @pytest.mark.parametrize("x", [Fraction(7, 2), 2.9], ids=["fraction", "float"])
+    def test_non_integer_coordinate_rejected(self, x):
+        with pytest.raises(TypeError):
+            relative_volume([(x, -1), (-1, -1)])
+
 
 class TestCodim2:
     def test_square(self):

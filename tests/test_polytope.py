@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_measures import PRODUCT_PAIRS, SUMMANDS
 
 from toricfano import fixtures, polytope
 from toricfano.linalg import (
@@ -18,8 +19,9 @@ from toricfano.linalg import (
 )
 from toricfano.polytope import (
     DimensionDeficiencyError,
+    Facet,
+    LatticePolytope,
     PolytopeError,
-    assemble,
     direct_product,
     dual,
     faces_codim2,
@@ -74,7 +76,9 @@ def _hull_exhaustive(points):
             incident[i].append(u)
     vert_idx = [i for i in range(len(pts)) if len(incident[i]) >= n and rank(incident[i]) == n]
     verts = [pts[i] for i in vert_idx]
-    return assemble(verts, [(u, b) for (u, b) in seen])
+    facets = tuple(Facet(u, b, frozenset(i for i, v in enumerate(verts) if dot(u, v) == b))
+                   for u, b in sorted(seen))
+    return LatticePolytope(n, tuple(verts), facets)
 
 
 @st.composite
@@ -177,9 +181,24 @@ class TestHull:
         p = hull([(-1,), (0,), (1,)])
         assert p.vertices == ((-1,), (1,))
 
-    def test_lower_dimensional_rejected(self):
-        with pytest.raises(DimensionDeficiencyError):
-            hull([(0, 0), (1, 1), (2, 2)])
+    # each raises in a pivot with no point off its hyperplane: after the
+    # facet holding every point is found (its ridges from a non-simplicial
+    # sub-wrap), or in the initial tilt for the 2-flat in R^4
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 0), (0, 1), (0, 2)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+        [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, -1, 0)],
+    ], ids=["collinear", "vertical", "square_in_r3", "plane_in_r4", "hyperplane_in_r4"])
+    def test_lower_dimensional_rejected(self, pts):
+        with pytest.raises(DimensionDeficiencyError, match="^points do not affinely span the space$"):
+            hull(pts)
+
+    @pytest.mark.parametrize("x", [Fraction(3, 2), 2.9], ids=["fraction", "float"])
+    def test_non_integer_coordinate_rejected(self, x):
+        with pytest.raises(TypeError):
+            hull([(x, 0), (0, 1), (-1, -1)])
 
     def test_too_few_points_rejected(self):
         with pytest.raises(DimensionDeficiencyError):
@@ -250,11 +269,11 @@ class TestDual:
             for v in p2_pair.q.vertices:
                 assert dot(w, v) >= -1
 
-    def test_incidence_matches_pairing(self, p2_pair):
-        from toricfano.linalg import dot
-
-        for f in p2_pair.p.facets:
-            for i, w in enumerate(p2_pair.p.vertices):
+    @pytest.mark.parametrize("pair", ["p2", "p3", "cross2", "cross3", "hexagon", "cx5", "q1"])
+    def test_incidence_matches_pairing(self, pair, request):
+        p = request.getfixturevalue(f"{pair}_pair").p
+        for f in p.facets:
+            for i, w in enumerate(p.vertices):
                 tight = dot(f.normal, w) == -1
                 assert tight == (i in f.vertex_indices)
 
@@ -318,10 +337,12 @@ class TestConstructions:
         prism = direct_product(p2_pair.p, segment())
         assert prism.n_vertices == 6
 
-    def test_free_sum_product_duality(self, p2_pair):
-        q = free_sum(p2_pair.q, segment())
-        dp = dual(q)
-        assert dp.p == direct_product(p2_pair.p, segment())
+    @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids=["x".join(p) for p in PRODUCT_PAIRS])
+    def test_free_sum_product_duality(self, pair):
+        qa, qb = (hull(SUMMANDS[s]) for s in pair)
+        a, b = dual(qa).p, dual(qb).p
+        p = dual(free_sum(qa, qb)).p
+        assert p == direct_product(a, b) == hull([v + w for v in a.vertices for w in b.vertices])
 
     def test_facet_normals_primitive(self):
         from toricfano.linalg import primitive

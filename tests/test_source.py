@@ -59,3 +59,15 @@ def test_no_nested_functions():
                     if inner is not node and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
                 ]
     assert offenders == []
+
+
+def test_no_floats():
+    """Every verdict is exact: no float literal and no ``float(`` call."""
+    offenders = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                offenders.append(f"{path.name}:{node.lineno}: {node.value!r}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                offenders.append(f"{path.name}:{node.lineno}: float(")
+    assert offenders == []
