@@ -14,7 +14,6 @@ from .measures import (
 from .polytope import (
     DualPair,
     LatticePolytope,
-    direct_product,
     dual,
     faces_codim2,
     free_sum,
@@ -47,7 +46,6 @@ __all__ = [
     "volume_and_barycenter",
     "DualPair",
     "LatticePolytope",
-    "direct_product",
     "dual",
     "faces_codim2",
     "free_sum",

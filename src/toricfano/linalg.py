@@ -3,10 +3,12 @@
 All scalars are Python ``int`` or ``fractions.Fraction``; nothing in this
 module (or the rest of the package) ever touches floating point.  Matrices
 are sequences of row sequences; public results come back as tuples.
+``det``, ``adjugate``, ``rref`` and ``kernel_basis`` (and so ``rank`` and
+``solve_exact``) all read one fraction-free Gauss-Jordan, ``_eliminate``.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class LinalgError(Exception):
@@ -35,21 +37,11 @@ def primitive(v):
     The leading nonzero entry is made positive; the zero vector is returned
     unchanged.
     """
-    fracs = [Fraction(x) for x in v]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in v)
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    ints = _integer_rows([v])[0]
+    g = gcd(*ints) or 1
+    if next((x for x in ints if x), 0) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def mat_mul(a, b):
@@ -69,54 +61,70 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def det(m):
-    """Exact determinant of a square ``int`` matrix by fraction-free Bareiss elimination.
+def _eliminate(a):
+    """Fraction-free Gauss-Jordan (Bareiss-Montante) of an integer matrix, in place.
 
-    Bareiss divides exactly only over the integers, so any other entry type
-    is refused rather than floor-divided into a wrong value.
+    Columns are taken left to right, and one with no nonzero entry left below
+    the pivot rows is skipped, so any shape and rank will do.  Each step
+    divides exactly by the previous pivot, so every entry stays a minor of
+    the input (Bareiss 1968; Nakos-Turner-Williams 1997).  A row swap negates
+    the row moved down, which keeps the determinant.  Returns (pivot columns,
+    d): the first len(pivots) rows are d times the rows of the RREF and the
+    rest are zero; d is the signed minor on the pivot rows and columns, so
+    det(a) for a square nonsingular a.
+    """
+    pivots = []
+    d = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], [-x for x in a[r]]
+        pivot, row_r = a[r][c], a[r]
+        for i, row in enumerate(a):
+            aic = row[c]
+            if i != r and (aic or pivot != d):
+                a[i] = [(pivot * x - aic * y) // d for x, y in zip(row, row_r)]
+        d = pivot
+        pivots.append(c)
+    return pivots, d
+
+
+def _integer_rows(rows):
+    """Each row scaled by the lcm of its denominators: the same row space over Z."""
+    out = []
+    for row in rows:
+        row = [x if isinstance(x, int) else Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def det(m):
+    """Exact determinant of a square ``int`` matrix: the pivot determinant of ``_eliminate``.
+
+    The elimination divides exactly only over the integers, so any other
+    entry type is refused rather than floor-divided into a wrong value.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError("determinant requires a square matrix")
     if not all(isinstance(x, int) for row in m for x in row):
         raise TypeError("det requires int entries")
-    if n == 0:
-        return 1
-    return _det_bareiss([list(row) for row in m])
-
-
-def _det_bareiss(a):
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    pivots, d = _eliminate([list(row) for row in m])
+    return d if len(pivots) == n else 0
 
 
 def adjugate(m):
     """(det(m), adj(m)) of a square integer matrix, with adj(m).m = det(m).I.
 
-    Fraction-free Gauss-Jordan (Bareiss-Montante) on [m | I]: every division
-    is exact, the left block ends as +-det(m).I and the right block as the
-    same multiple of m^-1.  As in ``det``, entries other than ``int`` are
-    refused rather than floor-divided into a wrong value.
+    ``_eliminate`` on [m | I] leaves the left block as det(m).I and the right
+    block as the same multiple of m^-1.  As in ``det``, entries other than
+    ``int`` are refused rather than floor-divided into a wrong value.
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -124,21 +132,10 @@ def adjugate(m):
     if not all(isinstance(x, int) for row in m for x in row):
         raise TypeError("adjugate requires int entries")
     a = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(m)]
-    sign = prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if i is None:
-                raise SingularMatrixError("matrix is singular")
-            a[k], a[i] = a[i], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for i in range(n):
-            if i != k:
-                aik = a[i][k]
-                a[i] = [(pivot * x - aik * y) // prev for x, y in zip(a[i], row_k)]
-        prev = pivot
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+    pivots, d = _eliminate(a)
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return d, tuple(tuple(row[n:]) for row in a)
 
 
 def solve_exact(a, b):
@@ -153,59 +150,43 @@ def solve_exact(a, b):
 
 
 def rref(rows):
-    """Reduced row echelon form over Fraction.
+    """Reduced row echelon form over Fraction, by ``_eliminate`` on integer rows.
 
+    The RREF over Q is unique, so each row is first scaled to integers and
+    each eliminated row is divided by the pivot determinant.
     Returns (echelon rows as lists, pivot column list).
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    a = _integer_rows(rows)
+    pivots, d = _eliminate(a)
+    return [[Fraction(x, d) for x in row] for row in a[:len(pivots)]], pivots
 
 
 def rank(rows):
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    return len(rref(rows)[1])
 
 
 def kernel_basis(m, ncols=None):
     """Basis of the rational right kernel, as primitive integer vectors.
 
-    Empty list iff the matrix has full column rank.  ``ncols`` must be given
-    for an empty row list.
+    One vector per non-pivot column f of ``_eliminate``: d at f and minus
+    column f of the eliminated rows at the pivots.  Empty list iff the
+    matrix has full column rank.  ``ncols`` must be given for an empty row list.
     """
     if not m:
         if ncols is None:
             raise DimensionError("kernel_basis of empty matrix needs ncols")
         return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
     ncols = len(m[0])
-    ech, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    a = _integer_rows(m)
+    pivots, d = _eliminate(a)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -ech[i][f]
-        basis.append(primitive(v))
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = d
+            for row, p in zip(a, pivots):
+                v[p] = -row[f]
+            basis.append(primitive(v))
     return basis
 
 

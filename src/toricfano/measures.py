@@ -17,6 +17,7 @@ from .linalg import (
     dot,
     kernel_basis,
     rank,
+    rref,
     saturated_kernel,
     solve_exact,
     vec_sub,
@@ -250,8 +251,8 @@ def ehrhart(p: LatticePolytope) -> EhrhartPolynomial:
     for k in range(1, m + 2):
         values[-k] = (-1) ** n * values[k - 1]
     ks = sorted(values, key=abs)[: n + 1]
-    vandermonde = [[Fraction(k) ** i for i in range(n + 1)] for k in ks]
-    coeffs = solve_exact(vandermonde, [Fraction(values[k]) for k in ks])
+    vandermonde = [[k ** i for i in range(n + 1)] for k in ks]
+    coeffs = solve_exact(vandermonde, [values[k] for k in ks])
     return EhrhartPolynomial(coefficients=tuple(coeffs))
 
 
@@ -277,21 +278,11 @@ def relative_volume(face_vertices):
     lattice_basis = saturated_kernel(normals)
     if len(lattice_basis) != d:
         raise MeasureError("induced lattice rank differs from the face dimension")
-    cols = list(zip(*lattice_basis))  # n x d
-    # least-squares-free exact solve on d independent rows of the basis
-    rows = []
-    for i in range(n):
-        if rank([cols[j] for j in rows] + [cols[i]]) > len(rows):
-            rows.append(i)
-        if len(rows) == d:
-            break
-    sub_rows = [cols[i] for i in rows]
-    coords = []
-    for diff in diffs:
-        c = solve_exact(sub_rows, [diff[i] for i in rows])
-        if any(x.denominator != 1 for x in c):
-            raise MeasureError("face vertex is not in the induced lattice")
-        coords.append(tuple(int(x) for x in c))
+    # one RREF of [lattice basis | diffs]: its first d rows hold each diff's coordinates
+    ech, _ = rref([list(b) + list(x) for b, x in zip(zip(*lattice_basis), zip(*diffs))])
+    if any(x.denominator != 1 for row in ech[:d] for x in row[d:]):
+        raise MeasureError("face vertex is not in the induced lattice")
+    coords = [tuple(int(row[d + j]) for row in ech[:d]) for j in range(len(diffs))]
     coords.append((0,) * d)
     return volume(hull(coords))
 

@@ -35,6 +35,10 @@ class DegenerateRestrictionError(PolytopeError):
     pass
 
 
+class PointDimensionError(PolytopeError):
+    pass
+
+
 @dataclass(frozen=True)
 class Facet:
     normal: tuple          # primitive integer vector u
@@ -89,12 +93,15 @@ def hull(points):
     by the same wrapping one dimension down.  A point is a vertex exactly
     when the facets through it meet in that point alone.  Points in a
     hyperplane leave a pivot no point off it (``DimensionDeficiencyError``).
-    Exact, order-insensitive, robust to redundant points; coordinates are ints.
+    Exact, order-insensitive, robust to redundant points; coordinates are
+    ints, the same positive number per point (``PointDimensionError``).
     """
     pts = sorted(set(tuple(index(x) for x in p) for p in points))
     if not pts:
         raise DimensionDeficiencyError("no input points")
     n = len(pts[0])
+    if n == 0 or any(len(p) != n for p in pts):
+        raise PointDimensionError("points need one common, positive number of coordinates")
     if len(pts) < n + 1:
         raise DimensionDeficiencyError("too few points to span the space")
 
@@ -280,23 +287,6 @@ def free_sum(q1: LatticePolytope, q2: LatticePolytope) -> LatticePolytope:
 
 def segment() -> LatticePolytope:
     return hull([(-1,), (1,)])
-
-
-def direct_product(p1: LatticePolytope, p2: LatticePolytope) -> LatticePolytope:
-    """Cartesian product in block coordinates; F x P2 holds (v_i, w_j) iff F holds v_i."""
-    if not (p1.contains_origin_interior() and p2.contains_origin_interior()):
-        raise PolytopeError("product needs the origin interior on both sides")
-    z1 = (0,) * p1.dim
-    z2 = (0,) * p2.dim
-    m = p2.n_vertices
-    pairs = range(p1.n_vertices * m)    # pair k is (v_{k // m}, w_{k % m}): lexicographic
-    facets = [Facet(f.normal + z2, f.rhs, frozenset(k for k in pairs if k // m in f.vertex_indices))
-              for f in p1.facets]
-    facets += [Facet(z1 + f.normal, f.rhs, frozenset(k for k in pairs if k % m in f.vertex_indices))
-               for f in p2.facets]
-    facets.sort(key=lambda f: (f.normal, f.rhs))
-    verts = tuple(v + w for v in p1.vertices for w in p2.vertices)
-    return LatticePolytope(p1.dim + p2.dim, verts, tuple(facets))
 
 
 @dataclass(frozen=True)

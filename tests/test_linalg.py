@@ -17,6 +17,7 @@ from toricfano.linalg import (
     matrix_inverse_unimodular,
     primitive,
     rank,
+    rref,
     saturated_kernel,
     solve_exact,
 )
@@ -34,7 +35,167 @@ def det_cofactor(m):
     return total
 
 
+def rref_fraction(rows):
+    """Oracle: Gauss-Jordan over Fraction, each pivot row divided by its pivot."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def det_bareiss(a):
+    """Oracle: forward fraction-free Bareiss elimination of a square int matrix."""
+    a = [list(row) for row in a]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i = a[i]
+            row_k = a[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def kernel_basis_fraction(m):
+    """Oracle: one kernel vector per free column of ``rref_fraction``, made primitive."""
+    ncols = len(m[0])
+    ech, pivots = rref_fraction(m)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for i, p in enumerate(pivots):
+                v[p] = -ech[i][f]
+            basis.append(primitive(v))
+    return basis
+
+
+def solve_fraction(a, b):
+    """Oracle: the last column of ``rref_fraction([a | b])``, or None if a is singular."""
+    n = len(a)
+    ech, pivots = rref_fraction([[*row, bi] for row, bi in zip(a, b)])
+    return tuple(row[n] for row in ech) if pivots == list(range(n)) else None
+
+
+@st.composite
+def matrices(draw, rows=st.integers(1, 5), cols=st.integers(1, 6), fractions=False):
+    """Integer or rational matrices; about half are products through a smaller
+    inner dimension, so rank-deficient (a zero matrix for inner dimension 0)."""
+    r, c = draw(rows), draw(cols)
+    entry = st.integers(-6, 6)
+    if fractions:
+        entry = st.one_of(entry, st.fractions(-6, 6, max_denominator=7))
+
+    def block(nr, nc):
+        return draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(r, c) - 1))
+        left, right = block(r, k), block(k, c)
+        return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)] for i in range(r)]
+    return block(r, c)
+
+
+ANY_MATRIX = st.one_of(matrices(), matrices(fractions=True))
+SQUARE_SIZE = st.shared(st.integers(1, 5), key="square")
+
+
+class TestAgainstFractionOracles:
+    @given(ANY_MATRIX)
+    @settings(max_examples=150, deadline=None)
+    def test_rref(self, m):
+        ech, pivots = rref(m)
+        assert (ech, pivots) == rref_fraction(m)
+        assert all(type(x) is Fraction for row in ech for x in row)
+
+    @given(ANY_MATRIX)
+    @settings(max_examples=100, deadline=None)
+    def test_rank(self, m):
+        assert rank(m) == len(rref_fraction(m)[1])
+
+    @given(ANY_MATRIX)
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_basis(self, m):
+        assert kernel_basis(m) == kernel_basis_fraction(m)
+
+    @given(
+        st.one_of(matrices(SQUARE_SIZE, SQUARE_SIZE), matrices(SQUARE_SIZE, SQUARE_SIZE, fractions=True)),
+        SQUARE_SIZE.flatmap(lambda n: st.lists(st.integers(-6, 6), min_size=n, max_size=n)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_solve_exact(self, a, b):
+        expected = solve_fraction(a, b)
+        if expected is None:
+            with pytest.raises(SingularMatrixError):
+                solve_exact(a, b)
+        else:
+            assert solve_exact(a, b) == expected
+
+    @given(matrices(SQUARE_SIZE, SQUARE_SIZE))
+    @settings(max_examples=100, deadline=None)
+    def test_det(self, m):
+        assert det(m) == det_bareiss(m)
+
+
+class TestRref:
+    def test_empty(self):
+        assert rref([]) == ([], [])
+
+    def test_two_rows(self):
+        assert rref([[0, 2, 4], [1, 1, 1]]) == ([[1, 0, -1], [0, 1, 2]], [0, 1])
+
+    def test_zero_rows_dropped(self):
+        assert rref([[0, 0], [0, 0]]) == ([], [])
+
+    def test_skipped_column(self):
+        # column 1 is twice column 0 in every row, so it gets no pivot
+        assert rref([[1, 2, 3], [2, 4, 7], [3, 6, 10]]) == ([[1, 2, 0], [0, 0, 1]], [0, 2])
+
+    def test_fraction_entries(self):
+        ech, pivots = rref([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]])
+        assert (ech, pivots) == ([[1, Fraction(2, 3)]], [0])
+        assert all(type(x) is Fraction for x in ech[0])
+
+    def test_negative_pivot_determinant(self):
+        # a row swap and a negative pivot leave the RREF unchanged
+        assert rref([[0, -3], [-2, 4]]) == ([[1, 0], [0, 1]], [0, 1])
+
+
 class TestDet:
+    def test_empty(self):
+        assert det([]) == 1
+
     def test_identity_7(self):
         m = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
         assert det(m) == 1
@@ -68,6 +229,9 @@ class TestDet:
 
 
 class TestAdjugate:
+    def test_empty(self):
+        assert adjugate([]) == (1, ())
+
     def test_2x2(self):
         assert adjugate([[2, 1], [5, 3]]) == (1, ((3, -1), (-5, 2)))
 

@@ -23,7 +23,9 @@ from toricfano.measures import (
 )
 from toricfano.polytope import (
     DimensionDeficiencyError,
-    direct_product,
+    Facet,
+    LatticePolytope,
+    PolytopeError,
     dual,
     faces_codim2,
     hull,
@@ -187,6 +189,23 @@ class TestCounting:
         except DimensionDeficiencyError:
             return
         assert count_lattice_points(p, k) == count_lattice_points_bruteforce(p, k)
+
+
+def direct_product(p1: LatticePolytope, p2: LatticePolytope) -> LatticePolytope:
+    """Cartesian product in block coordinates; F x P2 holds (v_i, w_j) iff F holds v_i."""
+    if not (p1.contains_origin_interior() and p2.contains_origin_interior()):
+        raise PolytopeError("product needs the origin interior on both sides")
+    z1 = (0,) * p1.dim
+    z2 = (0,) * p2.dim
+    m = p2.n_vertices
+    pairs = range(p1.n_vertices * m)    # pair k is (v_{k // m}, w_{k % m}): lexicographic
+    facets = [Facet(f.normal + z2, f.rhs, frozenset(k for k in pairs if k // m in f.vertex_indices))
+              for f in p1.facets]
+    facets += [Facet(z1 + f.normal, f.rhs, frozenset(k for k in pairs if k % m in f.vertex_indices))
+               for f in p2.facets]
+    facets.sort(key=lambda f: (f.normal, f.rhs))
+    verts = tuple(v + w for v in p1.vertices for w in p2.vertices)
+    return LatticePolytope(p1.dim + p2.dim, verts, tuple(facets))
 
 
 def _ehrhart_vandermonde(p):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_measures import PRODUCT_PAIRS, SUMMANDS
+from test_measures import PRODUCT_PAIRS, SUMMANDS, direct_product
 
 from toricfano import fixtures, polytope
 from toricfano.linalg import (
@@ -21,8 +21,8 @@ from toricfano.polytope import (
     DimensionDeficiencyError,
     Facet,
     LatticePolytope,
+    PointDimensionError,
     PolytopeError,
-    direct_product,
     dual,
     faces_codim2,
     free_sum,
@@ -203,6 +203,17 @@ class TestHull:
     def test_too_few_points_rejected(self):
         with pytest.raises(DimensionDeficiencyError):
             hull([(0, 0), (1, 0)])
+
+    # one point with a coordinate too many, one with too few, and no coordinates
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (1, 0), (0, 1), (1, 1, 1)],
+        [(0, 0), (1, 0), (0, 1), (1,)],
+        [()],
+    ], ids=["longer", "shorter", "empty_point"])
+    def test_ragged_points_rejected(self, pts):
+        message = "^points need one common, positive number of coordinates$"
+        with pytest.raises(PointDimensionError, match=message):
+            hull(pts)
 
     def test_incidence(self):
         p = hull([(1, 0), (0, 1), (-1, -1)])

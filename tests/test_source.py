@@ -71,3 +71,13 @@ def test_no_floats():
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
                 offenders.append(f"{path.name}:{node.lineno}: float(")
     assert offenders == []
+
+
+def test_all_is_what_init_imports():
+    """``toricfano.__all__`` lists each name ``__init__`` imports, once."""
+    tree = ast.parse(Path(toricfano.__file__).read_text())
+    imported = [alias.asname or alias.name
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert sorted(toricfano.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
