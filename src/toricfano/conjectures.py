@@ -14,7 +14,6 @@ from .linalg import transpose
 from .lp import feasible_point
 from .measures import (
     codim2_volume,
-    count_integer_points,
     ehrhart,
     fano_index,
     vertex_cones,
@@ -130,19 +129,17 @@ def facet_adjacency(p):
     return adjacency
 
 
-def check_ehrhart_bound(dp: DualPair, interior_check_max_dim=5) -> EhrhartBoundRecord:
+def check_ehrhart_bound(dp: DualPair) -> EhrhartBoundRecord:
     """vol(P) against (n+1)^n/n! and the weaker closed-form bound.
 
-    P is reflexive by construction, so the origin is its only interior
-    lattice point; in small dimensions this is re-verified by counting the
-    lattice points of the strict system <u, x> >= rhs + 1.
+    The bound is stated for a P whose only interior lattice point is the
+    origin.  A reflexive P (every facet <u, x> >= -1 with u primitive) has
+    exactly that, so a non-reflexive P raises ``ValueError``.
     """
     p = dp.p
     n = p.dim
-    if n <= interior_check_max_dim:
-        strict = [(f.normal, f.rhs + 1) for f in p.facets]
-        if count_integer_points(strict) != 1 or not p.contains_origin_interior():
-            raise ValueError("origin is not the unique interior lattice point")
+    if not p.is_reflexive():
+        raise ValueError("P is not reflexive")
     vol, _ = volume_and_barycenter(p)
     bound = Fraction((n + 1) ** n, factorial(n))
     equality = vol == bound
@@ -186,6 +183,6 @@ def run_all(dp: DualPair, ehrhart_max_dim=5, group: SymmetryGroup = None) -> Con
     return ConjectureReport(
         eq1=check_eq1(dp) if 2 <= n <= ehrhart_max_dim else None,
         conj11=tuple(check_conj11(dp, group)),
-        ehrhart_bound=check_ehrhart_bound(dp, interior_check_max_dim=ehrhart_max_dim),
+        ehrhart_bound=check_ehrhart_bound(dp),
         bishop=check_bishop(dp),
     )

@@ -1,14 +1,20 @@
 """Exact rational feasibility of linear systems.
 
-``feasible_point`` runs the first phase of the two-phase simplex on a dense
-``Fraction`` tableau with Bland's anticycling rule: it minimizes the sum of
-the artificial variables.  A zero minimum gives an exact feasible point; a
-positive one gives a Farkas certificate of infeasibility, verified against
-the original system before it is returned.
+``feasible_point`` runs the dual simplex (Lemke 1954) on the ``Fraction``
+tableau ``[A | -A | I | b]`` of <a, x> <= b, x = x+ - x- free, from the
+slack basis.  The objective is zero, so every basis is dual feasible and no
+first phase is needed.  Bland's least-index rule (1977) picks the leaving
+row and the entering column, so the pivots cannot cycle.  When no rhs is
+negative, x+ - x- is a point.  A row with rhs < 0 and no negative entry is
+a Farkas witness: its slack block y is that row of B^-1, so y >= 0,
+y.A = 0 (the x+ and x- blocks are y.A and -y.A) and y.b = rhs < 0.  Both
+verdicts are checked exactly against the original system before return.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .linalg import dot
 
 #: hard pivot ceiling; Bland's rule terminates long before this on sane input
 PIVOT_LIMIT = 200_000
@@ -29,113 +35,47 @@ class LPResult:
     farkas: tuple | None = None
 
 
-class _Tableau:
-    """min cost.y  s.t.  T y = rhs, y >= 0, with Bland's rule."""
-
-    def __init__(self, rows, rhs, basis, cost, cost_rhs):
-        self.rows = rows          # list of lists of Fraction
-        self.rhs = rhs            # list of Fraction, all >= 0
-        self.basis = basis        # basic variable per row
-        self.cost = cost          # reduced-cost row
-        self.cost_rhs = cost_rhs  # minus the objective value
-
-    def pivot(self, r, c):
-        pr = self.rows[r]
-        pv = pr[c]
-        self.rows[r] = pr = [x / pv for x in pr]
-        self.rhs[r] /= pv
-        for i, row in enumerate(self.rows):
-            if i != r and row[c] != 0:
-                f = row[c]
-                self.rows[i] = [x - f * y for x, y in zip(row, pr)]
-                self.rhs[i] -= f * self.rhs[r]
-        f = self.cost[c]
-        if f != 0:
-            self.cost = [x - f * y for x, y in zip(self.cost, pr)]
-            self.cost_rhs -= f * self.rhs[r]
-        self.basis[r] = c
-
-    def minimize(self):
-        """Pivot until no reduced cost is negative; the cost is bounded below by 0."""
-        for _ in range(PIVOT_LIMIT):
-            enter = next((j for j, x in enumerate(self.cost) if x < 0), None)
-            if enter is None:
-                return
-            leave = None
-            best = None
-            for i, row in enumerate(self.rows):
-                if row[enter] > 0:
-                    ratio = self.rhs[i] / row[enter]
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
-            if leave is None:
-                raise SimplexInvariantError("phase 1 is bounded below by 0 yet came out unbounded")
-            self.pivot(leave, enter)
-        raise PivotLimitExceeded("simplex pivot ceiling reached")
+def _dual_simplex(cons, n):
+    """Point or Farkas witness for <a, x> <= b over free variables x."""
+    m = len(cons)
+    rows = [[Fraction(x) for x in (*a, *(-x for x in a), *(int(j == i) for j in range(m)), b)]
+            for i, (a, b) in enumerate(cons)]
+    basis = list(range(2 * n, 2 * n + m))
+    for _ in range(PIVOT_LIMIT):
+        r = min((i for i, row in enumerate(rows) if row[-1] < 0), key=basis.__getitem__, default=None)
+        if r is None:
+            xs = [Fraction(0)] * (2 * n)
+            for row, bv in zip(rows, basis):
+                if bv < 2 * n:
+                    xs[bv] = row[-1]
+            return LPResult(status="optimal", point=tuple(xs[j] - xs[n + j] for j in range(n)))
+        pivot_row = rows[r]
+        c = next((j for j, x in enumerate(pivot_row[:-1]) if x < 0), None)
+        if c is None:
+            return LPResult(status="infeasible", farkas=tuple(pivot_row[2 * n:-1]))
+        pv = pivot_row[c]
+        rows[r] = pivot_row = [x / pv for x in pivot_row]
+        support = [(j, y) for j, y in enumerate(pivot_row) if y]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                for j, y in support:
+                    row[j] -= f * y
+        basis[r] = c
+    raise PivotLimitExceeded("simplex pivot ceiling reached")
 
 
-def _phase1(constraints, n):
-    """Phase 1 of the simplex for <a, x> <= b over free variables x."""
-    m = len(constraints)
-    # columns: x+ (n), x- (n), slacks (m), one artificial per row with b < 0
-    nbase = 2 * n + m
-    art_rows = [i for i, (_, b) in enumerate(constraints) if b < 0]
-    rows = []
-    rhs = []
-    basis = []
-    for i, (a, b) in enumerate(constraints):
-        row = [Fraction(x) for x in a] + [Fraction(-x) for x in a]
-        row += [Fraction(int(j == i)) for j in range(m)]
-        row += [Fraction(0)] * len(art_rows)
-        b = Fraction(b)
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-            basis.append(nbase + art_rows.index(i))
-            row[basis[-1]] = Fraction(1)
-        else:
-            basis.append(2 * n + i)
-        rows.append(row)
-        rhs.append(b)
-    # reduced costs of sum(artificials): price each artificial row out
-    cost = [Fraction(0)] * nbase + [Fraction(1)] * len(art_rows)
-    cost_rhs = Fraction(0)
-    for i in art_rows:
-        cost = [x - y for x, y in zip(cost, rows[i])]
-        cost_rhs -= rhs[i]
-    t = _Tableau(rows, rhs, basis, cost, cost_rhs)
-    t.minimize()
-    if -t.cost_rhs > 0:
-        return LPResult(status="infeasible", farkas=_extract_farkas(t, constraints, n, m))
-    xs = [Fraction(0)] * (2 * n)
-    for i, bv in enumerate(t.basis):
-        if bv < 2 * n:
-            xs[bv] = t.rhs[i]
-    return LPResult(status="optimal", point=tuple(xs[j] - xs[n + j] for j in range(n)))
-
-
-def _extract_farkas(t, constraints, n, m):
-    """Farkas witness y >= 0 with y.A = 0 and y.b < 0 from phase-1 duals.
-
-    At a positive phase-1 optimum, the reduced cost of the slack column of
-    row i is exactly the witness multiplier for original constraint i
-    (row-flip signs cancel).  The witness is verified before being returned.
-    """
-    y = [t.cost[2 * n + i] for i in range(m)]
-    comb = [Fraction(0)] * n
-    total = Fraction(0)
-    ok = all(v >= 0 for v in y)
-    for yi, (a, b) in zip(y, constraints):
-        for j in range(n):
-            comb[j] += yi * a[j]
-        total += yi * b
-    ok = ok and all(c == 0 for c in comb) and total < 0
+def _certified(result, cons):
+    """``result`` once its point or witness is checked against ``cons``."""
+    if result.point is not None:
+        ok = all(dot(a, result.point) <= b for a, b in cons)
+    else:
+        y = result.farkas
+        ok = (min(y) >= 0 and dot(y, [b for _, b in cons]) < 0
+              and not any(dot(y, column) for column in zip(*(a for a, _ in cons))))
     if not ok:
-        raise SimplexInvariantError("failed to certify infeasibility")
-    return tuple(y)
+        raise SimplexInvariantError(f"failed to certify the {result.status} verdict")
+    return result
 
 
 def feasible_point(inequalities, equalities=()):
@@ -151,4 +91,4 @@ def feasible_point(inequalities, equalities=()):
         cons.append((tuple(-x for x in a), -b))
     if not cons:
         raise ValueError("an empty system has no dimension")
-    return _phase1(cons, len(cons[0][0]))
+    return _certified(_dual_simplex(cons, len(cons[0][0])), cons)

@@ -114,16 +114,17 @@ def _fm_eliminate(cons):
     ``cons`` are (coeffs, rhs) meaning <coeffs, x> <= rhs.  Output constrains
     the remaining prefix variables; exact, with gcd reduction and dedup.
     """
-    zeros, pos, neg = [], [], []
+    out, pos, neg = {}, [], []
     for a, b in cons:
         c = a[-1]
         if c == 0:
-            zeros.append((a[:-1], b))
+            prev = out.get(a[:-1])
+            if prev is None or b < prev:
+                out[a[:-1]] = b
         elif c > 0:
             pos.append((a, b))
         else:
             neg.append((a, b))
-    out = dict(zeros)
     for a, b in pos:
         for c, e in neg:
             al, cl = a[-1], c[-1]
@@ -143,12 +144,7 @@ def _fm_eliminate(cons):
             prev = out.get(coeffs)
             if prev is None or rhs < prev:
                 out[coeffs] = rhs
-    merged = {}
-    for a, b in list(out.items()) + zeros:
-        prev = merged.get(a)
-        if prev is None or b < prev:
-            merged[a] = b
-    return [(a, b) for a, b in merged.items()]
+    return list(out.items())
 
 
 def count_lattice_points(p: LatticePolytope, k=1):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_lp import assert_farkas, assert_point
 from test_measures import PRODUCT_PAIRS, SUMMANDS
 from toricfano import conjectures, fixtures
 from toricfano.conjectures import (
@@ -126,6 +127,24 @@ class TestConj11:
         with pytest.warns(UserWarning):
             check_conj11(dp)
 
+    @pytest.mark.parametrize("name", ["cx5_pair", "q1_pair", "q2_pair"])
+    def test_records_carry_certificates(self, request, name):
+        # each record's verdict comes with an exact point or witness for its own facet
+        dp = request.getfixturevalue(name)
+        p = dp.p
+        adjacency = facet_adjacency(p)
+        for rec in check_conj11(dp):
+            f = p.facets[rec.facet_index]
+            assert rec.facet_normal == f.normal
+            ineqs = [(p.facets[j].normal, Fraction(1, 2)) for j in sorted(adjacency[rec.facet_index])]
+            res = feasible_point(ineqs, [(f.normal, Fraction(f.rhs))])
+            assert (res.status == "optimal") == rec.feasible
+            system = ineqs + [(f.normal, f.rhs), (tuple(-x for x in f.normal), -f.rhs)]
+            if rec.feasible:
+                assert_point(res.point, system)
+            else:
+                assert_farkas(res.farkas, system)
+
 
 class TestConj11Orbits:
     """One LP per facet orbit gives the records of one LP per facet."""
@@ -171,27 +190,12 @@ class TestConj11Orbits:
         assert len(calls) == lps
 
 
-@pytest.fixture
-def interior_counts(monkeypatch):
-    """Calls the Ehrhart-bound check makes to count the strict interior."""
-    calls = []
-    count = conjectures.count_integer_points
-
-    def counted(cons):
-        calls.append(cons)
-        return count(cons)
-
-    monkeypatch.setattr(conjectures, "count_integer_points", counted)
-    return calls
-
-
 class TestEhrhartBound:
-    def test_plane_is_sharp(self, p2_pair, interior_counts):
+    def test_plane_is_sharp(self, p2_pair):
         r = check_ehrhart_bound(p2_pair)
         assert r.vol == r.bound == Fraction(9, 2)
         assert r.holds and r.equality
         assert r.simplex_shape is True
-        assert len(interior_counts) == 1
 
     def test_square_strict(self):
         r = check_ehrhart_bound(dual(fixtures.cross_polytope(2)))
@@ -200,13 +204,12 @@ class TestEhrhartBound:
         assert r.holds and not r.equality
         assert r.simplex_shape is None
 
-    def test_counterexample_fixture(self, cx5_pair, interior_counts):
+    def test_counterexample_fixture(self, cx5_pair):
         r = check_ehrhart_bound(cx5_pair)
         assert r.vol == Fraction(301, 10)
         assert r.bound == Fraction(324, 5)
         assert r.holds
         assert r.known_bound_holds
-        assert len(interior_counts) == 1
 
     def test_rejects_extra_interior_points(self):
         # 2P for P the square: nine interior lattice points
@@ -220,10 +223,16 @@ class TestEhrhartBound:
         with pytest.raises(ValueError):
             check_ehrhart_bound(dp)
 
-    def test_structural_fallback_in_high_dimension(self, q1_pair, interior_counts):
+    def test_reflexive_in_high_dimension(self, q1_pair):
         r = check_ehrhart_bound(q1_pair)
         assert r.holds
-        assert interior_counts == []
+
+    def test_rejects_non_reflexive_in_high_dimension(self):
+        # twice the reflexive simplex conv(e_i, -sum e_i): every facet at distance 2
+        corners = [tuple(2 * (i == j) for j in range(6)) for i in range(6)] + [(-2,) * 6]
+        dp = DualPair(q=None, p=hull(corners))
+        with pytest.raises(ValueError):
+            check_ehrhart_bound(dp)
 
 
 class TestBishop:

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfano.lp import feasible_point
+from toricfano import lp
+from toricfano.lp import LPResult, SimplexInvariantError, feasible_point
 
 
 def assert_farkas(y, constraints):
@@ -12,6 +13,12 @@ def assert_farkas(y, constraints):
     n = len(constraints[0][0])
     assert all(sum(yi * a[j] for yi, (a, _) in zip(y, constraints)) == 0 for j in range(n))
     assert sum(yi * b for yi, (_, b) in zip(y, constraints)) < 0
+
+
+def assert_point(x, constraints):
+    """Every <a, x> <= b holds exactly at x."""
+    assert x is not None
+    assert all(sum(ai * xi for ai, xi in zip(a, x)) <= b for a, b in constraints)
 
 
 class TestSolve:
@@ -55,6 +62,17 @@ class TestFeasiblePoint:
         assert r.status == "infeasible"
         assert r.farkas is not None
 
+    @pytest.mark.parametrize(
+        "wrong",
+        [LPResult(status="optimal", point=(0,)), LPResult(status="infeasible", farkas=(1, 0))],
+        ids=["point", "witness"],
+    )
+    def test_uncertified_verdict_raises(self, monkeypatch, wrong):
+        # x <= -1 and x >= -3: 0 is no solution, and (1, 0) sums to x <= -1, not 0 <= -1
+        monkeypatch.setattr(lp, "_dual_simplex", lambda cons, n: wrong)
+        with pytest.raises(SimplexInvariantError):
+            feasible_point([((1,), -1), ((-1,), 3)])
+
     def test_dim_required_when_empty(self):
         # an empty system carries no dimension, and none can be passed
         with pytest.raises(ValueError):
@@ -96,3 +114,32 @@ class TestProperties:
             # equalities enter the witness as the pair <c,x> <= d, <-c,x> <= -d
             pairs = cons + [(c, d), (tuple(-x for x in c), -d)]
             assert_farkas(r.farkas, pairs)
+
+
+@st.composite
+def degenerate_lps(draw):
+    """Up to ten constraints tight at one lattice point, plus up to four extras.
+
+    Many constraints tight at one point make the system degenerate, so
+    pivots tie and only the least-index rule keeps them from cycling.
+    """
+    n = draw(st.integers(1, 4))
+    coeff = st.integers(-3, 3)
+    row = st.lists(coeff, min_size=n, max_size=n).map(tuple)
+    p = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    tight = draw(st.lists(row, min_size=1, max_size=10))
+    cons = [(a, sum(ai * pi for ai, pi in zip(a, p))) for a in tight]
+    extra = draw(st.lists(st.tuples(row, st.integers(-5, 5)), max_size=4))
+    return cons + extra
+
+
+class TestDegenerate:
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_lps())
+    def test_terminates_with_a_valid_certificate(self, cons):
+        r = feasible_point(cons)
+        if r.status == "optimal":
+            assert_point(r.point, cons)
+        else:
+            assert r.status == "infeasible"
+            assert_farkas(r.farkas, cons)
