@@ -16,7 +16,6 @@ import csv
 import io as _io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import factorial
@@ -209,6 +208,7 @@ def scan(pf: PolytopeFile, options: ScanOptions = ScanOptions()):
     """Analyze every entry, at most one worker each; output is in input order."""
     jobs = min(options.jobs, len(pf.entries))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor    # here, so a serial run skips its import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_analyze_star, [(e, options) for e in pf.entries]))
     return [analyze_entry(e, options) for e in pf.entries]

@@ -83,12 +83,12 @@ def feasible_point(inequalities, equalities=()):
 
     Returns an LPResult whose point is a feasible point, or an infeasible
     result with a Farkas witness.  Equalities are handled as constraint
-    pairs.  An empty system has no dimension and raises ``ValueError``.
+    pairs.  An empty or ragged system has no one dimension and raises ``ValueError``.
     """
     cons = [(tuple(a), b) for a, b in inequalities]
     for a, b in equalities:
         cons.append((tuple(a), b))
         cons.append((tuple(-x for x in a), -b))
-    if not cons:
-        raise ValueError("an empty system has no dimension")
+    if len({len(a) for a, _ in cons}) != 1:
+        raise ValueError("a system needs rows, all of one length")
     return _certified(_dual_simplex(cons, len(cons[0][0])), cons)

@@ -36,7 +36,6 @@ class EhrhartPolynomial:
     coefficients: tuple    # of Fraction
 
 
-@lru_cache(maxsize=1)
 def vertex_cones(p: LatticePolytope):
     """Per vertex (in vertex order): its n facet indices and its n edges.
 
@@ -44,9 +43,9 @@ def vertex_cones(p: LatticePolytope):
     Fano polytope is.  The edges e_j are the columns of E_v = U_v^-1, where
     the rows of U_v are the normals of the facets through v, so
     <u_i, e_j> = delta_ij: e_j runs along the facets other than the j-th
-    and is a lattice basis together with the others.  One entry's volume,
-    ridge volume and adjacency callers ask for the same polytope in turn,
-    so a cache of one serves them all.
+    and is a lattice basis together with the others.  For P = Q*, U_v is
+    the vertex matrix of Q's facet v, so ``dual`` hands over the hull's
+    adjugate of it; only a P built otherwise is eliminated here.
     """
     n = p.dim
     at = [[] for _ in p.vertices]
@@ -54,10 +53,10 @@ def vertex_cones(p: LatticePolytope):
         for i in f.vertex_indices:
             at[i].append(fi)
     out = []
-    for v, facets in zip(p.vertices, at):
+    for v, facets, known in zip(p.vertices, at, p.cone_adjugates or [None] * len(at)):
         if len(facets) != n:
             raise MeasureError(f"vertex {v} lies on {len(facets)} facets, expected {n}")
-        d, adj = adjugate([p.facets[fi].normal for fi in facets])
+        d, adj = known or adjugate([p.facets[fi].normal for fi in facets])
         if d not in (1, -1):
             raise MeasureError(f"vertex {v} has a cone of determinant {d}, not unimodular")
         out.append((tuple(facets), tuple(tuple(d * x for x in col) for col in zip(*adj))))

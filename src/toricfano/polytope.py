@@ -6,7 +6,7 @@ integer normal, so a reflexive polytope is exactly one whose facets all read
 equality is equality of that canonical form.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -44,6 +44,7 @@ class Facet:
     normal: tuple          # primitive integer vector u
     rhs: int               # inequality <u, x> >= rhs
     vertex_indices: frozenset
+    adjugate: tuple = field(default=None, compare=False, repr=False)  # (det, adj) of the vertex matrix
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,7 @@ class LatticePolytope:
     dim: int
     vertices: tuple        # sorted tuple of integer coordinate tuples
     facets: tuple          # of Facet, sorted by (normal, rhs)
+    cone_adjugates: tuple = field(default=None, compare=False)  # (det, adj) of each vertex cone
 
     @property
     def n_vertices(self):
@@ -87,7 +89,8 @@ def hull(points):
     incidence; a pivot reads it and scans only the points where it is > 0,
     so a simplicial polytope costs about O(#ridges * n * m).  The ridges of
     a simplicial facet are its drop-one subsets, and one fraction-free
-    adjugate gives all their in-facet normals.
+    adjugate gives all their pivots; off the origin, (det, adj) of the
+    vertex matrix (rows in vertex order) is kept as ``Facet.adjugate``.
     A non-simplicial facet is projected along a coordinate its normal does
     not vanish on, and its ridges are the facets of that projection, found
     by the same wrapping one dimension down.  A point is a vertex exactly
@@ -105,14 +108,14 @@ def hull(points):
     if len(pts) < n + 1:
         raise DimensionDeficiencyError("too few points to span the space")
 
-    facets = _wrap(pts)
+    facets, adjugates = _wrap(pts)
     face_of = [None] * len(pts)    # smallest face through each point
     for inc in facets.values():
         for i in inc:
             face_of[i] = inc if face_of[i] is None else face_of[i] & inc
     verts = [i for i, face in enumerate(face_of) if face is not None and len(face) == 1]
     vert_of = {i: k for k, i in enumerate(verts)}
-    facets = tuple(Facet(u, b, frozenset(vert_of[i] for i in inc if i in vert_of))
+    facets = tuple(Facet(u, b, frozenset(vert_of[i] for i in inc if i in vert_of), adjugates[u, b])
                    for (u, b), inc in sorted(facets.items()))
     return LatticePolytope(n, tuple(pts[i] for i in verts), facets)
 
@@ -121,13 +124,14 @@ def _wrap(pts):
     """Facets of the hull of distinct points that must affinely span the space.
 
     Returns {(primitive inward normal u, rhs b): frozenset of the indices of
-    the points with <u, p> = b}.
+    the points with <u, p> = b}, and {(u, b): ``_ridges``' (det, adj) or None}.
     """
     n = len(pts[0])
     if n == 1:
         lo = min(range(len(pts)), key=pts.__getitem__)
         hi = max(range(len(pts)), key=pts.__getitem__)
-        return {((1,), pts[lo][0]): frozenset((lo,)), ((-1,), -pts[hi][0]): frozenset((hi,))}
+        facets = {((1,), pts[lo][0]): frozenset((lo,)), ((-1,), -pts[hi][0]): frozenset((hi,))}
+        return facets, {(u, b): (u[0] * b, ((1,),)) if b else None for u, b in facets}
     u = (1,) + (0,) * (n - 1)
     b = min(p[0] for p in pts)
     slack, face = _support(pts, u, b)
@@ -141,19 +145,21 @@ def _wrap(pts):
         u, b = _pivot(pts, slack, u, ker[0], r0)
         slack, face = _support(pts, u, b)
     facets = {(u, b): face}
-    todo = [(u, slack, face)]
+    adjugates = {}
+    todo = [((u, b), slack, face)]
     crossed = set()    # point sets of the ridges already pivoted across
     while todo:
-        u, slack, face = todo.pop()
-        for ridge, r0, w in _ridges(pts, u, face):
+        (u, b), slack, face = todo.pop()
+        adjugates[u, b], ridges = _ridges(pts, u, b, slack, face)
+        for ridge, r0, w in ridges:
             if ridge in crossed:
                 continue
             crossed.add(ridge)
             key = _pivot(pts, slack, u, w, r0)
             if key not in facets:
                 new_slack, facets[key] = _support(pts, *key)
-                todo.append((key[0], new_slack, facets[key]))
-    return facets
+                todo.append((key, new_slack, facets[key]))
+    return facets, adjugates
 
 
 def _support(pts, u, b):
@@ -162,31 +168,30 @@ def _support(pts, u, b):
     return slack, frozenset(i for i, s in enumerate(slack) if s == 0)
 
 
-def _ridges(pts, u, face):
-    """(ridge, point r0 on it, w) for each ridge of the facet with normal u.
+def _ridges(pts, u, b, slack, face):
+    """(det, adj) or None, and (ridge, point r0 on it, w) per ridge of facet <u, x> = b.
 
     ``ridge`` is the frozenset of the indices of the points on the ridge, the
-    same from both facets through it.  ``w`` vanishes on the ridge's
-    directions and is positive on the rest of the facet, so u and w span the
-    normals of the hyperplanes through it.
+    same from both facets through it.  ``w`` is constant on the ridge and
+    larger on the rest of the facet, so u and w span the normals of the
+    hyperplanes through it.  A simplicial facet takes one adjugate of its
+    rows f_i - c: c is the origin when b != 0, the rows are the vertex
+    matrix and its (det, adj) is returned; else c is the point of largest slack.
     """
     idx = sorted(face)
     n = len(u)
     if len(idx) == n:
-        # rows f_i - f_0 and u: column i-1 of the adjugate is zero on every
-        # row but f_i - f_0, where it is the determinant
-        f0 = pts[idx[0]]
-        d, adj = adjugate([vec_sub(pts[i], f0) for i in idx[1:]] + [u])
+        # column j of the adjugate is zero on every row but f_j - c, where it is the determinant
+        c = (0,) * n if b else pts[slack.index(max(slack))]
+        d, adj = adjugate([vec_sub(pts[i], c) for i in idx])
         sign = 1 if d > 0 else -1
-        ws = [tuple(sign * x for x in col) for col in list(zip(*adj))[:-1]]
-        out = [(face - {i}, f0, w) for i, w in zip(idx[1:], ws)]
-        out.append((face - {idx[0]}, pts[idx[1]], tuple(-sum(c) for c in zip(*ws))))
-        return out
+        return (d, adj) if b else None, [(face - {i}, pts[idx[j - 1]], tuple(sign * x for x in col))
+                                          for j, (i, col) in enumerate(zip(idx, zip(*adj)))]
     # drop a coordinate k with u_k != 0: injective on the facet's hyperplane
     k = next(j for j, x in enumerate(u) if x)
-    sub = _wrap([pts[i][:k] + pts[i][k + 1:] for i in idx])
-    return [(frozenset(idx[j] for j in inc), pts[idx[min(inc)]], v[:k] + (0,) + v[k:])
-            for (v, _), inc in sub.items()]
+    sub, _ = _wrap([pts[i][:k] + pts[i][k + 1:] for i in idx])
+    return None, [(frozenset(idx[j] for j in inc), pts[idx[min(inc)]], v[:k] + (0,) + v[k:])
+                  for (v, _), inc in sub.items()]
 
 
 def _pivot(pts, slack, u, w, r0):
@@ -231,7 +236,7 @@ def is_smooth_fano(p: LatticePolytope):
             return False, (
                 f"facet with normal {f.normal} has {len(vs)} vertices, expected {p.dim}"
             )
-        d = det([list(v) for v in vs])
+        d = f.adjugate[0] if f.adjugate else det(vs)
         if d not in (1, -1):
             return False, (
                 f"facet with normal {f.normal} has vertex matrix determinant {d}"
@@ -242,10 +247,10 @@ def is_smooth_fano(p: LatticePolytope):
 def dual(q: LatticePolytope) -> DualPair:
     """Dual pair (Q, P) with P = {y : <y, x> >= -1 for all x in Q}.
 
-    Requires Q reflexive (all facet rhs -1 once normals are primitive), which
-    holds for every smooth Fano polytope; then P's vertices are exactly Q's
-    facet normals (sorted and distinct, as every rhs is -1) and P's facets
-    are Q's vertices: P's facet j holds vertex i iff Q's facet i holds j.
+    Q must be reflexive (every rhs -1), as every smooth Fano polytope is; then
+    P's vertex i is Q's facet normal i (sorted and distinct) and P's facet j
+    is Q's vertex j, holding vertex i iff Q's facet i holds j.  The cone at
+    vertex i has Q's facet i's vertices as normals; P keeps that adjugate.
     """
     if not q.contains_origin_interior():
         raise PolytopeError("dualization needs the origin strictly interior")
@@ -253,7 +258,8 @@ def dual(q: LatticePolytope) -> DualPair:
         raise PolytopeError("dual polytope would not be a lattice polytope")
     facets = tuple(Facet(v, -1, frozenset(i for i, f in enumerate(q.facets) if j in f.vertex_indices))
                    for j, v in enumerate(q.vertices))
-    return DualPair(q=q, p=LatticePolytope(q.dim, tuple(f.normal for f in q.facets), facets))
+    return DualPair(q=q, p=LatticePolytope(q.dim, tuple(f.normal for f in q.facets), facets,
+                                           tuple(f.adjugate for f in q.facets)))
 
 
 def faces_codim2(p: LatticePolytope):

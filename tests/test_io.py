@@ -22,7 +22,7 @@ from toricfano.io import (
     parse,
     scan,
 )
-from toricfano.measures import vertex_cones, volume_and_barycenter
+from toricfano.measures import volume_and_barycenter
 
 GOOD = """\
 # two entries, with comments and blank lines
@@ -166,8 +166,7 @@ class TestNoReferenceCycles:
         # hexagon (+) P3, the free sum of two small smooth Fano polytopes
         rows = [v + (0, 0, 0) for v in fixtures.HEXAGON_VERTICES]
         rows += [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, -1, -1, -1)]
-        for cached in (volume_and_barycenter, vertex_cones):
-            cached.cache_clear()
+        volume_and_barycenter.cache_clear()
         gc.collect()
         gc.garbage.clear()
         gc.disable()
@@ -215,7 +214,7 @@ class TestScanEmit:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("toricfano.io.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         two = parse(GOOD)
         assert emit(scan(two, ScanOptions(jobs=8))) == emit(scan(two))
         one = parse(GOOD[: GOOD.index("polytope cross")])

@@ -78,6 +78,12 @@ class TestFeasiblePoint:
         with pytest.raises(ValueError):
             feasible_point([])
 
+    @pytest.mark.parametrize("rows", [[((1,), -1), ((1, 0), 1)], [((1, 0), 1), ((1,), -1)]],
+                             ids=["short_first", "long_first"])
+    def test_ragged_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match="one length"):
+            feasible_point(rows)
+
 
 @st.composite
 def bounded_lps(draw):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,15 +9,18 @@ from test_measures import PRODUCT_PAIRS, SUMMANDS, direct_product
 
 from toricfano import fixtures, polytope
 from toricfano.linalg import (
+    det,
     dot,
     identity,
     kernel_basis,
+    mat_mul,
     mat_vec,
     matrix_inverse_unimodular,
     rank,
     transpose,
     vec_sub,
 )
+from toricfano.measures import vertex_cones
 from toricfano.polytope import (
     DimensionDeficiencyError,
     Facet,
@@ -108,6 +112,15 @@ ORACLE_FIXTURES = [
     ("cx5", fixtures.cx5),
     ("q1", fixtures.q1),
 ]
+# simplicial facets through the origin: their ridges pivot about a point off the facet
+ORIGIN_FACETS = [
+    ("simplex3_at_origin", lambda: hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])),
+    ("origin_in_facet", lambda: hull([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)])),
+]
+ORACLE_FIXTURES += ORIGIN_FACETS
+SMOOTH_FANO = [(name, make) for name, make in ORACLE_FIXTURES
+               if not name.startswith("cube") and (name, make) not in ORIGIN_FACETS]
+SMOOTH_FANO.append(("q2", fixtures.q2))
 
 
 class TestHullOracle:
@@ -242,8 +255,8 @@ class TestHull:
         rng.shuffle(shuffled)
         assert hull(shuffled) == a
 
-    @pytest.mark.parametrize("make", [fixtures.cx5, fixtures.q1, fixtures.q2],
-                             ids=["cx5", "q1", "q2"])
+    @pytest.mark.parametrize("make", [fixtures.cx5, fixtures.q1, fixtures.q2] + [m for _, m in ORIGIN_FACETS],
+                             ids=["cx5", "q1", "q2"] + [name for name, _ in ORIGIN_FACETS])
     def test_each_ridge_pivoted_once(self, make, monkeypatch):
         q = make()
         assert all(len(f.vertex_indices) == q.dim for f in q.facets)
@@ -260,6 +273,33 @@ class TestHull:
         assert hull(q.vertices) == q
         # the tilt from x_0 >= min to the first facet adds at most n - 1
         assert ridges <= pivots <= ridges + q.dim - 1
+
+
+class TestStoredAdjugates:
+    @pytest.mark.parametrize("make", [m for _, m in ORACLE_FIXTURES + [("q2", fixtures.q2)]],
+                             ids=[name for name, _ in ORACLE_FIXTURES + [("q2", fixtures.q2)]])
+    def test_adjugate_inverts_the_vertex_matrix(self, make):
+        q = make()
+        n = q.dim
+        for f in q.facets:
+            assert (f.adjugate is not None) == (len(f.vertex_indices) == n and f.rhs != 0)
+            if f.adjugate is not None:
+                d, adj = f.adjugate
+                vs = q.facet_vertices(f)
+                assert d == det(vs)
+                assert mat_mul(adj, vs) == tuple(tuple(d * x for x in row) for row in identity(n))
+
+    @pytest.mark.parametrize("make", [m for _, m in ORACLE_FIXTURES], ids=[name for name, _ in ORACLE_FIXTURES])
+    def test_smoothness_without_stored_adjugates(self, make):
+        q = make()
+        bare = replace(q, facets=tuple(replace(f, adjugate=None) for f in q.facets))
+        assert is_smooth_fano(bare) == is_smooth_fano(q)
+
+    @pytest.mark.parametrize("make", [m for _, m in SMOOTH_FANO], ids=[name for name, _ in SMOOTH_FANO])
+    def test_dual_cones_match_a_fresh_elimination(self, make):
+        p = dual(make()).p
+        assert all(p.cone_adjugates)
+        assert vertex_cones(p) == vertex_cones(replace(p, cone_adjugates=None))
 
 
 class TestDual:
