@@ -9,6 +9,7 @@ are sequences of row sequences; public results come back as tuples.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class LinalgError(Exception):
@@ -24,7 +25,7 @@ class SingularMatrixError(LinalgError):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_sub(a, b):
@@ -50,7 +51,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return tuple(dot(row, v) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def transpose(a):

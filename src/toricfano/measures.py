@@ -29,6 +29,10 @@ class MeasureError(Exception):
     pass
 
 
+class LatticeInvariantError(MeasureError):
+    """A face vertex off the induced lattice: ``relative_volume`` proves it cannot happen."""
+
+
 @dataclass(frozen=True)
 class EhrhartPolynomial:
     """Coefficients a_0..a_n of k -> #(kP ∩ Z^n)."""
@@ -258,7 +262,9 @@ def relative_volume(face_vertices):
     (computed by unimodular column reduction) and measured there with
     unit fundamental domain.  A single vertex counts 1 by convention.  The
     face must be simple with unimodular vertex cones in that lattice, as
-    every face of a smooth polytope is.
+    every face of a smooth polytope is.  Each v - v0 is in Z^n ∩ L, L the
+    differences' span and the normals' kernel, and ``saturated_kernel`` gives
+    a Z-basis of Z^n ∩ L: no coordinate is fractional (``LatticeInvariantError``).
     """
     vs = [tuple(index(x) for x in v) for v in face_vertices]
     if len(vs) == 1:
@@ -276,7 +282,7 @@ def relative_volume(face_vertices):
     # one RREF of [lattice basis | diffs]: its first d rows hold each diff's coordinates
     ech, _ = rref([list(b) + list(x) for b, x in zip(zip(*lattice_basis), zip(*diffs))])
     if any(x.denominator != 1 for row in ech[:d] for x in row[d:]):
-        raise MeasureError("face vertex is not in the induced lattice")
+        raise LatticeInvariantError("face vertex is not in the induced lattice")
     coords = [tuple(int(row[d + j]) for row in ech[:d]) for j in range(len(diffs))]
     coords.append((0,) * d)
     return volume(hull(coords))

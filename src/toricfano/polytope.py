@@ -6,6 +6,7 @@ integer normal, so a reflexive polytope is exactly one whose facets all read
 equality is equality of that canonical form.
 """
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -85,12 +86,14 @@ def hull(points):
     that face is a facet; then each ridge of each facet found is pivoted to
     the neighbouring facet, until no new facet turns up.  A ridge is keyed
     by its point set, the same from both of its facets, so it is pivoted
-    once.  A facet's slack <u, p> - b is computed once and gives its
-    incidence; a pivot reads it and scans only the points where it is > 0,
-    so a simplicial polytope costs about O(#ridges * n * m).  The ridges of
-    a simplicial facet are its drop-one subsets, and one fraction-free
-    adjugate gives all their pivots; off the origin, (det, adj) of the
-    vertex matrix (rows in vertex order) is kept as ``Facet.adjugate``.
+    once.  Each facet carries its slack <u, p> - b, which gives its
+    incidence; a simplicial one also carries a tableau, the coordinates of
+    every point in its vertex basis.  Its pivots read that with no dot
+    product, and a neighbour reached with no tie in the ratio test (so
+    simplicial) takes it by one exact rank-one update (basis exchange:
+    Avis-Fukuda 1992; Bareiss 1968).  So a smooth Fano polytope costs one
+    elimination and O(#ridges * m + #facets * n * m).  Off the origin,
+    (det, adj) of the vertex matrix, rows in vertex order, is ``Facet.adjugate``.
     A non-simplicial facet is projected along a coordinate its normal does
     not vanish on, and its ridges are the facets of that projection, found
     by the same wrapping one dimension down.  A point is a vertex exactly
@@ -115,7 +118,7 @@ def hull(points):
             face_of[i] = inc if face_of[i] is None else face_of[i] & inc
     verts = [i for i, face in enumerate(face_of) if face is not None and len(face) == 1]
     vert_of = {i: k for k, i in enumerate(verts)}
-    facets = tuple(Facet(u, b, frozenset(vert_of[i] for i in inc if i in vert_of), adjugates[u, b])
+    facets = tuple(Facet(u, b, frozenset(vert_of[i] for i in inc if i in vert_of), adjugates.get((u, b)))
                    for (u, b), inc in sorted(facets.items()))
     return LatticePolytope(n, tuple(pts[i] for i in verts), facets)
 
@@ -124,14 +127,19 @@ def _wrap(pts):
     """Facets of the hull of distinct points that must affinely span the space.
 
     Returns {(primitive inward normal u, rhs b): frozenset of the indices of
-    the points with <u, p> = b}, and {(u, b): ``_ridges``' (det, adj) or None}.
+    the points with <u, p> = b}, and {(u, b): (det, adj) of the vertex matrix}
+    for the simplicial facets off the origin.  A simplicial facet is
+    eliminated afresh (``_tableau``) only when it is the first, when its c
+    differs from its neighbour's, or when it is reached from a non-simplicial
+    facet; else ``_exchange`` carries the tableau.  A tie in the ratio test
+    makes the facet reached non-simplicial.
     """
     n = len(pts[0])
     if n == 1:
         lo = min(range(len(pts)), key=pts.__getitem__)
         hi = max(range(len(pts)), key=pts.__getitem__)
         facets = {((1,), pts[lo][0]): frozenset((lo,)), ((-1,), -pts[hi][0]): frozenset((hi,))}
-        return facets, {(u, b): (u[0] * b, ((1,),)) if b else None for u, b in facets}
+        return facets, {(u, b): (u[0] * b, ((1,),)) for u, b in facets if b}
     u = (1,) + (0,) * (n - 1)
     b = min(p[0] for p in pts)
     slack, face = _support(pts, u, b)
@@ -142,23 +150,38 @@ def _wrap(pts):
         ker = kernel_basis([vec_sub(pts[i], r0) for i in idx[1:]] + [u])
         if not ker:
             break
-        u, b = _pivot(pts, slack, u, ker[0], r0)
+        (u, b), _, _ = _pivot(pts, slack, u, ker[0], r0)
         slack, face = _support(pts, u, b)
     facets = {(u, b): face}
     adjugates = {}
-    todo = [((u, b), slack, face)]
+    todo = [((u, b), slack, face, None)]
     crossed = set()    # point sets of the ridges already pivoted across
     while todo:
-        (u, b), slack, face = todo.pop()
-        adjugates[u, b], ridges = _ridges(pts, u, b, slack, face)
-        for ridge, r0, w in ridges:
-            if ridge in crossed:
-                continue
-            crossed.add(ridge)
-            key = _pivot(pts, slack, u, w, r0)
-            if key not in facets:
-                new_slack, facets[key] = _support(pts, *key)
-                todo.append((key, new_slack, facets[key]))
+        (u, b), slack, face, tab = todo.pop()
+        if len(face) > n:
+            for ridge, r0, w in _ridges(pts, u, face):
+                if ridge not in crossed:
+                    crossed.add(ridge)
+                    key, _, _ = _pivot(pts, slack, u, w, r0)
+                    if key not in facets:
+                        new_slack, facets[key] = _support(pts, *key)
+                        todo.append((key, new_slack, facets[key], None))
+            continue
+        tab = tab or _tableau(pts, slack, face, b)
+        basis, d, cols, sign, c = tab
+        if b:    # c is the origin, so the rows are the vertex matrix, in vertex order
+            adj = tuple(zip(*(col[-n:] for col in cols)))
+            adjugates[u, b] = (d, adj) if sign > 0 else (-d, tuple(tuple(-x for x in r) for r in adj))
+        for j, col in enumerate(cols):
+            ridge = face - {basis[j]}
+            if ridge not in crossed:
+                crossed.add(ridge)
+                key, k, (s, t, g) = _pivot(pts, slack, u, col[-n:], pts[basis[j - 1]], col)
+                if key not in facets:
+                    new_slack = [(s * y - t * x) // g for x, y in zip(slack, col)]
+                    facets[key] = new_face = frozenset(i for i, x in enumerate(new_slack) if x == 0)
+                    carry = len(new_face) == n and (None if key[1] else new_slack.index(max(new_slack))) == c
+                    todo.append((key, new_slack, new_face, _exchange(tab, j, k) if carry else None))
     return facets, adjugates
 
 
@@ -168,56 +191,86 @@ def _support(pts, u, b):
     return slack, frozenset(i for i, s in enumerate(slack) if s == 0)
 
 
-def _ridges(pts, u, b, slack, face):
-    """(det, adj) or None, and (ridge, point r0 on it, w) per ridge of facet <u, x> = b.
+def _tableau(pts, slack, face, b):
+    """(basis, d, columns, sign, c) of a simplicial facet <u, x> = b, by one adjugate.
+
+    c is the origin (None) when b != 0, else the point of largest slack.  The
+    rows f_i - c, ``basis`` in order, have (det, adj) = sign * (d, A), d > 0.
+    Column i holds lambda_i(p) = <p - c, A_i> for each point p, then A_i:
+    lambda(p) / d is p - c in the rows, and A_i, lambda_i are the w, t of
+    ``_pivot`` about the ridge opposite f_i (constant there, d on f_i).
+    """
+    c = None if b else slack.index(max(slack))
+    shifted = pts if c is None else [vec_sub(p, pts[c]) for p in pts]
+    basis = sorted(face)
+    d, adj = adjugate([shifted[i] for i in basis])
+    sign = 1 if d > 0 else -1
+    return basis, sign * d, [[sign * dot(p, a) for p in shifted] + [sign * x for x in a]
+                             for a in zip(*adj)], sign, c
+
+
+def _exchange(tab, j, k):
+    """The tableau after f_j leaves the basis and point k enters it.
+
+    With a = lambda(p_k): the new d is a_j, column j stays, and column i
+    becomes (a_j col_i - a_i col_j) / d, exact as both are minors.  A negative
+    a_j negates column j and the sign; column j moves to k's sorted place.
+    """
+    basis, d, cols, sign, c = tab
+    a = [col[k] for col in cols]
+    pivot = cols[j]
+    if a[j] < 0:
+        pivot, sign = [-x for x in pivot], -sign
+    e = abs(a[j])
+    cols = [[(e * x - ai * y) // d for x, y in zip(col, pivot)]
+            for i, (col, ai) in enumerate(zip(cols, a)) if i != j]
+    basis = basis[:j] + basis[j + 1:]
+    q = bisect(basis, k)
+    basis.insert(q, k)
+    cols.insert(q, pivot)
+    return basis, e, cols, sign * (-1) ** abs(q - j), c    # a flip per column passed
+
+
+def _ridges(pts, u, face):
+    """(ridge, point r0 on it, w) per ridge of a non-simplicial facet with normal u.
 
     ``ridge`` is the frozenset of the indices of the points on the ridge, the
     same from both facets through it.  ``w`` is constant on the ridge and
     larger on the rest of the facet, so u and w span the normals of the
-    hyperplanes through it.  A simplicial facet takes one adjugate of its
-    rows f_i - c: c is the origin when b != 0, the rows are the vertex
-    matrix and its (det, adj) is returned; else c is the point of largest slack.
+    hyperplanes through it.  The facet is projected along a coordinate k with
+    u_k != 0, injective on its hyperplane, and wrapped; a simplicial facet's
+    ridges come from its tableau instead.
     """
     idx = sorted(face)
-    n = len(u)
-    if len(idx) == n:
-        # column j of the adjugate is zero on every row but f_j - c, where it is the determinant
-        c = (0,) * n if b else pts[slack.index(max(slack))]
-        d, adj = adjugate([vec_sub(pts[i], c) for i in idx])
-        sign = 1 if d > 0 else -1
-        return (d, adj) if b else None, [(face - {i}, pts[idx[j - 1]], tuple(sign * x for x in col))
-                                          for j, (i, col) in enumerate(zip(idx, zip(*adj)))]
-    # drop a coordinate k with u_k != 0: injective on the facet's hyperplane
     k = next(j for j, x in enumerate(u) if x)
     sub, _ = _wrap([pts[i][:k] + pts[i][k + 1:] for i in idx])
-    return None, [(frozenset(idx[j] for j in inc), pts[idx[min(inc)]], v[:k] + (0,) + v[k:])
-                  for (v, _), inc in sub.items()]
+    return [(frozenset(idx[j] for j in inc), pts[idx[min(inc)]], v[:k] + (0,) + v[k:])
+            for (v, _), inc in sub.items()]
 
 
-def _pivot(pts, slack, u, w, r0):
+def _pivot(pts, slack, u, w, r0, tilt=None):
     """Tilt the hyperplane <u, x> = <u, r0> about its flat where w is constant.
 
-    ``slack`` holds s = <u, p - r0> for every point; each must be >= 0, with
-    t = <w, p - r0> >= 0 where s = 0.  The hyperplane stops at the point p*
-    with the smallest t/s over s > 0, so t is computed only there; the
-    result (u', <u', r0>) has u' = s* w - t* u divided by its (positive)
-    gcd, so it keeps pointing into the hull.  No s > 0 means every point is on it.
+    ``slack`` holds s = <u, p - r0> >= 0 for every point, and ``tilt`` (or, if
+    None, a dot product where s > 0) t = <w, p - r0>, >= 0 where s = 0.  The
+    hyperplane stops at the first p* of least t/s over s > 0; a tie puts more
+    points on it.  Returns (u', <u', r0>), the index of p* and (s*, t*, g):
+    g u' = s* w - t* u with g > 0 keeps u' pointing into the hull, and p's
+    slack on it is (s* t - t* s) / g.  No s > 0: every point is on it.
     """
-    c = dot(w, r0)
+    if tilt is None:
+        c = dot(w, r0)
+        tilt = [dot(w, p) - c if s else 0 for p, s in zip(pts, slack)]
     best_s = best_t = 0
-    for p, s in zip(pts, slack):
-        if s > 0:
-            t = dot(w, p) - c
-            if best_s == 0 or t * best_s < best_t * s:
-                best_s, best_t = s, t
+    for i, (s, t) in enumerate(zip(slack, tilt)):
+        if s > 0 and (best_s == 0 or t * best_s < best_t * s):
+            best_s, best_t, best = s, t, i
     if best_s == 0:
         raise DimensionDeficiencyError("points do not affinely span the space")
     normal = [best_s * x - best_t * y for x, y in zip(w, u)]
-    g = 0
-    for x in normal:
-        g = gcd(g, x)
+    g = gcd(*normal)
     normal = tuple(x // g for x in normal)
-    return normal, dot(normal, r0)
+    return (normal, dot(normal, r0)), best, (best_s, best_t, g)
 
 
 def is_smooth_fano(p: LatticePolytope):

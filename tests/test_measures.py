@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfano import fixtures
+from toricfano import fixtures, measures
 from toricfano.linalg import det, dot, identity, mat_vec, solve_exact, vec_sub
 from toricfano.measures import (
+    LatticeInvariantError,
     MeasureError,
     boundary_volume,
     codim2_volume,
@@ -315,6 +316,14 @@ class TestRelativeVolume:
     def test_non_integer_coordinate_rejected(self, x):
         with pytest.raises(TypeError):
             relative_volume([(x, -1), (-1, -1)])
+
+    def test_vertex_off_a_coarser_lattice_breaks_the_invariant(self, monkeypatch):
+        # a doubled basis spans a sublattice that misses the edge's own step
+        kernel = measures.saturated_kernel
+        monkeypatch.setattr(measures, "saturated_kernel", lambda m: [tuple(2 * x for x in v) for v in kernel(m)])
+        with pytest.raises(LatticeInvariantError, match="not in the induced lattice"):
+            relative_volume([(0, 0, 0), (1, 0, 0)])
+        assert issubclass(LatticeInvariantError, MeasureError)
 
 
 class TestCodim2:

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_measures import PRODUCT_PAIRS, SUMMANDS, direct_product
+from test_symmetry import _elementary_unimodular
 
 from toricfano import fixtures, polytope
 from toricfano.linalg import (
@@ -117,10 +119,29 @@ ORIGIN_FACETS = [
     ("simplex3_at_origin", lambda: hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])),
     ("origin_in_facet", lambda: hull([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)])),
 ]
-ORACLE_FIXTURES += ORIGIN_FACETS
+# simplicial facets next to a non-simplicial one: a tie in the ratio test, then a fresh tableau
+MIXED_FACETS = [
+    ("square_pyramid", lambda: hull([(1, 1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1), (0, 0, 1)])),
+]
+ORACLE_FIXTURES += ORIGIN_FACETS + MIXED_FACETS
 SMOOTH_FANO = [(name, make) for name, make in ORACLE_FIXTURES
-               if not name.startswith("cube") and (name, make) not in ORIGIN_FACETS]
+               if not name.startswith("cube") and (name, make) not in ORIGIN_FACETS + MIXED_FACETS]
 SMOOTH_FANO.append(("q2", fixtures.q2))
+
+
+def _unimodular_image(make, seed):
+    """The hull of a GL(n, Z) image of make()'s vertices, given in shuffled order."""
+    q = make()
+    rng = random.Random(seed)
+    u = _elementary_unimodular(q.dim, rng)
+    pts = [mat_vec(u, v) for v in q.vertices]
+    rng.shuffle(pts)
+    return hull(pts)
+
+
+# GL(n, Z) images reach each facet by other exchanges, so its basis order and sign differ
+IMAGES = [(f"{name}_image{seed}", lambda make=make, seed=seed: _unimodular_image(make, seed))
+          for name, make in [("cx5", fixtures.cx5), ("q1", fixtures.q1)] for seed in (1, 2)]
 
 
 class TestHullOracle:
@@ -276,8 +297,8 @@ class TestHull:
 
 
 class TestStoredAdjugates:
-    @pytest.mark.parametrize("make", [m for _, m in ORACLE_FIXTURES + [("q2", fixtures.q2)]],
-                             ids=[name for name, _ in ORACLE_FIXTURES + [("q2", fixtures.q2)]])
+    @pytest.mark.parametrize("make", [m for _, m in ORACLE_FIXTURES + [("q2", fixtures.q2)] + IMAGES],
+                             ids=[name for name, _ in ORACLE_FIXTURES + [("q2", fixtures.q2)] + IMAGES])
     def test_adjugate_inverts_the_vertex_matrix(self, make):
         q = make()
         n = q.dim
@@ -286,8 +307,23 @@ class TestStoredAdjugates:
             if f.adjugate is not None:
                 d, adj = f.adjugate
                 vs = q.facet_vertices(f)
-                assert d == det(vs)
+                assert type(d) is int and d == det(vs)
                 assert mat_mul(adj, vs) == tuple(tuple(d * x for x in row) for row in identity(n))
+
+    @pytest.mark.parametrize("make", [fixtures.cx5, fixtures.q1, fixtures.q2], ids=["cx5", "q1", "q2"])
+    def test_smooth_fano_hull_eliminates_once(self, make, monkeypatch):
+        q = make()
+        calls = 0
+        adjugate = polytope.adjugate
+
+        def counting_adjugate(m):
+            nonlocal calls
+            calls += 1
+            return adjugate(m)
+
+        monkeypatch.setattr(polytope, "adjugate", counting_adjugate)
+        assert hull(q.vertices) == q
+        assert calls == 1
 
     @pytest.mark.parametrize("make", [m for _, m in ORACLE_FIXTURES], ids=[name for name, _ in ORACLE_FIXTURES])
     def test_smoothness_without_stored_adjugates(self, make):
