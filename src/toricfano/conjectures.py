@@ -16,7 +16,7 @@ from .measures import (
     codim2_volume,
     ehrhart,
     fano_index,
-    vertex_cones,
+    vertex_facets,
     volume_and_barycenter,
 )
 from .polytope import DualPair
@@ -119,10 +119,11 @@ def facet_adjacency(p):
     """{facet index: indices of the facets sharing a ridge with it}.
 
     P is simple, so two facets share a ridge exactly when they share a
-    vertex, and the facets at each vertex come with its cone.
+    vertex; ``vertex_facets`` reads the facets at each vertex off P's
+    incidence and raises ``MeasureError`` if P is not simple.
     """
     adjacency = {i: set() for i in range(len(p.facets))}
-    for facets, _ in vertex_cones(p):
+    for facets in vertex_facets(p):
         for i, j in combinations(facets, 2):
             adjacency[i].add(j)
             adjacency[j].add(i)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial, gcd, prod
-from operator import index, mul
+from math import factorial, gcd, lcm, prod
+from operator import index, mul, neg
 
 from .linalg import (
     adjugate,
@@ -19,7 +19,6 @@ from .linalg import (
     rank,
     rref,
     saturated_kernel,
-    solve_exact,
     vec_sub,
 )
 from .polytope import LatticePolytope, SubspacePolytope, hull
@@ -40,6 +39,22 @@ class EhrhartPolynomial:
     coefficients: tuple    # of Fraction
 
 
+def vertex_facets(p: LatticePolytope):
+    """Per vertex (in vertex order), the indices of the facets through it, from P's incidence.
+
+    Raises ``MeasureError`` unless P is simple: n facets at every vertex.
+    """
+    n = p.dim
+    at = [[] for _ in p.vertices]
+    for fi, f in enumerate(p.facets):
+        for i in f.vertex_indices:
+            at[i].append(fi)
+    for v, facets in zip(p.vertices, at):
+        if len(facets) != n:
+            raise MeasureError(f"vertex {v} lies on {len(facets)} facets, expected {n}")
+    return at
+
+
 def vertex_cones(p: LatticePolytope):
     """Per vertex (in vertex order): its n facet indices and its n edges.
 
@@ -51,19 +66,14 @@ def vertex_cones(p: LatticePolytope):
     the vertex matrix of Q's facet v, so ``dual`` hands over the hull's
     adjugate of it; only a P built otherwise is eliminated here.
     """
-    n = p.dim
-    at = [[] for _ in p.vertices]
-    for fi, f in enumerate(p.facets):
-        for i in f.vertex_indices:
-            at[i].append(fi)
+    at = vertex_facets(p)
     out = []
     for v, facets, known in zip(p.vertices, at, p.cone_adjugates or [None] * len(at)):
-        if len(facets) != n:
-            raise MeasureError(f"vertex {v} lies on {len(facets)} facets, expected {n}")
         d, adj = known or adjugate([p.facets[fi].normal for fi in facets])
         if d not in (1, -1):
             raise MeasureError(f"vertex {v} has a cone of determinant {d}, not unimodular")
-        out.append((tuple(facets), tuple(tuple(d * x for x in col) for col in zip(*adj))))
+        cols = tuple(zip(*adj))
+        out.append((tuple(facets), cols if d == 1 else tuple(tuple(map(neg, col)) for col in cols)))
     return tuple(out)
 
 
@@ -75,6 +85,23 @@ def _generic_functional(cones, n):
     """
     big = max(abs(x) for _, edges in cones for e in edges for x in e)
     return tuple((2 * big + 1) ** k for k in range(n))
+
+
+def _brion_terms(p: LatticePolytope):
+    """Per vertex (v, edges, a, pi, s), and D = lcm over the vertices of |pi|.
+
+    With c from ``_generic_functional``: a_j = -<c, e_j> for the edges e_j
+    of ``vertex_cones``, pi = prod_j a_j and s = <c, v>.  The Brion sums
+    below add ints weighted by D // pi and make one Fraction per output.
+    """
+    n = p.dim
+    cones = vertex_cones(p)
+    c = _generic_functional(cones, n)
+    terms = []
+    for v, (_, edges) in zip(p.vertices, cones):
+        a = [-dot(c, e) for e in edges]
+        terms.append((v, edges, a, prod(a), dot(c, v)))
+    return terms, lcm(*(t[3] for t in terms))
 
 
 @lru_cache(maxsize=256)
@@ -89,22 +116,20 @@ def volume_and_barycenter(p: LatticePolytope):
     ``vertex_cones`` raises ``MeasureError`` on any other polytope.
     """
     n = p.dim
-    cones = vertex_cones(p)
-    c = _generic_functional(cones, n)
-    vol = Fraction(0)
-    moment = [Fraction(0)] * n         # n! times the integral of x
-    for v, (_, edges) in zip(p.vertices, cones):
-        a = [-dot(c, e) for e in edges]
-        pi = prod(a)
-        s = dot(c, v)
-        vol += Fraction(s**n, pi)
-        # <c,v>^n v / pi + <c,v>^(n+1) / ((n+1) pi^2) sum_j (pi / a_j) e_j
-        first = (n + 1) * pi * s**n
-        second = [sum(pi // aj * e[k] for aj, e in zip(a, edges)) for k in range(n)]
-        den = (n + 1) * pi * pi
+    terms, d = _brion_terms(p)
+    vol = 0                     # n! D vol
+    moment = [0] * n            # (n+1)! D^2 times the integral of x
+    for v, edges, a, pi, s in terms:
+        t = d // pi * s**n
+        vol += t
+        # the vertex's share of the moment: t ((n+1) D v + s sum_j (D / a_j) e_j)
+        g, h = (n + 1) * d * t, t * s
+        r = [d // x for x in a]
+        side = [sum(map(mul, r, col)) for col in zip(*edges)]
         for k in range(n):
-            moment[k] += Fraction(first * v[k] + s ** (n + 1) * second[k], den)
-    return vol / factorial(n), tuple(m / vol for m in moment)
+            moment[k] += g * v[k] + h * side[k]
+    den = (n + 1) * d * vol
+    return Fraction(vol, d * factorial(n)), tuple(Fraction(m, den) for m in moment)
 
 
 def volume(p: LatticePolytope):
@@ -231,28 +256,64 @@ def count_lattice_points_bruteforce(p: LatticePolytope, k=1):
     return sum(all(dot(f.normal, x) >= k * f.rhs for f in p.facets) for x in box)
 
 
+def _todd_series(n):
+    """L and the ints L tau_0..L tau_n, where Td(x) = x / (1 - e^-x) = sum_k tau_k x^k.
+
+    tau_k = B_k / k! with B_1 = +1/2, and L is the lcm of the denominators
+    of tau_0..tau_n.  Td is the inverse series of
+    (1 - e^-x) / x = sum_k (-x)^k / (k+1)!, so
+    tau_m = -sum_(k=1..m) (-1)^k tau_(m-k) / (k+1)!; with q = (n+1)!, each
+    x_m = q^m tau_m is an int, since (k+1)! divides q for k <= n.
+    """
+    q = factorial(n + 1)
+    x = [1]
+    for m in range(1, n + 1):
+        x.append(-sum((-1) ** k * q ** (k - 1) * (q // factorial(k + 1)) * x[m - k] for k in range(1, m + 1)))
+    big = lcm(*(q**m // gcd(y, q**m) for m, y in enumerate(x)))
+    return big, [y * big // q**m for m, y in enumerate(x)]
+
+
 @lru_cache(maxsize=256)
 def ehrhart(p: LatticePolytope) -> EhrhartPolynomial:
-    """Ehrhart polynomial of a reflexive polytope from floor(n/2) dilates.
+    """Ehrhart polynomial of a reflexive polytope by the Todd operator on its vertex cones.
 
-    Hibi's form of Ehrhart-Macdonald reciprocity, L(-k) = (-1)^n L(k-1) for
-    reflexive P, gives the values at k = -1..-(n//2 + 1) from L(0) = 1 and
-    the counts at k = 1..n//2; the n + 1 values of smallest |k| fix the
-    polynomial by exact interpolation.
+    Brion's formula on the unimodular vertex cones, with each factor
+    1 / (1 - e^(-a_j t)) written as Td(a_j t) / (a_j t) (Khovanskii-Pukhlikov;
+    Brion-Vergne), gives, with a, pi and s = <c,v> as in
+    ``volume_and_barycenter``:
+
+        a_m = sum_v s^m T_(n-m)(a(v)) / (m! pi(v)),
+
+    where T_j is the t^j coefficient of prod_j Td(a_j t) and
+    Td(x) = x / (1 - e^-x) = sum_k B_k x^k / k! with B_1 = +1/2.  Td is
+    scaled by L (``_todd_series``), so each product runs over ints.  P must
+    be reflexive, and ``vertex_cones`` raises ``MeasureError`` unless P is
+    simple with unimodular vertex cones.
     """
     if not p.is_reflexive():
-        raise MeasureError("Ehrhart reciprocity needs a reflexive polytope")
+        raise MeasureError("the Ehrhart polynomial is computed for reflexive polytopes only")
     n = p.dim
-    m = n // 2
-    values = {0: 1}
-    for k in range(1, m + 1):
-        values[k] = count_lattice_points(p, k)
-    for k in range(1, m + 2):
-        values[-k] = (-1) ** n * values[k - 1]
-    ks = sorted(values, key=abs)[: n + 1]
-    vandermonde = [[k ** i for i in range(n + 1)] for k in ks]
-    coeffs = solve_exact(vandermonde, [values[k] for k in ks])
-    return EhrhartPolynomial(coefficients=tuple(coeffs))
+    terms, d = _brion_terms(p)
+    big, td = _todd_series(n)
+    nonzero = [(k, t) for k, t in enumerate(td) if k and t]
+    sums = [0] * (n + 1)        # m! D L^n a_m
+    for _, _, a, pi, s in terms:
+        poly = [big] + [0] * n  # L^n prod_j Td(a_j t), one factor at a time
+        for k, t in nonzero:
+            poly[k] = t * a[0] ** k
+        for x in a[1:]:
+            new = [big * y for y in poly]
+            for k, t in nonzero:
+                tx = t * x**k
+                for deg in range(k, n + 1):
+                    new[deg] += tx * poly[deg - k]
+            poly = new
+        w = d // pi
+        for m in range(n + 1):
+            sums[m] += poly[n - m] * w
+            w *= s
+    scale = d * big**n
+    return EhrhartPolynomial(coefficients=tuple(Fraction(x, factorial(m) * scale) for m, x in enumerate(sums)))
 
 
 def relative_volume(face_vertices):
@@ -309,14 +370,11 @@ def codim2_volume(p: LatticePolytope):
     n = p.dim
     if n < 2:
         return Fraction(0)
-    cones = vertex_cones(p)
-    c = _generic_functional(cones, n)
-    total = Fraction(0)
-    for v, (_, edges) in zip(p.vertices, cones):
-        a = [-dot(c, e) for e in edges]
-        e2 = sum(x * y for x, y in combinations(a, 2))
-        total += Fraction(dot(c, v) ** (n - 2) * e2, prod(a))
-    return total / factorial(n - 2)
+    terms, d = _brion_terms(p)
+    total = 0
+    for _, _, a, pi, s in terms:
+        total += s ** (n - 2) * sum(x * y for x, y in combinations(a, 2)) * (d // pi)
+    return Fraction(total, d * factorial(n - 2))
 
 
 def coefficient_of_asymmetry(s):

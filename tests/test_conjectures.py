@@ -19,7 +19,7 @@ from toricfano.conjectures import (
 )
 from toricfano.linalg import dot
 from toricfano.lp import feasible_point
-from toricfano.measures import count_integer_points
+from toricfano.measures import MeasureError, count_integer_points
 from toricfano.polytope import (
     DimensionDeficiencyError,
     DualPair,
@@ -84,12 +84,17 @@ class TestEq1:
         assert r.third_of_codim2_vol == Fraction(290, 3)
         assert r.holds and not r.equality
 
-    @pytest.mark.slow
-    def test_paper_example_q1(self, q1_pair):
-        r = check_eq1(q1_pair)
-        assert r.a_n_minus_2 == Fraction(10486, 15)
-        assert r.third_of_codim2_vol == 920
-        assert r.holds and not r.equality
+    def test_paper_examples_q1_to_q3(self, q1_pair, q2_pair):
+        # the paper's 7- and 8-dimensional examples: (a_(n-2), ridge volume / 3)
+        expected = [
+            (q1_pair, Fraction(10486, 15), 920),
+            (q2_pair, Fraction(9336, 5), Fraction(110944, 45)),
+            (dual(fixtures.q3()), Fraction(66389, 45), Fraction(89404, 45)),
+        ]
+        for dp, a, third in expected:
+            r = check_eq1(dp)
+            assert (r.a_n_minus_2, r.third_of_codim2_vol) == (a, third)
+            assert r.holds and not r.equality
 
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
@@ -121,6 +126,11 @@ class TestConj11:
             expected[i].add(j)
             expected[j].add(i)
         assert facet_adjacency(p) == expected
+
+    def test_adjacency_rejects_non_simple(self):
+        # the octahedron has four facets through each vertex
+        with pytest.raises(MeasureError, match="lies on 4 facets"):
+            facet_adjacency(fixtures.cross_polytope(3))
 
     def test_warns_when_barycenter_nonzero(self):
         dp = dual(hull([(1, 0), (0, 1), (-1, -1), (1, 1)]))

@@ -155,6 +155,14 @@ class TestAnalyze:
         r = analyze_entry(entry, ScanOptions(ehrhart_max_dim=1))
         assert "ehrhart" not in r
 
+    def test_raised_cap_reaches_dimension_seven(self):
+        r = analyze_entry(("q1", 7, fixtures.Q1_VERTICES), ScanOptions(conjectures=True, ehrhart_max_dim=8))
+        assert len(r["ehrhart"]) == 8
+        assert r["ehrhart"][0] == "1" and r["ehrhart"][7] == r["volume"]
+        eq1 = r["conjectures"]["eq1"]
+        assert (eq1["a_n_minus_2"], eq1["third_of_codim2_vol"]) == ("10486/15", "920")
+        assert eq1["holds"] and not eq1["equality"]
+
     def test_timing_flag(self):
         entry = parse(GOOD).entry("plane")
         r = analyze_entry(entry, ScanOptions(timing=True))

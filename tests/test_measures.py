@@ -217,6 +217,25 @@ def _ehrhart_vandermonde(p):
     return tuple(solve_exact(vandermonde, [Fraction(c) for c in counts]))
 
 
+def _ehrhart_reciprocity(p):
+    """Oracle for reflexive P from floor(n/2) dilates.
+
+    Hibi's form of Ehrhart-Macdonald reciprocity, L(-k) = (-1)^n L(k-1) for
+    reflexive P, gives the values at k = -1..-(n//2 + 1) from L(0) = 1 and
+    the counts at k = 1..n//2; the n + 1 values of smallest |k| fix the
+    polynomial by exact interpolation.
+    """
+    n = p.dim
+    values = {0: 1}
+    for k in range(1, n // 2 + 1):
+        values[k] = count_lattice_points(p, k)
+    for k in range(1, n // 2 + 2):
+        values[-k] = (-1) ** n * values[k - 1]
+    ks = sorted(values, key=abs)[: n + 1]
+    vandermonde = [[k**i for i in range(n + 1)] for k in ks]
+    return tuple(solve_exact(vandermonde, [values[k] for k in ks]))
+
+
 # the smooth Fano summands of the benchmark's small-fano family
 SUMMANDS = {
     "seg": [(1,), (-1,)],
@@ -232,6 +251,37 @@ PRODUCT_PAIRS = [
     for a, b in combinations_with_replacement(SUMMANDS, 2)
     if len(SUMMANDS[a][0]) + len(SUMMANDS[b][0]) <= 5
 ]
+
+
+def _free_sum_rows(names):
+    """Vertex rows of the free sum of the named summands, in block coordinates."""
+    dims = [len(SUMMANDS[s][0]) for s in names]
+    rows = []
+    for i, s in enumerate(names):
+        before, after = sum(dims[:i]), sum(dims[i + 1:])
+        rows += [(0,) * before + r + (0,) * after for r in SUMMANDS[s]]
+    return rows
+
+
+# Fano-side vertex rows whose duals are smooth: cx5 and the summand free sums
+GL_SOURCES = [("cx5", fixtures.CX5_VERTICES)] + [("x".join(pair), _free_sum_rows(pair)) for pair in PRODUCT_PAIRS]
+
+
+def _random_unimodular(n, rng):
+    """A product of random elementary, sign and swap moves: a matrix in GL(n, Z)."""
+    u = [list(row) for row in identity(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            k = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+        else:
+            u[i] = [-x for x in u[i]]
+        if rng.random() < 0.5:
+            u[i], u[j] = u[j], u[i]
+    return u
+
+
 REFLEXIVE_FIXTURES = [
     ("segment", lambda: hull([(-1,), (1,)])),
     ("cube2", lambda: fixtures.cube(2)),
@@ -248,17 +298,42 @@ class TestEhrhartReciprocity:
                              ids=[name for name, _ in REFLEXIVE_FIXTURES])
     def test_fixture_matches_vandermonde(self, make):
         p = make()
-        assert ehrhart(p).coefficients == _ehrhart_vandermonde(p)
+        assert ehrhart(p).coefficients == _ehrhart_vandermonde(p) == _ehrhart_reciprocity(p)
 
     @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids=["x".join(p) for p in PRODUCT_PAIRS])
     def test_product_of_duals_matches_vandermonde(self, pair):
         a, b = (dual(hull(SUMMANDS[s])).p for s in pair)
         p = direct_product(a, b)
-        assert ehrhart(p).coefficients == _ehrhart_vandermonde(p)
+        assert ehrhart(p).coefficients == _ehrhart_vandermonde(p) == _ehrhart_reciprocity(p)
 
     def test_rejects_non_reflexive(self):
         with pytest.raises(MeasureError):
             ehrhart(hull([(0, 0), (2, 0), (0, 2)]))
+
+    def test_rejects_reflexive_outside_the_todd_domain(self):
+        # the octahedron has four facets at each vertex; the triangle P^2's
+        # reflexive fan polytope has vertex cones of determinant 3
+        with pytest.raises(MeasureError, match="lies on 4 facets"):
+            ehrhart(fixtures.cross_polytope(3))
+        with pytest.raises(MeasureError, match="determinant -3"):
+            ehrhart(hull([(1, 0), (0, 1), (-1, -1)]))
+        # the counting oracle still covers both
+        assert _ehrhart_reciprocity(fixtures.cross_polytope(3)) == (1, Fraction(8, 3), 2, Fraction(4, 3))
+        assert _ehrhart_reciprocity(hull([(1, 0), (0, 1), (-1, -1)])) == (1, Fraction(3, 2), Fraction(3, 2))
+
+    @given(
+        st.sampled_from(GL_SOURCES),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_unimodular_image_with_shuffled_rows(self, source, rng):
+        # Q's rows moved by U in GL(n, Z) and shuffled: P* moves by U^-T, and
+        # the Ehrhart polynomial is a lattice invariant
+        rows = source[1]
+        u = _random_unimodular(len(rows[0]), rng)
+        moved = [mat_vec(u, r) for r in rows]
+        rng.shuffle(moved)
+        assert ehrhart(dual(hull(moved)).p) == ehrhart(dual(hull(rows)).p)
 
 
 class TestEhrhart:
@@ -394,17 +469,7 @@ class TestVertexFormula:
     @settings(max_examples=60, deadline=None)
     def test_unimodular_image(self, names, rng):
         p = _product_of_duals(names)
-        n = p.dim
-        u = [list(row) for row in identity(n)]
-        for _ in range(3 * n):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i != j:
-                k = rng.choice((-2, -1, 1, 2))
-                u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-            else:
-                u[i] = [-x for x in u[i]]
-            if rng.random() < 0.5:
-                u[i], u[j] = u[j], u[i]
+        u = _random_unimodular(p.dim, rng)
         q = hull([mat_vec(u, v) for v in p.vertices])
         vol, bary = volume_and_barycenter(p)
         assert volume_and_barycenter(q) == (vol, tuple(mat_vec(u, bary)))
