@@ -311,8 +311,8 @@ class TestEhrhartReciprocity:
             ehrhart(hull([(0, 0), (2, 0), (0, 2)]))
 
     def test_rejects_reflexive_outside_the_todd_domain(self):
-        # the octahedron has four facets at each vertex; the triangle P^2's
-        # reflexive fan polytope has vertex cones of determinant 3
+        # the octahedron has four facets at each vertex; the fan polytope of
+        # P^2 is reflexive, but its vertex cones have determinant 3
         with pytest.raises(MeasureError, match="lies on 4 facets"):
             ehrhart(fixtures.cross_polytope(3))
         with pytest.raises(MeasureError, match="determinant -3"):
