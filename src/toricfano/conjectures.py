@@ -4,7 +4,6 @@ Each checker reports both exact sides of its comparison so the verdict can
 be recomputed from the record.
 """
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -92,14 +91,12 @@ def check_conj11(dp: DualPair, group: SymmetryGroup = None):
     has the same answer: one LP is solved per orbit, at its least facet
     index.  ``group`` is the dual-side group (default: ``automorphism_group``);
     h maps the facet with normal u to the one with normal h^-T u, and the
-    maps u -> h^-T u are the group of the transposed generators.
+    maps u -> h^-T u are the group of the transposed generators.  The
+    criterion assumes b_P = 0, which the entry's ``KEVerdict.is_ke`` records.
     """
     if group is None:
         group = automorphism_group(dp)[1]
     p = dp.p
-    _, bary = volume_and_barycenter(p)
-    if any(b != 0 for b in bary):
-        warnings.warn("criterion hypothesis b_P = 0 does not hold", stacklevel=2)
     adjacency = facet_adjacency(p)
     index = {f.normal: i for i, f in enumerate(p.facets)}
     normal_maps = [transpose(h) for h in group.generators]

@@ -91,7 +91,7 @@ def full_verdict(dp: DualPair, groups=None) -> KEVerdict:
     if groups is None:
         groups = automorphism_group(dp)
     fs_q = fixed_space(groups[0])
-    threshold = 1 / (1 + max_pairing(dp, groups[1]))
+    threshold = lct(dp, groups[1])
     _, bary = volume_and_barycenter(dp.p)
     return KEVerdict(
         is_ke=all(b == 0 for b in bary),

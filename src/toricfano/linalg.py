@@ -3,8 +3,8 @@
 All scalars are Python ``int`` or ``fractions.Fraction``; nothing in this
 module (or the rest of the package) ever touches floating point.  Matrices
 are sequences of row sequences; public results come back as tuples.
-``det``, ``adjugate``, ``rref`` and ``kernel_basis`` (and so ``rank`` and
-``solve_exact``) all read one fraction-free Gauss-Jordan, ``_eliminate``.
+``det``, ``adjugate``, ``rref`` and ``kernel_basis`` (so ``rank`` and ``solve_exact``)
+all read ``_eliminate``, a Gauss-Jordan by ``bareiss_pivot``, the hull's and the LP's pivot too.
 """
 
 from fractions import Fraction
@@ -38,7 +38,7 @@ def primitive(v):
     The leading nonzero entry is made positive; the zero vector is returned
     unchanged.
     """
-    ints = _integer_rows([v])[0]
+    ints = integer_rows([v])[0]
     g = gcd(*ints) or 1
     if next((x for x in ints if x), 0) < 0:
         g = -g
@@ -85,17 +85,27 @@ def _eliminate(a):
             continue
         if i != r:
             a[r], a[i] = a[i], [-x for x in a[r]]
-        pivot, row_r = a[r][c], a[r]
-        for i, row in enumerate(a):
-            aic = row[c]
-            if i != r and (aic or pivot != d):
-                a[i] = [(pivot * x - aic * y) // d for x, y in zip(row, row_r)]
-        d = pivot
+        d = bareiss_pivot(a, r, c, d)
         pivots.append(c)
     return pivots, d
 
 
-def _integer_rows(rows):
+def bareiss_pivot(a, r, c, d):
+    """Fraction-free pivot on a[r][c] of an integer matrix, in place; returns a[r][c].
+
+    Each other row i becomes (a[r][c] a[i] - a[i][c] a[r]) / d, d the previous
+    pivot (1 at first): exact, as every entry is a minor (Bareiss 1968), also
+    when row r held an earlier pivot, which exchanges a basis column (``lrs``).
+    """
+    pivot, row_r = a[r][c], a[r]
+    for i, row in enumerate(a):
+        aic = row[c]
+        if i != r and (aic or pivot != d):
+            a[i] = [(pivot * x - aic * y) // d for x, y in zip(row, row_r)]
+    return pivot
+
+
+def integer_rows(rows):
     """Each row scaled by the lcm of its denominators: the same row space over Z."""
     out = []
     for row in rows:
@@ -157,7 +167,7 @@ def rref(rows):
     each eliminated row is divided by the pivot determinant.
     Returns (echelon rows as lists, pivot column list).
     """
-    a = _integer_rows(rows)
+    a = integer_rows(rows)
     pivots, d = _eliminate(a)
     return [[Fraction(x, d) for x in row] for row in a[:len(pivots)]], pivots
 
@@ -178,7 +188,7 @@ def kernel_basis(m, ncols=None):
             raise DimensionError("kernel_basis of empty matrix needs ncols")
         return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
     ncols = len(m[0])
-    a = _integer_rows(m)
+    a = integer_rows(m)
     pivots, d = _eliminate(a)
     basis = []
     for f in range(ncols):

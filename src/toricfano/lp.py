@@ -1,20 +1,23 @@
 """Exact rational feasibility of linear systems.
 
-``feasible_point`` runs the dual simplex (Lemke 1954) on the ``Fraction``
-tableau ``[A | -A | I | b]`` of <a, x> <= b, x = x+ - x- free, from the
-slack basis.  The objective is zero, so every basis is dual feasible and no
-first phase is needed.  Bland's least-index rule (1977) picks the leaving
-row and the entering column, so the pivots cannot cycle.  When no rhs is
-negative, x+ - x- is a point.  A row with rhs < 0 and no negative entry is
-a Farkas witness: its slack block y is that row of B^-1, so y >= 0,
-y.A = 0 (the x+ and x- blocks are y.A and -y.A) and y.b = rhs < 0.  Both
-verdicts are checked exactly against the original system before return.
+``feasible_point`` runs the dual simplex (Lemke 1954) on the tableau
+``[A | -A | I | b]`` of <a, x> <= b, x = x+ - x- free, from the slack basis,
+over ``int``: rows scaled by ``linalg.integer_rows``, each pivot row negated,
+then ``linalg.bareiss_pivot``.  So each row is its basic entry (> 0) times
+the rational row, with the ``Fraction`` tableau's signs.  The objective is
+zero, so every basis is dual feasible and no first phase is needed.  Bland's
+least-index rule (1977) picks the leaving row and the entering column, so
+the pivots cannot cycle.  When no rhs is negative, x+ - x- is a point.  A row
+with rhs < 0 and no negative entry is a Farkas witness: its slack block y is
+that row of B^-1, so y >= 0, y.A = 0 (the x+ and x- blocks are y.A and -y.A)
+and y.b = rhs < 0.  Both are read as rows over their basic entries and
+checked exactly against the original system before return.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import dot
+from .linalg import bareiss_pivot, dot, integer_rows
 
 #: hard pivot ceiling; Bland's rule terminates long before this on sane input
 PIVOT_LIMIT = 200_000
@@ -38,29 +41,24 @@ class LPResult:
 def _dual_simplex(cons, n):
     """Point or Farkas witness for <a, x> <= b over free variables x."""
     m = len(cons)
-    rows = [[Fraction(x) for x in (*a, *(-x for x in a), *(int(j == i) for j in range(m)), b)]
-            for i, (a, b) in enumerate(cons)]
-    basis = list(range(2 * n, 2 * n + m))
+    rows = integer_rows([(*a, *(-x for x in a), *(int(j == i) for j in range(m)), b)
+                         for i, (a, b) in enumerate(cons)])
+    basis, d = list(range(2 * n, 2 * n + m)), 1
     for _ in range(PIVOT_LIMIT):
         r = min((i for i, row in enumerate(rows) if row[-1] < 0), key=basis.__getitem__, default=None)
         if r is None:
             xs = [Fraction(0)] * (2 * n)
             for row, bv in zip(rows, basis):
                 if bv < 2 * n:
-                    xs[bv] = row[-1]
+                    xs[bv] = Fraction(row[-1], row[bv])
             return LPResult(status="optimal", point=tuple(xs[j] - xs[n + j] for j in range(n)))
         pivot_row = rows[r]
         c = next((j for j, x in enumerate(pivot_row[:-1]) if x < 0), None)
         if c is None:
-            return LPResult(status="infeasible", farkas=tuple(pivot_row[2 * n:-1]))
-        pv = pivot_row[c]
-        rows[r] = pivot_row = [x / pv for x in pivot_row]
-        support = [(j, y) for j, y in enumerate(pivot_row) if y]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i != r and f:
-                for j, y in support:
-                    row[j] -= f * y
+            e = pivot_row[basis[r]]
+            return LPResult(status="infeasible", farkas=tuple(Fraction(x, e) for x in pivot_row[2 * n:-1]))
+        rows[r] = [-x for x in pivot_row]
+        d = bareiss_pivot(rows, r, c, d)
         basis[r] = c
     raise PivotLimitExceeded("simplex pivot ceiling reached")
 

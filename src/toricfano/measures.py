@@ -132,10 +132,6 @@ def volume_and_barycenter(p: LatticePolytope):
     return Fraction(vol, d * factorial(n)), tuple(Fraction(m, den) for m in moment)
 
 
-def volume(p: LatticePolytope):
-    return volume_and_barycenter(p)[0]
-
-
 def _fm_eliminate(cons):
     """Fourier-Motzkin elimination of the last variable.
 
@@ -335,7 +331,7 @@ def relative_volume(face_vertices):
     diffs = [vec_sub(v, v0) for v in vs[1:]]
     d = rank(diffs)
     if d == n:
-        return volume(hull(vs))
+        return volume_and_barycenter(hull(vs))[0]
     normals = kernel_basis(diffs, ncols=n)
     lattice_basis = saturated_kernel(normals)
     if len(lattice_basis) != d:
@@ -346,7 +342,7 @@ def relative_volume(face_vertices):
         raise LatticeInvariantError("face vertex is not in the induced lattice")
     coords = [tuple(int(row[d + j]) for row in ech[:d]) for j in range(len(diffs))]
     coords.append((0,) * d)
-    return volume(hull(coords))
+    return volume_and_barycenter(hull(coords))[0]
 
 
 def boundary_volume(p: LatticePolytope):

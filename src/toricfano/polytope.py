@@ -15,6 +15,7 @@ from operator import index
 
 from .linalg import (
     adjugate,
+    bareiss_pivot,
     det,
     dot,
     kernel_basis,
@@ -212,23 +213,20 @@ def _tableau(pts, slack, face, b):
 def _exchange(tab, j, k):
     """The tableau after f_j leaves the basis and point k enters it.
 
-    With a = lambda(p_k): the new d is a_j, column j stays, and column i
-    becomes (a_j col_i - a_i col_j) / d, exact as both are minors.  A negative
-    a_j negates column j and the sign; column j moves to k's sorted place.
+    The columns take one ``bareiss_pivot`` on entry k of column j: the new d
+    is |lambda_j(p_k)|, and column j stays, negated along with the sign if
+    lambda_j(p_k) < 0; then column j moves to k's sorted place.
     """
     basis, d, cols, sign, c = tab
-    a = [col[k] for col in cols]
-    pivot = cols[j]
-    if a[j] < 0:
-        pivot, sign = [-x for x in pivot], -sign
-    e = abs(a[j])
-    cols = [[(e * x - ai * y) // d for x, y in zip(col, pivot)]
-            for i, (col, ai) in enumerate(zip(cols, a)) if i != j]
+    cols = list(cols)
+    if cols[j][k] < 0:
+        cols[j], sign = [-x for x in cols[j]], -sign
+    d = bareiss_pivot(cols, j, k, d)
     basis = basis[:j] + basis[j + 1:]
     q = bisect(basis, k)
     basis.insert(q, k)
-    cols.insert(q, pivot)
-    return basis, e, cols, sign * (-1) ** abs(q - j), c    # a flip per column passed
+    cols.insert(q, cols.pop(j))
+    return basis, d, cols, sign * (-1) ** abs(q - j), c    # a flip per column passed
 
 
 def _ridges(pts, u, face):

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -17,6 +18,7 @@ from toricfano.conjectures import (
     facet_adjacency,
     run_all,
 )
+from toricfano.io import ScanOptions, analyze_entry
 from toricfano.linalg import dot
 from toricfano.lp import feasible_point
 from toricfano.measures import MeasureError, count_integer_points
@@ -132,10 +134,15 @@ class TestConj11:
         with pytest.raises(MeasureError, match="lies on 4 facets"):
             facet_adjacency(fixtures.cross_polytope(3))
 
-    def test_warns_when_barycenter_nonzero(self):
-        dp = dual(hull([(1, 0), (0, 1), (-1, -1), (1, 1)]))
-        with pytest.warns(UserWarning):
-            check_conj11(dp)
+    def test_non_ke_entry_scans_without_warning(self):
+        # b_P != 0 for P^2 blown up at a point: is_ke records it, and conj11 still has a record per facet
+        rows = ((1, 0), (0, 1), (-1, -1), (1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = analyze_entry(("bl1", 2, rows), ScanOptions(conjectures=True))
+        assert report["is_ke"] is False
+        records = report["conjectures"]["conj11"]
+        assert [r["facet_index"] for r in records] == list(range(len(rows)))
 
     @pytest.mark.parametrize("name", ["cx5_pair", "q1_pair", "q2_pair"])
     def test_records_carry_certificates(self, request, name):
@@ -166,16 +173,13 @@ class TestConj11Orbits:
 
     def test_bl1_matches_per_facet(self):
         dp = dual(hull(SUMMANDS["bl1"]))
-        with pytest.warns(UserWarning):
-            records = check_conj11(dp)
-        assert records == _conj11_per_facet(dp)
+        assert check_conj11(dp) == _conj11_per_facet(dp)
 
     @pytest.mark.parametrize("name", ["q1", "q2"])
     def test_q_matches_per_facet(self, request, name):
         dp, (_, gp) = (request.getfixturevalue(f"{name}_{x}") for x in ("pair", "groups"))
         assert check_conj11(dp, gp) == _conj11_per_facet(dp)
 
-    @pytest.mark.filterwarnings("ignore:criterion hypothesis")
     @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids=["+".join(p) for p in PRODUCT_PAIRS])
     def test_free_sums_match_per_facet(self, pair):
         dp = dual(free_sum(*(hull(SUMMANDS[s]) for s in pair)))

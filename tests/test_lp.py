@@ -1,9 +1,52 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfano import lp
-from toricfano.lp import LPResult, SimplexInvariantError, feasible_point
+from toricfano.conjectures import facet_adjacency
+from toricfano.lp import PIVOT_LIMIT, LPResult, PivotLimitExceeded, SimplexInvariantError, feasible_point
+
+
+def _fraction_dual_simplex(cons, n):
+    """Point or Farkas witness for <a, x> <= b over free variables x.
+
+    Oracle: the dual simplex on the ``Fraction`` tableau, each pivot row
+    divided by its pivot, against which the integer tableau is checked.
+    """
+    m = len(cons)
+    rows = [[Fraction(x) for x in (*a, *(-x for x in a), *(int(j == i) for j in range(m)), b)]
+            for i, (a, b) in enumerate(cons)]
+    basis = list(range(2 * n, 2 * n + m))
+    for _ in range(PIVOT_LIMIT):
+        r = min((i for i, row in enumerate(rows) if row[-1] < 0), key=basis.__getitem__, default=None)
+        if r is None:
+            xs = [Fraction(0)] * (2 * n)
+            for row, bv in zip(rows, basis):
+                if bv < 2 * n:
+                    xs[bv] = row[-1]
+            return LPResult(status="optimal", point=tuple(xs[j] - xs[n + j] for j in range(n)))
+        pivot_row = rows[r]
+        c = next((j for j, x in enumerate(pivot_row[:-1]) if x < 0), None)
+        if c is None:
+            return LPResult(status="infeasible", farkas=tuple(pivot_row[2 * n:-1]))
+        pv = pivot_row[c]
+        rows[r] = pivot_row = [x / pv for x in pivot_row]
+        support = [(j, y) for j, y in enumerate(pivot_row) if y]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                for j, y in support:
+                    row[j] -= f * y
+        basis[r] = c
+    raise PivotLimitExceeded("simplex pivot ceiling reached")
+
+
+def assert_matches_oracle(cons):
+    """The integer tableau's whole LPResult, point and witness, is the Fraction tableau's."""
+    n = len(cons[0][0])
+    assert lp._dual_simplex(cons, n) == _fraction_dual_simplex(cons, n)
 
 
 def assert_farkas(y, constraints):
@@ -149,3 +192,42 @@ class TestDegenerate:
         else:
             assert r.status == "infeasible"
             assert_farkas(r.farkas, cons)
+
+
+@st.composite
+def fractional_lps(draw):
+    """Up to eight rows whose right-hand sides are halves and thirds."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    rhs = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([2, 3]))
+    return draw(st.lists(st.tuples(row, rhs), min_size=1, max_size=8))
+
+
+class TestIntegerTableau:
+    """The integer tableau keeps every sign, so Bland's rule makes the Fraction tableau's choices."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(bounded_lps())
+    def test_bounded(self, system):
+        cons, (c, d) = system
+        assert_matches_oracle(cons + [(c, d), (tuple(-x for x in c), -d)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_lps())
+    def test_degenerate(self, cons):
+        assert_matches_oracle(cons)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fractional_lps())
+    def test_fractional_rhs(self, cons):
+        assert_matches_oracle(cons)
+
+    @pytest.mark.parametrize("name", ["cx5_pair", "q1_pair", "q2_pair"])
+    def test_conj11_systems(self, request, name):
+        # every facet's system, as ``check_conj11`` and ``feasible_point`` build it
+        p = request.getfixturevalue(name).p
+        adjacency = facet_adjacency(p)
+        for i, f in enumerate(p.facets):
+            cons = [(p.facets[j].normal, Fraction(1, 2)) for j in sorted(adjacency[i])]
+            cons += [(f.normal, Fraction(f.rhs)), (tuple(-x for x in f.normal), -Fraction(f.rhs))]
+            assert_matches_oracle(cons)

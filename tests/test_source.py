@@ -81,3 +81,45 @@ def test_all_is_what_init_imports():
                 for alias in node.names]
     assert sorted(toricfano.__all__) == sorted(imported)
     assert len(set(imported)) == len(imported)
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def _cache_node(node):
+    """The ``lru_cache``/``cache`` name a decorator or reference is, else None."""
+    node = node.func if isinstance(node, ast.Call) else node
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return node if name in CACHES and isinstance(node, (ast.Name, ast.Attribute)) else None
+
+
+def test_caches_are_pinned():
+    """Only ``volume_and_barycenter`` (the tracer's ``CACHED``) and ``ehrhart`` are memoized.
+
+    A cache keeps results alive across entries and skews the traced layer
+    times, so a new one edits this list and is logged in ``CHANGES.md``.
+    """
+    cached, stray = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in filter(None, map(_cache_node, node.decorator_list)):
+                    decorators.add(dec)
+                    cached.append(f"{path.stem}.{node.name}")
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _cache_node(node) is node and node not in decorators]
+    assert sorted(cached) == ["measures.ehrhart", "measures.volume_and_barycenter"]
+    assert stray == []
+
+
+def test_no_private_imports_across_modules():
+    """No module imports a ``_``-prefixed name from a sibling: a shared helper is public."""
+    offenders = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("toricfano")):
+                offenders += [f"{path.name}:{node.lineno}: {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
