@@ -1,7 +1,8 @@
 """Checkers for the conjectural inequality statements.
 
 Each checker reports both exact sides of its comparison so the verdict can
-be recomputed from the record.
+be recomputed from the record.  The metric checkers read P's
+``cone_measures`` record, ``measured``, and build it when not given.
 """
 
 from dataclasses import dataclass
@@ -11,13 +12,7 @@ from math import factorial
 
 from .linalg import transpose
 from .lp import feasible_point
-from .measures import (
-    codim2_volume,
-    ehrhart,
-    fano_index,
-    vertex_facets,
-    volume_and_barycenter,
-)
+from .measures import cone_measures, fano_index, vertex_facets
 from .polytope import DualPair
 from .symmetry import SymmetryGroup, automorphism_group, orbit_of
 
@@ -66,14 +61,17 @@ class ConjectureReport:
     bishop: BishopRecord
 
 
-def check_eq1(dp: DualPair) -> Eq1Record:
+def check_eq1(dp: DualPair, measured=None) -> Eq1Record:
     """Second-highest Ehrhart coefficient against a third of the ridge volume."""
     p = dp.p
     n = p.dim
     if n < 2:
         raise ValueError("needs dimension at least 2")
-    a = ehrhart(p).coefficients[n - 2]
-    third = codim2_volume(p) / 3
+    if measured is None:
+        measured = cone_measures(p, with_ehrhart=True)
+    _, _, ridges, poly = measured
+    a = poly.coefficients[n - 2]
+    third = ridges / 3
     return Eq1Record(
         a_n_minus_2=a,
         third_of_codim2_vol=third,
@@ -127,7 +125,7 @@ def facet_adjacency(p):
     return adjacency
 
 
-def check_ehrhart_bound(dp: DualPair) -> EhrhartBoundRecord:
+def check_ehrhart_bound(dp: DualPair, measured=None) -> EhrhartBoundRecord:
     """vol(P) against (n+1)^n/n! and the weaker closed-form bound.
 
     The bound is stated for a P whose only interior lattice point is the
@@ -138,7 +136,9 @@ def check_ehrhart_bound(dp: DualPair) -> EhrhartBoundRecord:
     n = p.dim
     if not p.is_reflexive():
         raise ValueError("P is not reflexive")
-    vol, _ = volume_and_barycenter(p)
+    if measured is None:
+        measured = cone_measures(p)
+    vol = measured[0]
     bound = Fraction((n + 1) ** n, factorial(n))
     equality = vol == bound
     known = (n + 1) ** n * (1 - Fraction(n - 1, n) ** n)
@@ -153,11 +153,13 @@ def check_ehrhart_bound(dp: DualPair) -> EhrhartBoundRecord:
     )
 
 
-def check_bishop(dp: DualPair) -> BishopRecord:
+def check_bishop(dp: DualPair, measured=None) -> BishopRecord:
     """Fano index times anticanonical degree against (n+1)^(n+1)."""
     p = dp.p
     n = p.dim
-    vol, _ = volume_and_barycenter(p)
+    if measured is None:
+        measured = cone_measures(p)
+    vol = measured[0]
     idx = fano_index(p)
     degree = factorial(n) * vol
     lhs = idx * degree
@@ -172,15 +174,18 @@ def check_bishop(dp: DualPair) -> BishopRecord:
     )
 
 
-def run_all(dp: DualPair, ehrhart_max_dim=5, group: SymmetryGroup = None) -> ConjectureReport:
+def run_all(dp: DualPair, ehrhart_max_dim=5, group: SymmetryGroup = None, measured=None) -> ConjectureReport:
     """Every check; eq1 is None outside dimensions 2 .. ``ehrhart_max_dim``.
 
-    ``group`` is the dual-side group, passed to ``check_conj11``.
+    ``group`` is the dual-side group, passed to ``check_conj11``; the
+    measures are built with the Ehrhart part only within ``ehrhart_max_dim``.
     """
     n = dp.p.dim
+    if measured is None:
+        measured = cone_measures(dp.p, with_ehrhart=n <= ehrhart_max_dim)
     return ConjectureReport(
-        eq1=check_eq1(dp) if 2 <= n <= ehrhart_max_dim else None,
+        eq1=check_eq1(dp, measured) if 2 <= n <= ehrhart_max_dim else None,
         conj11=tuple(check_conj11(dp, group)),
-        ehrhart_bound=check_ehrhart_bound(dp),
-        bishop=check_bishop(dp),
+        ehrhart_bound=check_ehrhart_bound(dp, measured),
+        bishop=check_bishop(dp, measured),
     )

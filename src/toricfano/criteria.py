@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import dot
-from .measures import volume_and_barycenter
+from .measures import cone_measures
 from .polytope import DualPair
 from .symmetry import SymmetryGroup, automorphism_group, fixed_space, orbit_of
 
@@ -80,19 +80,22 @@ def tian_condition(dp: DualPair, g: SymmetryGroup = None) -> bool:
     return fixed_space(g).dim == 0
 
 
-def full_verdict(dp: DualPair, groups=None) -> KEVerdict:
+def full_verdict(dp: DualPair, groups=None, measured=None) -> KEVerdict:
     """One-pass verdict record; groups, fixed space and alpha = lct computed once.
 
     The dual group is the transposes of the Fano-side group G, so its
     Reynolds operator is the transpose of G's.  A matrix and its transpose
     have one rank, so both fixed spaces have one dimension: Tian's condition
-    is the symmetry verdict.
+    is the symmetry verdict.  ``measured`` is ``cone_measures(dp.p)``, built
+    here if not given; the verdict reads its barycenter.
     """
     if groups is None:
         groups = automorphism_group(dp)
+    if measured is None:
+        measured = cone_measures(dp.p)
     fs_q = fixed_space(groups[0])
     threshold = lct(dp, groups[1])
-    _, bary = volume_and_barycenter(dp.p)
+    bary = measured[1]
     return KEVerdict(
         is_ke=all(b == 0 for b in bary),
         barycenter=bary,

@@ -22,7 +22,7 @@ from math import factorial
 
 from . import conjectures as conj
 from .criteria import full_verdict
-from .measures import ehrhart, fano_index, volume_and_barycenter
+from .measures import cone_measures, fano_index
 from .polytope import PolytopeError, dual, hull, is_smooth_fano
 from .symmetry import automorphism_group, vertex_sum
 
@@ -177,7 +177,8 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     report["is_reflexive"] = dp.p.is_reflexive()
     groups = automorphism_group(dp)
     gq, gp = groups
-    verdict = full_verdict(dp, groups=groups)
+    measured = cone_measures(dp.p, with_ehrhart=dp.p.dim <= options.ehrhart_max_dim)
+    verdict = full_verdict(dp, groups=groups, measured=measured)
     report["barycenter"] = _plain(verdict.barycenter)
     report["is_ke"] = verdict.is_ke
     report["is_symmetric"] = verdict.is_symmetric
@@ -190,14 +191,14 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     report["alpha"] = fmt_rat(verdict.alpha)
     report["lct"] = fmt_rat(verdict.lct)
     report["tian_holds"] = verdict.tian_holds
-    vol, _ = volume_and_barycenter(dp.p)
+    vol, _, _, poly = measured
     report["volume"] = fmt_rat(vol)
     report["degree"] = fmt_rat(factorial(dp.p.dim) * vol)
     report["fano_index"] = fano_index(dp.p)
-    if dp.p.dim <= options.ehrhart_max_dim:
-        report["ehrhart"] = _plain(ehrhart(dp.p).coefficients)
+    if poly is not None:
+        report["ehrhart"] = _plain(poly.coefficients)
     if options.conjectures:
-        checks = conj.run_all(dp, ehrhart_max_dim=options.ehrhart_max_dim, group=gp)
+        checks = conj.run_all(dp, ehrhart_max_dim=options.ehrhart_max_dim, group=gp, measured=measured)
         report["conjectures"] = _plain(checks)
     if options.timing:
         report["seconds"] = time.monotonic() - t0

@@ -3,12 +3,16 @@
 Volumes use the Euclidean normalization (unit cube = 1); relative volumes of
 faces use the induced-lattice normalization (fundamental domain of the
 affine lattice = 1), the convention compatible with Ehrhart coefficients.
+
+A scan makes one pass over each entry's vertex cones (``cone_measures``):
+the volume and barycenter always, the Todd product and the ridge sum only
+within ``--ehrhart-max-dim``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import factorial, gcd, lcm, prod
 from operator import index, mul, neg
 
@@ -87,12 +91,32 @@ def _generic_functional(cones, n):
     return tuple((2 * big + 1) ** k for k in range(n))
 
 
-def _brion_terms(p: LatticePolytope):
-    """Per vertex (v, edges, a, pi, s), and D = lcm over the vertices of |pi|.
+def cone_measures(p: LatticePolytope, with_ehrhart=False):
+    """vol, barycenter, ridge volume and Ehrhart polynomial of P, from one pass over its vertex cones.
 
-    With c from ``_generic_functional``: a_j = -<c, e_j> for the edges e_j
-    of ``vertex_cones``, pi = prod_j a_j and s = <c, v>.  The Brion sums
-    below add ints weighted by D // pi and make one Fraction per output.
+    With c from ``_generic_functional``, a_j = -<c, e_j> for the edges e_j
+    at a vertex v (``vertex_cones``), pi = prod_j a_j and s = <c, v>, the
+    Brion-Lawrence formula on the unimodular vertex cones gives:
+
+    - vol = sum_v s^n / (n! pi), and the integral of x is the c-gradient of
+      sum_v s^(n+1) / ((n+1)! pi), that is
+      sum_v [s^n v / (n! pi) + s^(n+1) / ((n+1)! pi) sum_j e_j / a_j];
+    - the ridge volume: facets j and k through v cut out a ridge whose cone
+      at v is spanned by the other n - 2 edges, a basis of the ridge's
+      lattice; summed over the pairs at each vertex this is
+      sum_v s^(n-2) e_2(a) / ((n-2)! pi), e_2 the second elementary
+      symmetric polynomial;
+    - the Ehrhart coefficients, with each factor 1 / (1 - e^(-a_j t)) of
+      Brion's formula written as Td(a_j t) / (a_j t) (Khovanskii-Pukhlikov;
+      Brion-Vergne): a_m = sum_v s^m T_(n-m)(a) / (m! pi), where T_j is the
+      t^j coefficient of prod_j Td(a_j t) and
+      Td(x) = x / (1 - e^-x) = sum_k B_k x^k / k! with B_1 = +1/2.
+
+    Each sum adds ints weighted by D / pi, D the lcm of the |pi|, with Td
+    scaled by L (``_todd_series``), and makes one Fraction per output.  The
+    ridge volume and the polynomial are None unless ``with_ehrhart``, which
+    a scan sets only within its Ehrhart cap.  ``vertex_cones`` raises
+    ``MeasureError`` unless P is simple with unimodular vertex cones.
     """
     n = p.dim
     cones = vertex_cones(p)
@@ -101,35 +125,47 @@ def _brion_terms(p: LatticePolytope):
     for v, (_, edges) in zip(p.vertices, cones):
         a = [-dot(c, e) for e in edges]
         terms.append((v, edges, a, prod(a), dot(c, v)))
-    return terms, lcm(*(t[3] for t in terms))
-
-
-@lru_cache(maxsize=256)
-def volume_and_barycenter(p: LatticePolytope):
-    """Exact Euclidean volume and barycenter by the Brion-Lawrence formula.
-
-    For a simple polytope with unimodular vertex cones and a functional c
-    generic on the edges, with a_j = -<c, e_j> and pi = prod_j a_j at each
-    vertex v: vol = sum_v <c,v>^n / (n! pi), and the integral of x is the
-    c-gradient of S(c) = sum_v <c,v>^(n+1) / ((n+1)! pi), that is
-    sum_v [<c,v>^n v / (n! pi) + <c,v>^(n+1) / ((n+1)! pi) sum_j e_j / a_j].
-    ``vertex_cones`` raises ``MeasureError`` on any other polytope.
-    """
-    n = p.dim
-    terms, d = _brion_terms(p)
-    vol = 0                     # n! D vol
+    d = lcm(*(t[3] for t in terms))
+    if with_ehrhart:
+        big, nonzero = _todd_series(n)
+    vol = ridge = 0             # n! D vol and (n-2)! D times the ridge volume
     moment = [0] * n            # (n+1)! D^2 times the integral of x
+    sums = [0] * (n + 1)        # m! D L^n a_m
     for v, edges, a, pi, s in terms:
-        t = d // pi * s**n
-        vol += t
-        # the vertex's share of the moment: t ((n+1) D v + s sum_j (D / a_j) e_j)
-        g, h = (n + 1) * d * t, t * s
+        w = list(accumulate([s] * n, mul, initial=d // pi))    # D s^m / pi for m = 0..n
+        vol += w[n]
+        # the vertex's share of the moment: w[n] ((n+1) D v + s sum_j (D / a_j) e_j)
+        g, h = (n + 1) * d * w[n], w[n] * s
         r = [d // x for x in a]
         side = [sum(map(mul, r, col)) for col in zip(*edges)]
         for k in range(n):
             moment[k] += g * v[k] + h * side[k]
-    den = (n + 1) * d * vol
-    return Fraction(vol, d * factorial(n)), tuple(Fraction(m, den) for m in moment)
+        if with_ehrhart:
+            ridge += sum(x * y for x, y in combinations(a, 2)) * w[n - 2]    # e_2(a) = 0 when n < 2
+            poly = [big] + [0] * n  # L^n prod_j Td(a_j t), one factor at a time
+            for k, t in nonzero:
+                poly[k] = t * a[0] ** k
+            for x in a[1:]:
+                new = [big * y for y in poly]
+                for k, t in nonzero:
+                    tx = t * x**k
+                    for deg in range(k, n + 1):
+                        new[deg] += tx * poly[deg - k]
+                poly = new
+            for m in range(n + 1):
+                sums[m] += poly[n - m] * w[m]
+    ridges = polynomial = None
+    if with_ehrhart:
+        ridges = Fraction(ridge, d * factorial(n - 2)) if n >= 2 else Fraction(0)
+        scale = d * big**n
+        polynomial = EhrhartPolynomial(tuple(Fraction(x, factorial(m) * scale) for m, x in enumerate(sums)))
+    return Fraction(vol, d * factorial(n)), tuple(Fraction(m, (n + 1) * d * vol) for m in moment), ridges, polynomial
+
+
+@lru_cache(maxsize=256)
+def volume_and_barycenter(p: LatticePolytope):
+    """Exact Euclidean volume and barycenter by the Brion-Lawrence formula (``cone_measures``)."""
+    return cone_measures(p)[:2]
 
 
 def _fm_eliminate(cons):
@@ -253,7 +289,7 @@ def count_lattice_points_bruteforce(p: LatticePolytope, k=1):
 
 
 def _todd_series(n):
-    """L and the ints L tau_0..L tau_n, where Td(x) = x / (1 - e^-x) = sum_k tau_k x^k.
+    """L and the (k, L tau_k) with k >= 1 and tau_k != 0, where Td(x) = x / (1 - e^-x) = sum_k tau_k x^k.
 
     tau_k = B_k / k! with B_1 = +1/2, and L is the lcm of the denominators
     of tau_0..tau_n.  Td is the inverse series of
@@ -266,50 +302,14 @@ def _todd_series(n):
     for m in range(1, n + 1):
         x.append(-sum((-1) ** k * q ** (k - 1) * (q // factorial(k + 1)) * x[m - k] for k in range(1, m + 1)))
     big = lcm(*(q**m // gcd(y, q**m) for m, y in enumerate(x)))
-    return big, [y * big // q**m for m, y in enumerate(x)]
+    return big, [(m, y * big // q**m) for m, y in enumerate(x) if m and y]
 
 
-@lru_cache(maxsize=256)
 def ehrhart(p: LatticePolytope) -> EhrhartPolynomial:
-    """Ehrhart polynomial of a reflexive polytope by the Todd operator on its vertex cones.
-
-    Brion's formula on the unimodular vertex cones, with each factor
-    1 / (1 - e^(-a_j t)) written as Td(a_j t) / (a_j t) (Khovanskii-Pukhlikov;
-    Brion-Vergne), gives, with a, pi and s = <c,v> as in
-    ``volume_and_barycenter``:
-
-        a_m = sum_v s^m T_(n-m)(a(v)) / (m! pi(v)),
-
-    where T_j is the t^j coefficient of prod_j Td(a_j t) and
-    Td(x) = x / (1 - e^-x) = sum_k B_k x^k / k! with B_1 = +1/2.  Td is
-    scaled by L (``_todd_series``), so each product runs over ints.  P must
-    be reflexive, and ``vertex_cones`` raises ``MeasureError`` unless P is
-    simple with unimodular vertex cones.
-    """
+    """Ehrhart polynomial of a reflexive polytope by the Todd operator on its vertex cones (``cone_measures``)."""
     if not p.is_reflexive():
         raise MeasureError("the Ehrhart polynomial is computed for reflexive polytopes only")
-    n = p.dim
-    terms, d = _brion_terms(p)
-    big, td = _todd_series(n)
-    nonzero = [(k, t) for k, t in enumerate(td) if k and t]
-    sums = [0] * (n + 1)        # m! D L^n a_m
-    for _, _, a, pi, s in terms:
-        poly = [big] + [0] * n  # L^n prod_j Td(a_j t), one factor at a time
-        for k, t in nonzero:
-            poly[k] = t * a[0] ** k
-        for x in a[1:]:
-            new = [big * y for y in poly]
-            for k, t in nonzero:
-                tx = t * x**k
-                for deg in range(k, n + 1):
-                    new[deg] += tx * poly[deg - k]
-            poly = new
-        w = d // pi
-        for m in range(n + 1):
-            sums[m] += poly[n - m] * w
-            w *= s
-    scale = d * big**n
-    return EhrhartPolynomial(coefficients=tuple(Fraction(x, factorial(m) * scale) for m, x in enumerate(sums)))
+    return cone_measures(p, with_ehrhart=True)[3]
 
 
 def relative_volume(face_vertices):
@@ -354,23 +354,10 @@ def boundary_volume(p: LatticePolytope):
 
 
 def codim2_volume(p: LatticePolytope):
-    """Total relative volume of all ridges, by the Brion-Lawrence formula.
-
-    Facets j and k through v cut out a ridge whose cone at v is spanned by
-    the other n - 2 edges, a basis of the ridge's lattice; summed over the
-    pairs at each vertex this is
-    sum_v <c,v>^(n-2) e_2(a) / ((n-2)! pi), with a and pi as in
-    ``volume_and_barycenter`` and e_2 the second elementary symmetric
-    polynomial.
-    """
-    n = p.dim
-    if n < 2:
+    """Total relative volume of all ridges, by the Brion-Lawrence formula (``cone_measures``); 0 below dimension 2."""
+    if p.dim < 2:
         return Fraction(0)
-    terms, d = _brion_terms(p)
-    total = 0
-    for _, _, a, pi, s in terms:
-        total += s ** (n - 2) * sum(x * y for x, y in combinations(a, 2)) * (d // pi)
-    return Fraction(total, d * factorial(n - 2))
+    return cone_measures(p, with_ehrhart=True)[2]
 
 
 def coefficient_of_asymmetry(s):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import toricfano
-from toricfano import fixtures
+from toricfano import fixtures, measures
 from toricfano.cli import main
 from toricfano.io import (
     ParseError,
@@ -23,6 +23,7 @@ from toricfano.io import (
     scan,
 )
 from toricfano.measures import volume_and_barycenter
+from toricfano.polytope import free_sum
 
 GOOD = """\
 # two entries, with comments and blank lines
@@ -192,6 +193,32 @@ class TestNoReferenceCycles:
             gc.garbage.clear()
             gc.enable()
         assert leaked == []
+
+
+class TestOnePassPerEntry:
+    def test_vertex_cones_built_once_per_smooth_entry(self, monkeypatch):
+        built = []
+        cones = measures.vertex_cones
+        monkeypatch.setattr(measures, "vertex_cones", lambda p: built.append(p) or cones(p))
+        # smooth entries within the default Ehrhart cap (dim <= 5) and above it
+        # (dims 6 and 7), and a cube, which is not smooth
+        polytopes = [
+            ("p1", fixtures.simplex_fano(1)),
+            ("p2", fixtures.simplex_fano(2)),
+            ("cross3", fixtures.cross_polytope(3)),
+            ("cube3", fixtures.cube(3)),
+            ("hexagon", fixtures.hexagon()),
+            ("cx5", fixtures.cx5()),
+            ("hex+p3", free_sum(fixtures.hexagon(), fixtures.simplex_fano(3))),
+            ("p2+p4", free_sum(fixtures.simplex_fano(2), fixtures.simplex_fano(4))),
+            ("cx5+p1", free_sum(fixtures.cx5(), fixtures.segment())),
+        ]
+        entries = [(name, p.vertices) for name, p in polytopes] + [("q1", fixtures.Q1_VERTICES)]
+        reports = scan(parse(fixtures.corpus_text(entries)), ScanOptions(conjectures=True))
+        smooth = [r for r in reports if r["is_smooth_fano"]]
+        assert len(smooth) == len(entries) - 1
+        assert {"ehrhart" in r for r in smooth} == {True, False}
+        assert len(built) == len(smooth)
 
 
 class TestScanEmit:

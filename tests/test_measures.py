@@ -14,6 +14,7 @@ from toricfano.measures import (
     boundary_volume,
     codim2_volume,
     coefficient_of_asymmetry,
+    cone_measures,
     count_lattice_points,
     count_lattice_points_bruteforce,
     ehrhart,
@@ -438,7 +439,11 @@ class TestVertexFormula:
                              ids=[name for name, _ in SMOOTH_DUALS + SMOOTH_OTHERS])
     def test_fixture_matches_triangulation(self, make):
         p = make()
-        assert volume_and_barycenter(p) == _volume_and_barycenter_triangulated(p)
+        expected = _volume_and_barycenter_triangulated(p)
+        assert volume_and_barycenter(p) == expected
+        # the Ehrhart flag adds the ridge volume and the polynomial, and changes nothing else
+        assert cone_measures(p) == (*expected, None, None)
+        assert cone_measures(p, with_ehrhart=True)[:2] == expected
 
     @pytest.mark.parametrize("make", [m for _, m in SMOOTH_DUALS],
                              ids=[name for name, _ in SMOOTH_DUALS])
@@ -453,8 +458,12 @@ class TestVertexFormula:
     @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids=["x".join(p) for p in PRODUCT_PAIRS])
     def test_product_of_duals_matches_oracles(self, pair):
         p = _product_of_duals(pair)
-        assert volume_and_barycenter(p) == _volume_and_barycenter_triangulated(p)
-        assert codim2_volume(p) == _codim2_volume_by_ridges(p)
+        expected = _volume_and_barycenter_triangulated(p)
+        assert volume_and_barycenter(p) == expected
+        assert cone_measures(p) == (*expected, None, None)
+        vol, bary, ridges, _ = cone_measures(p, with_ehrhart=True)
+        assert (vol, bary) == expected
+        assert ridges == codim2_volume(p) == _codim2_volume_by_ridges(p)
 
     def test_edges_invert_the_facet_normals(self, cx5_pair):
         p = cx5_pair.p
