@@ -10,11 +10,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .linalg import transpose
+from .linalg import dot
 from .lp import feasible_point
 from .measures import cone_measures, fano_index, vertex_facets
 from .polytope import DualPair
-from .symmetry import SymmetryGroup, automorphism_group, orbit_of
 
 
 @dataclass(frozen=True)
@@ -80,33 +79,25 @@ def check_eq1(dp: DualPair, measured=None) -> Eq1Record:
     )
 
 
-def check_conj11(dp: DualPair, group: SymmetryGroup = None):
+def check_conj11(dp: DualPair):
     """Per-facet feasibility of the half-bound point criterion.
 
     For each facet F of P: is there x in aff(F) with <u_G, x> <= 1/2 for
-    every facet G sharing a ridge with F?  A lattice automorphism of P
-    permutes its facets and keeps their ridges, so every facet of one orbit
-    has the same answer: one LP is solved per orbit, at its least facet
-    index.  ``group`` is the dual-side group (default: ``automorphism_group``);
-    h maps the facet with normal u to the one with normal h^-T u, and the
-    maps u -> h^-T u are the group of the transposed generators.  The
+    every facet G sharing a ridge with F?  The average of F's vertices lies
+    on F, and it is such a point exactly when 2 <u_G, sum(F)> <= |F| for
+    each G, which is checked over ``int``.  Only a facet where that witness
+    fails gets an LP (``feasible_point``), which decides it either way.  The
     criterion assumes b_P = 0, which the entry's ``KEVerdict.is_ke`` records.
     """
-    if group is None:
-        group = automorphism_group(dp)[1]
     p = dp.p
     adjacency = facet_adjacency(p)
-    index = {f.normal: i for i, f in enumerate(p.facets)}
-    normal_maps = [transpose(h) for h in group.generators]
-    feasible = [None] * len(p.facets)
     out = []
     for i, f in enumerate(p.facets):
-        if feasible[i] is None:
-            ineqs = [(p.facets[j].normal, Fraction(1, 2)) for j in sorted(adjacency[i])]
-            ok = feasible_point(ineqs, [(f.normal, Fraction(f.rhs))]).status == "optimal"
-            for u in orbit_of(f.normal, normal_maps):
-                feasible[index[u]] = ok
-        out.append(FacetFeasibility(facet_index=i, facet_normal=f.normal, feasible=feasible[i]))
+        normals = [p.facets[j].normal for j in sorted(adjacency[i])]
+        s = tuple(map(sum, zip(*p.facet_vertices(f))))
+        feasible = all(2 * dot(u, s) <= len(f.vertex_indices) for u in normals) or feasible_point(
+            [(u, Fraction(1, 2)) for u in normals], [(f.normal, Fraction(f.rhs))]).status == "optimal"
+        out.append(FacetFeasibility(facet_index=i, facet_normal=f.normal, feasible=feasible))
     return out
 
 
@@ -153,14 +144,17 @@ def check_ehrhart_bound(dp: DualPair, measured=None) -> EhrhartBoundRecord:
     )
 
 
-def check_bishop(dp: DualPair, measured=None) -> BishopRecord:
-    """Fano index times anticanonical degree against (n+1)^(n+1)."""
+def check_bishop(dp: DualPair, measured=None, index=None) -> BishopRecord:
+    """Fano index times anticanonical degree against (n+1)^(n+1).
+
+    ``index`` is ``fano_index(dp.p)``, computed here if not given.
+    """
     p = dp.p
     n = p.dim
     if measured is None:
         measured = cone_measures(p)
     vol = measured[0]
-    idx = fano_index(p)
+    idx = fano_index(p) if index is None else index
     degree = factorial(n) * vol
     lhs = idx * degree
     bound = (n + 1) ** (n + 1)
@@ -174,18 +168,19 @@ def check_bishop(dp: DualPair, measured=None) -> BishopRecord:
     )
 
 
-def run_all(dp: DualPair, ehrhart_max_dim=5, group: SymmetryGroup = None, measured=None) -> ConjectureReport:
+def run_all(dp: DualPair, ehrhart_max_dim=5, measured=None, index=None) -> ConjectureReport:
     """Every check; eq1 is None outside dimensions 2 .. ``ehrhart_max_dim``.
 
-    ``group`` is the dual-side group, passed to ``check_conj11``; the
-    measures are built with the Ehrhart part only within ``ehrhart_max_dim``.
+    The measures are built with the Ehrhart part only within
+    ``ehrhart_max_dim``; ``measured`` and the Fano ``index`` are computed
+    here when not given.
     """
     n = dp.p.dim
     if measured is None:
         measured = cone_measures(dp.p, with_ehrhart=n <= ehrhart_max_dim)
     return ConjectureReport(
         eq1=check_eq1(dp, measured) if 2 <= n <= ehrhart_max_dim else None,
-        conj11=tuple(check_conj11(dp, group)),
+        conj11=tuple(check_conj11(dp)),
         ehrhart_bound=check_ehrhart_bound(dp, measured),
-        bishop=check_bishop(dp, measured),
+        bishop=check_bishop(dp, measured, index),
     )

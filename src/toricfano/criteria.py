@@ -12,7 +12,7 @@ from fractions import Fraction
 from .linalg import dot
 from .measures import cone_measures
 from .polytope import DualPair
-from .symmetry import SymmetryGroup, automorphism_group, fixed_space, orbit_of
+from .symmetry import SymmetryGroup, automorphism_group, fixed_space, index_orbit, vertex_permutations
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,18 @@ def max_pairing(dp: DualPair, g: SymmetryGroup) -> Fraction:
     P is convex and G-invariant, so the slice P_G = P cut by Fix(G) is the
     image of P under the group average.  A linear function therefore has
     the same maximum over P_G as over the averages of vert(P).  The average
-    of w is the centroid of its orbit O, so each orbit gives the integer
-    pairings <sum(O), v> over |O|.
+    of w is the centroid of its orbit O, found by index over g's vertex
+    permutations, so each orbit gives the integer pairings <sum(O), v> over
+    |O|.
     """
+    verts = dp.p.vertices
+    perms = vertex_permutations(g, verts)
     seen, best = set(), []
-    for w in dp.p.vertices:
-        if w not in seen:
-            orbit = orbit_of(w, g.generators)
+    for i in range(len(verts)):
+        if i not in seen:
+            orbit = index_orbit(i, perms)
             seen.update(orbit)
-            s = tuple(map(sum, zip(*orbit)))
+            s = tuple(map(sum, zip(*(verts[j] for j in orbit))))
             best.append(Fraction(max(dot(s, v) for v in dp.q.vertices), len(orbit)))
     return max(best)
 

@@ -194,11 +194,11 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     vol, _, _, poly = measured
     report["volume"] = fmt_rat(vol)
     report["degree"] = fmt_rat(factorial(dp.p.dim) * vol)
-    report["fano_index"] = fano_index(dp.p)
+    index = report["fano_index"] = fano_index(dp.p)
     if poly is not None:
         report["ehrhart"] = _plain(poly.coefficients)
     if options.conjectures:
-        checks = conj.run_all(dp, ehrhart_max_dim=options.ehrhart_max_dim, group=gp, measured=measured)
+        checks = conj.run_all(dp, ehrhart_max_dim=options.ehrhart_max_dim, measured=measured, index=index)
         report["conjectures"] = _plain(checks)
     if options.timing:
         report["seconds"] = time.monotonic() - t0

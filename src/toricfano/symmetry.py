@@ -2,27 +2,31 @@
 
 The search anchors on one unimodular facet of the Fano-side polytope, with
 vertex basis B0 = (b_0, ..., b_{n-1}): every automorphism maps that basis
-onto an ordered vertex tuple (w_0, ..., w_{n-1}) of some facet, and is then
-A = W B0^-1.  Each vertex is written once in the anchor basis, lambda_v =
-B0^-1 v (integral, as B0 is unimodular), so its image A v = sum_i
-lambda_v,i w_i is fixed as soon as w_0 .. w_k are, k being the last nonzero
-coordinate of lambda_v.  The backtracking over facet tuples checks those
-images against vert(Q) at each depth and drops a partial tuple at the
-first image that is not a vertex.  A vertex's sorted profile of facet
-values prunes the search as well: a target must match its source's.
+onto an ordered vertex tuple (w_0, ..., w_{n-1}), and is then A = W B0^-1.
+Each vertex is written once in the anchor basis, lambda_v = B0^-1 v
+(integral, as B0 is unimodular), so its image A v = sum_i lambda_v,i w_i is
+fixed as soon as w_0 .. w_k are, k being the last nonzero coordinate of
+lambda_v.  The backtracking over vertex tuples checks those images against
+vert(Q) at each depth and drops a partial tuple at the first image that is
+not a vertex.  The Gram form prunes it (Bremner, Dutour Sikirić, Pasechnik,
+Rehn and Schürmann 2014): with M = sum v v^T over vert(Q), A M A^T = M, so A
+keeps the positive definite form W(v, w) = v^T adj(M) w.  So w_k must have
+b_k's sorted row of W and W(w_k, w_i) = W(b_k, b_i) for i <= k; the images
+then have B0's Gram matrix, so they are independent and A permutes vert(Q).
 
 The group is kept as the generators of its stabilizer chain on the anchor
 basis (Sims 1970): G_k fixes b_0 .. b_{k-1}.  Built for k = n-1 down to 0,
 every generator found so far lies in G_k, and each candidate image t of b_k
 outside the orbit of b_k under them gets one search for an element of G_k
-with b_k -> t.  Then the orbit Delta_k of b_k is all of G_k b_k, and
-|G| = prod |Delta_k|.  Orbits, fixed spaces and group averages are read
-from the generators; no element list is built.
+with b_k -> t; a failed t rules out its orbit.  Then the orbit Delta_k of
+b_k is all of G_k b_k, and |G| = prod |Delta_k|.  Each generator is a
+matrix and the vertex permutation the search read off: orbits are index
+maps and fixed spaces read the matrices; no element list is built.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from .linalg import dot, kernel_basis, mat_mul, mat_vec, matrix_inverse_unimodular, transpose
+from .linalg import adjugate, kernel_basis, mat_mul, mat_vec, matrix_inverse_unimodular, transpose
 from .polytope import DualPair, LatticePolytope, PolytopeError
 
 
@@ -33,6 +37,7 @@ class SymmetryGroup:
     dim: int
     generators: tuple      # matrices (tuples of row tuples) generating the group
     order: int
+    perms: tuple = field(default=None, compare=False, repr=False)  # each generator on the vertex indices
 
 
 @dataclass(frozen=True)
@@ -45,17 +50,6 @@ def trivial_group(dim):
     return SymmetryGroup(dim=dim, generators=(), order=1)
 
 
-@dataclass(frozen=True)
-class _Search:
-    """What the backtracking reads, fixed once per polytope."""
-
-    base: list             # anchor vertex indices, in basis order
-    verts: tuple
-    vertex_set: frozenset
-    profiles: list         # per vertex, sorted facet values
-    checks: list           # checks[k]: sparse lambda_v of the vertices fixed at depth k
-
-
 def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
     """Full group of unimodular maps permuting vert(q), by its stabilizer chain.
 
@@ -65,12 +59,9 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
     """
     n = q.dim
     verts = q.vertices
-    facets = q.facets
-    anchor = next((f for f in facets if len(f.vertex_indices) == n), None)
+    anchor = next((f for f in q.facets if len(f.vertex_indices) == n), None)
     if anchor is None:
         raise PolytopeError("automorphism search needs a simplicial facet")
-
-    profiles = [tuple(sorted(dot(f.normal, v) for f in facets)) for v in verts]
 
     base = sorted(anchor.vertex_indices)
     b0_inv = matrix_inverse_unimodular(transpose([verts[i] for i in base]))
@@ -81,73 +72,88 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
     for j, v in enumerate(verts):
         lam = [(i, c) for i, c in enumerate(mat_vec(b0_inv, v)) if c]
         if lam and j not in base:
-            checks[lam[-1][0]].append(lam)
+            checks[lam[-1][0]].append((j, lam))
+    vt = transpose(verts)
+    _, adj = adjugate(mat_mul(vt, verts))      # adj(M), M = sum v v^T
+    gram = mat_mul(mat_mul(verts, adj), vt)
+    rows = [sorted(row) for row in gram]
+    targets = [[t for t in range(len(verts)) if rows[t] == rows[b]] for b in base]
 
-    search = _Search(base, verts, frozenset(verts), profiles, checks)
-    generators = []
+    search = (base, verts, {v: i for i, v in enumerate(verts)}, gram, targets, checks)
+    perms = []
     order = 1
     for k in reversed(range(n)):
-        b = verts[base[k]]
-        orbit = orbit_of(b, generators)
-        for t, w in enumerate(verts):
-            if profiles[t] != profiles[base[k]] or w in orbit:
+        orbit = index_orbit(base[k], perms)
+        ruled_out = set()
+        for t in targets[k]:
+            if t in orbit or t in ruled_out:
                 continue
-            fixed = [*base[:k], t]
-            for facet in facets:
-                if facet.vertex_indices.issuperset(fixed):
-                    options = [[i] for i in fixed] + [sorted(facet.vertex_indices)] * (n - k - 1)
-                    images = _first_assignment(search, options, [])
-                    if images:
-                        generators.append(mat_mul(transpose(images), b0_inv))
-                        orbit = orbit_of(b, generators)
-                        break
+            perm = _first_assignment(search, base[:k], [t], list(range(len(verts))))
+            if perm:
+                perms.append(perm)
+                orbit = index_orbit(base[k], perms)
+            else:
+                ruled_out.update(index_orbit(t, perms))
         order *= len(orbit)
 
-    return SymmetryGroup(dim=n, generators=tuple(generators), order=order)
+    generators = tuple(mat_mul(transpose([verts[p[i]] for i in base]), b0_inv) for p in perms)
+    return SymmetryGroup(dim=n, generators=generators, order=order, perms=tuple(perms))
 
 
-def _combine(terms, images):
-    """sum of c * images[i] over the sparse terms (i, c)."""
-    if len(terms) == 1 and terms[0][1] == 1:
-        return images[terms[0][0]]
-    return tuple(map(sum, zip(*[[c * x for x in images[i]] for i, c in terms])))
+def _first_assignment(search, images, options, perm):
+    """First vertex permutation whose anchor images extend ``images``, or None.
 
-
-def _first_assignment(search, options, images):
-    """First vertex-preserving images w_0 .. w_{n-1} extending ``images``, or None.
-
-    ``options[k]`` lists the indices b_k may go to.  A target must be new,
-    match its source's facet-value profile, and every vertex image it
-    completes must be a vertex.
+    ``images`` holds the indices of w_0 .. w_{k-1}, ``options`` those w_k may
+    take (when None, every vertex with b_k's row of W).  A target must keep W
+    against itself and every image so far, and each vertex image it completes
+    must be a vertex; ``perm`` collects those images' indices.
     """
+    base, verts, index, gram, targets, checks = search
     pos = len(images)
-    if pos == len(search.base):
-        return images
-    src = search.base[pos]
-    profiles = search.profiles
-    for t in options[pos]:
-        w = search.verts[t]
-        if w in images or profiles[t] != profiles[src]:
+    if pos == len(base):
+        return tuple(perm)
+    src = base[pos]
+    row = gram[src]
+    for t in options or targets[pos]:
+        to = gram[t]
+        if to[t] != row[src] or any(to[w] != row[b] for w, b in zip(images, base)):
             continue
-        images.append(w)
-        if all(_combine(lam, images) in search.vertex_set for lam in search.checks[pos]):
-            found = _first_assignment(search, options, images)
+        images.append(t)
+        perm[src] = t
+        for j, lam in checks[pos]:
+            perm[j] = index.get(tuple(map(sum, zip(*[[c * x for x in verts[images[i]]] for i, c in lam]))))
+            if perm[j] is None:
+                break
+        else:
+            found = _first_assignment(search, images, None, perm)
             if found is not None:
                 return found
         images.pop()
     return None
 
 
-def orbit_of(point, generators):
-    """Orbit of ``point`` under the finite group the matrices generate, breadth first."""
-    orbit, seen = [point], {point}
+def index_orbit(i, perms):
+    """Orbit of index ``i`` under the permutations, breadth first."""
+    orbit, seen = [i], {i}
     for x in orbit:
-        for a in generators:
-            y = mat_vec(a, x)
+        for p in perms:
+            y = p[x]
             if y not in seen:
                 seen.add(y)
                 orbit.append(y)
-    return tuple(orbit)
+    return orbit
+
+
+def vertex_permutations(g: SymmetryGroup, points):
+    """g's generators as permutations of the indices of ``points``, the vertices g permutes.
+
+    The search leaves them in ``g.perms``; a group given by matrices alone
+    gets them by one ``mat_vec`` per point and generator.
+    """
+    if g.perms is not None:
+        return g.perms
+    index = {v: i for i, v in enumerate(points)}
+    return tuple(tuple(index[mat_vec(a, v)] for v in points) for a in g.generators)
 
 
 def transport_group(g: SymmetryGroup) -> SymmetryGroup:
@@ -161,18 +167,31 @@ def transport_group(g: SymmetryGroup) -> SymmetryGroup:
 
 
 def automorphism_group(dp: DualPair):
-    """Groups of the Fano side and the dual side of a dual pair."""
-    gq = polytope_automorphisms(dp.q)
-    gp = transport_group(gq)
-    return gq, gp
+    """Groups of the Fano side and the dual side of a dual pair.
+
+    P's vertex i is Q's facet i, so a permutation of vert(Q) moves it to the
+    facet through the images of its vertices: that is a^-T on vert(P), and
+    the dual generator a^T = (a^-1)^-T acts by the inverse permutation.
+    """
+    q = dp.q
+    gq = polytope_automorphisms(q)
+    facet_index = {f.vertex_indices: i for i, f in enumerate(q.facets)}
+    dual_perms = []
+    for perm in gq.perms:
+        inverse = [0] * len(q.facets)
+        for i, f in enumerate(q.facets):
+            inverse[facet_index[frozenset(perm[j] for j in f.vertex_indices)]] = i
+        dual_perms.append(tuple(inverse))
+    return gq, replace(transport_group(gq), perms=tuple(dual_perms))
 
 
 def fixed_space(g: SymmetryGroup) -> FixedSpace:
     """Common fixed subspace, as a primitive integer basis.
 
-    Fix(G) is the common kernel of a - I over the generators a.  Those
-    stacked rows span the annihilator of Fix(G), as do the rows of the
-    Reynolds operator sum(G) - |G|*I, so both have one RREF and one basis.
+    The rows of a - I for every generator a are stacked into one matrix,
+    and its kernel is Fix(G): a point fixed by each generator is fixed by
+    the group.  The rows of the Reynolds operator sum(G) - |G|*I span the
+    same annihilator, so they would give the same RREF and basis.
     """
     rows = [[x - (i == j) for j, x in enumerate(row)]
             for a in g.generators for i, row in enumerate(a)]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_measures import PRODUCT_PAIRS, SUMMANDS
-from toricfano import fixtures
+from toricfano import fixtures, symmetry
 from toricfano.criteria import full_verdict, lct, max_pairing
 from toricfano.linalg import (
     SingularMatrixError,
@@ -24,7 +25,7 @@ from toricfano.symmetry import (
     SymmetryGroup,
     automorphism_group,
     fixed_space,
-    orbit_of,
+    index_orbit,
     polytope_automorphisms,
     transport_group,
     trivial_group,
@@ -72,6 +73,21 @@ def _automorphisms_oracle(q, prune):
             if all(mat_vec(a, v) in vertex_set for v in verts):
                 found.add(a)
     return tuple(sorted(found))
+
+
+def orbit_of(point, generators):
+    """Orbit of ``point`` under the finite group the matrices generate, breadth first.
+
+    The matrix oracle for the search's index orbits.
+    """
+    orbit, seen = [point], {point}
+    for x in orbit:
+        for a in generators:
+            y = mat_vec(a, x)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return tuple(orbit)
 
 
 def _elementary_unimodular(n, rng):
@@ -257,17 +273,69 @@ def test_orbits_match_oracle(request, name):
     for g, points in zip(groups_of(request, name), (dp.q.vertices, dp.p.vertices)):
         orbits = [set(orbit_of(v, g.generators)) for v in points]
         assert orbits == orbits_oracle(points, g)
+        assert [{points[j] for j in index_orbit(i, g.perms)} for i in range(len(points))] == orbits
 
 
 @pytest.mark.parametrize("name", PAIRS)
 def test_dual_orbits_are_facet_orbits(request, name):
-    """The map u -> h^-T u of check_conj11 moves facet normals as h moves facets."""
+    """The map u -> h^-T u moves facet normals as h moves facets."""
     p = request.getfixturevalue(name).p
     _, gp = groups_of(request, name)
     index = {f.normal: i for i, f in enumerate(p.facets)}
     normal_maps = [transpose(h) for h in gp.generators]
     orbits = [{index[u] for u in orbit_of(f.normal, normal_maps)} for f in p.facets]
     assert orbits == facet_orbits_oracle(p, gp)
+
+
+@pytest.fixture(scope="module")
+def unimodular_cx5_pair():
+    """cx5 under a fixed GL(5, Z) matrix, whose anchor bases are not permutations."""
+    u = _elementary_unimodular(5, random.Random(5))
+    return dual(hull([mat_vec(u, v) for v in fixtures.cx5().vertices]))
+
+
+def _action(a, points):
+    index = {v: i for i, v in enumerate(points)}
+    return tuple(index[mat_vec(a, v)] for v in points)
+
+
+@pytest.mark.parametrize("name", PAIRS + ["q1_pair", "q2_pair", "unimodular_cx5_pair"])
+def test_permutations_are_the_matrix_actions(request, name):
+    """Each generator's permutation of vert(Q) is its matrix's action; the dual
+    permutation read through Q's incidence is a^-T's on vert(P), inverted for
+    the dual generator a^T."""
+    dp = request.getfixturevalue(name)
+    gq, gp = groups_of(request, name)
+    assert len(gq.perms) == len(gp.perms) == len(gq.generators)
+    for a, perm, dual_perm in zip(gq.generators, gq.perms, gp.perms):
+        assert perm == _action(a, dp.q.vertices)
+        inverse_transpose = transpose(matrix_inverse_unimodular(a))
+        assert sorted(range(len(dual_perm)), key=dual_perm.__getitem__) == list(
+            _action(inverse_transpose, dp.p.vertices))
+    for a, dual_perm in zip(gp.generators, gp.perms):
+        assert dual_perm == _action(a, dp.p.vertices)
+
+
+@pytest.mark.parametrize(
+    "make, calls, order",
+    [(fixtures.cx5, 31, 72), (fixtures.q1, 36, 1152), (fixtures.q2, 45, 2304), (fixtures.q3, 44, 2304)],
+    ids=["cx5", "q1", "q2", "q3"],
+)
+def test_search_calls_are_pinned(monkeypatch, make, calls, order):
+    """The Gram form leaves the search few dead ends: pruned by the facet-value
+    profiles alone, it made 210, 652, 2427 and 4347 calls here."""
+    q = make()
+    count = 0
+    search = symmetry._first_assignment
+
+    def counting_search(*args):
+        nonlocal count
+        count += 1
+        return search(*args)
+
+    monkeypatch.setattr(symmetry, "_first_assignment", counting_search)
+    assert polytope_automorphisms(q).order == order
+    assert count == calls
 
 
 @given(
