@@ -20,6 +20,7 @@ from .linalg import (
     dot,
     kernel_basis,
     rank,
+    rref,
     solve_exact,
     vec_sub,
 )
@@ -38,6 +39,10 @@ class DegenerateRestrictionError(PolytopeError):
 
 
 class PointDimensionError(PolytopeError):
+    pass
+
+
+class HullInvariantError(PolytopeError):
     pass
 
 
@@ -82,24 +87,18 @@ class DualPair:
 def hull(points):
     """Convex hull of integer points: irredundant vertices, facets, incidence.
 
-    Facet-to-facet gift wrapping (Chand-Kapur 1970; Swart 1985) over ``int``.
-    The supporting hyperplane ``x_0 >= min`` is pivoted about its face until
-    that face is a facet; then each ridge of each facet found is pivoted to
-    the neighbouring facet, until no new facet turns up.  A ridge is keyed
-    by its point set, the same from both of its facets, so it is pivoted
-    once.  Each facet carries its slack <u, p> - b, which gives its
-    incidence; a simplicial one also carries a tableau, the coordinates of
-    every point in its vertex basis.  Its pivots read that with no dot
-    product, and a neighbour reached with no tie in the ratio test (so
-    simplicial) takes it by one exact rank-one update (basis exchange:
-    Avis-Fukuda 1992; Bareiss 1968).  So a smooth Fano polytope costs one
-    elimination and O(#ridges * m + #facets * n * m).  Off the origin,
-    (det, adj) of the vertex matrix, rows in vertex order, is ``Facet.adjugate``.
-    A non-simplicial facet is projected along a coordinate its normal does
-    not vanish on, and its ridges are the facets of that projection, found
-    by the same wrapping one dimension down.  A point is a vertex exactly
-    when the facets through it meet in that point alone.  Points in a
-    hyperplane leave a pivot no point off it (``DimensionDeficiencyError``).
+    Facet-to-facet gift wrapping (Chand-Kapur 1970; Swart 1985) over ``int``
+    by basis exchange (Avis-Fukuda 1992; Avis 2000).  ``x_0 >= min`` is
+    tilted about its face until that is a facet, and n affinely independent
+    points on it start ``_wrap``.  The walk needs the origin strictly
+    inside; when the first facet or a pivot shows it is not, it runs again
+    on the points moved by the barycentre of that basis and a point off it,
+    times n + 1.  ``Facet.adjugate`` of a facet of n points off the origin,
+    (det, adj) of its vertex matrix, rows in vertex order, comes off the
+    walk's tableau (one elimination per smooth Fano polytope), or afresh
+    after a move.  A point is a vertex exactly when the facets through it
+    meet in that point alone.  Points in a hyperplane leave a tilt no point
+    off it, or all lie on the first facet (``DimensionDeficiencyError``).
     Exact, order-insensitive, robust to redundant points; coordinates are
     ints, the same positive number per point (``PointDimensionError``).
     """
@@ -112,7 +111,23 @@ def hull(points):
     if len(pts) < n + 1:
         raise DimensionDeficiencyError("too few points to span the space")
 
-    facets, adjugates = _wrap(pts)
+    u, b, first = _first_facet(pts)
+    if len(first) == len(pts):
+        raise DimensionDeficiencyError("points do not affinely span the space")
+    if len(first) > n:    # its first point and those whose differences from it are pivot columns
+        diffs = [vec_sub(pts[i], pts[first[0]]) for i in first[1:]]
+        first = first[:1] + [first[1 + j] for j in rref(list(zip(*diffs)))[1]]
+    wrapped = _wrap(pts, first) if b < 0 else None
+    if wrapped is None:
+        off = max(range(len(pts)), key=lambda i: dot(u, pts[i]))    # a point off the first facet
+        c = [sum(x) for x in zip(*(pts[i] for i in first + [off]))]
+        wrapped = _wrap([tuple((n + 1) * x - y for x, y in zip(p, c)) for p in pts], first)
+        if wrapped is None:
+            raise HullInvariantError("a pivot found no point to stop at around an inner point")
+        facets = {(u, (b + dot(u, c)) // (n + 1)): inc for (u, b), inc in wrapped[0].items()}
+        wrapped = facets, {key: adjugate([pts[i] for i in sorted(inc)])
+                           for key, inc in facets.items() if key[1] and len(inc) == n}
+    facets, adjugates = wrapped
     face_of = [None] * len(pts)    # smallest face through each point
     for inc in facets.values():
         for i in inc:
@@ -124,100 +139,99 @@ def hull(points):
     return LatticePolytope(n, tuple(pts[i] for i in verts), facets)
 
 
-def _wrap(pts):
-    """Facets of the hull of distinct points that must affinely span the space.
-
-    Returns {(primitive inward normal u, rhs b): frozenset of the indices of
-    the points with <u, p> = b}, and {(u, b): (det, adj) of the vertex matrix}
-    for the simplicial facets off the origin.  A simplicial facet is
-    eliminated afresh (``_tableau``) only when it is the first, when its c
-    differs from its neighbour's, or when it is reached from a non-simplicial
-    facet; else ``_exchange`` carries the tableau.  A tie in the ratio test
-    makes the facet reached non-simplicial.
-    """
-    n = len(pts[0])
-    if n == 1:
-        lo = min(range(len(pts)), key=pts.__getitem__)
-        hi = max(range(len(pts)), key=pts.__getitem__)
-        facets = {((1,), pts[lo][0]): frozenset((lo,)), ((-1,), -pts[hi][0]): frozenset((hi,))}
-        return facets, {(u, b): (u[0] * b, ((1,),)) for u, b in facets if b}
-    u = (1,) + (0,) * (n - 1)
-    b = min(p[0] for p in pts)
-    slack, face = _support(pts, u, b)
+def _first_facet(pts):
+    """(u, b, sorted indices of the points on it) of a facet <u, x> >= b."""
+    u, b, ker = (1,) + (0,) * (len(pts[0]) - 1), min(p[0] for p in pts), ()
     while True:
-        # a normal w to the face inside the hyperplane exists until the face is a facet
-        idx = sorted(face)
-        r0 = pts[idx[0]]
-        ker = kernel_basis([vec_sub(pts[i], r0) for i in idx[1:]] + [u])
+        slack = [dot(u, p) - b for p in pts]
+        face = [i for i, s in enumerate(slack) if not s]
+        if len(ker) == 1:    # each tilt adds a dimension to the face, and that was its last
+            return u, b, face
+        # a normal w to the face inside the hyperplane, one per dimension the face lacks
+        ker = kernel_basis([vec_sub(pts[i], pts[face[0]]) for i in face[1:]] + [u])
         if not ker:
-            break
-        (u, b), _, _ = _pivot(pts, slack, u, ker[0], r0)
-        slack, face = _support(pts, u, b)
-    facets = {(u, b): face}
-    adjugates = {}
-    todo = [((u, b), slack, face, None)]
-    crossed = set()    # point sets of the ridges already pivoted across
-    while todo:
-        (u, b), slack, face, tab = todo.pop()
-        if len(face) > n:
-            for ridge, r0, w in _ridges(pts, u, face):
-                if ridge not in crossed:
-                    crossed.add(ridge)
-                    key, _, _ = _pivot(pts, slack, u, w, r0)
-                    if key not in facets:
-                        new_slack, facets[key] = _support(pts, *key)
-                        todo.append((key, new_slack, facets[key], None))
-            continue
-        tab = tab or _tableau(pts, slack, face, b)
-        basis, d, cols, sign, c = tab
-        if b:    # c is the origin, so the rows are the vertex matrix, in vertex order
-            adj = tuple(zip(*(col[-n:] for col in cols)))
-            adjugates[u, b] = (d, adj) if sign > 0 else (-d, tuple(tuple(-x for x in r) for r in adj))
-        for j, col in enumerate(cols):
-            ridge = face - {basis[j]}
-            if ridge not in crossed:
-                crossed.add(ridge)
-                key, k, (s, t, g) = _pivot(pts, slack, u, col[-n:], pts[basis[j - 1]], col)
-                if key not in facets:
-                    new_slack = [(s * y - t * x) // g for x, y in zip(slack, col)]
-                    facets[key] = new_face = frozenset(i for i, x in enumerate(new_slack) if x == 0)
-                    carry = len(new_face) == n and (None if key[1] else new_slack.index(max(new_slack))) == c
-                    todo.append((key, new_slack, new_face, _exchange(tab, j, k) if carry else None))
+            return u, b, face
+        u, b = _pivot(pts, slack, u, ker[0], pts[face[0]])
+
+
+def _wrap(pts, first):
+    """Facets of the hull of points around the origin, as bases walked from ``first``.
+
+    A basis is n points of a facet; its tableau (``_tableau``) holds every
+    point's coordinates lambda in it and its slack.  Crossing the ridge
+    opposite f_j enters the point of least slack / -lambda_j over
+    lambda_j < 0 (``_entering``): on the next facet, or on the same one
+    beyond the ridge (slack 0, a degenerate pivot).  Ties go by Avis's
+    lexicographic rule, as if each point moved toward the origin by its own
+    infinitesimal, smaller the later it comes in ``rank`` (by index, then
+    ``first``): so ``first`` is lexicographically feasible, every basis
+    stays so, and the bases are the simplices of one triangulation of the
+    boundary, each of its ridges in two.  A new basis registers its n ridges and only a ridge whose
+    second basis is unknown is pivoted: one elimination, then one
+    ``_exchange`` per basis, O(#bases * n * m).  Bases of equal (u, b) are
+    one facet.  Returns {(primitive inward u, b): frozenset of the indices
+    of the points with <u, p> = b} and {(u, b): (det, adj) of the vertex
+    matrix} for facets of n points, or None when a pivot finds no
+    lambda_j < 0, as then the origin is not strictly inside.
+    """
+    n, m = len(pts[0]), len(pts)
+    rank = [i + m * (i in first) for i in range(m)]
+    facets, adjugates, open_ridges, todo = {}, {}, set(), []
+    tab = _tableau(pts, first)
+    while tab:
+        basis, d, cols, sign = tab
+        slack = cols[n]
+        on = [k for k in range(m) if not slack[k]]
+        # lexicographically feasible: of a point on the hyperplane and the f_i with lambda_i != 0,
+        # the first by rank is that point or has lambda_i < 0
+        if min(slack[:m]) < 0 or any(k not in basis and min([(rank[k], d)] + [
+                (rank[f], -col[k]) for f, col in zip(basis, cols) if col[k]])[1] < 0 for k in on):
+            raise HullInvariantError(f"basis {basis} is not lexicographically feasible")
+        g = gcd(*slack[m:])
+        key = (tuple([x // g for x in slack[m:]]), -d // g)
+        if key not in facets:
+            facets[key] = frozenset(on)
+            if len(on) == n:
+                adjugates[key] = (sign * d, tuple(zip(*([sign * x for x in col[m:]] for col in cols[:n]))))
+        ridges = [tuple(basis[:j] + basis[j + 1:]) for j in range(n)]
+        open_ridges.symmetric_difference_update(ridges)    # a ridge's second basis closes it
+        todo.append((tab, ridges))
+        tab = None
+        while todo and not tab:
+            top, ridges = todo[-1]
+            j = next((j for j, r in enumerate(ridges) if r in open_ridges), None)
+            if j is None:
+                todo.pop()
+            elif (k := _entering(top, j, m, rank)) is None:
+                return None
+            else:
+                tab = _exchange(top, j, k)
     return facets, adjugates
 
 
-def _support(pts, u, b):
-    """Slack <u, p> - b of every point, and the indices where it is 0."""
-    slack = [dot(u, p) - b for p in pts]
-    return slack, frozenset(i for i, s in enumerate(slack) if s == 0)
+def _tableau(pts, basis):
+    """(basis, d, columns, sign) of n points with rows f_i, by one adjugate.
 
-
-def _tableau(pts, slack, face, b):
-    """(basis, d, columns, sign, c) of a simplicial facet <u, x> = b, by one adjugate.
-
-    c is the origin (None) when b != 0, else the point of largest slack.  The
-    rows f_i - c, ``basis`` in order, have (det, adj) = sign * (d, A), d > 0.
-    Column i holds lambda_i(p) = <p - c, A_i> for each point p, then A_i:
-    lambda(p) / d is p - c in the rows, and A_i, lambda_i are the w, t of
-    ``_pivot`` about the ridge opposite f_i (constant there, d on f_i).
+    The rows have (det, adj) = sign * (d, A), d > 0.  Column i holds
+    lambda_i(p) = <p, A_i> for each point p, then A_i (<f_j, A_i> = d [i = j]).
+    Column n, the slack, holds d - sum lambda(p), then -sum A_i: d/g times
+    <u, p> - b for the facet <u, x> >= b through the rows, g = gcd(sum A_i).
     """
-    c = None if b else slack.index(max(slack))
-    shifted = pts if c is None else [vec_sub(p, pts[c]) for p in pts]
-    basis = sorted(face)
-    d, adj = adjugate([shifted[i] for i in basis])
+    d, adj = adjugate([pts[i] for i in basis])
     sign = 1 if d > 0 else -1
-    return basis, sign * d, [[sign * dot(p, a) for p in shifted] + [sign * x for x in a]
-                             for a in zip(*adj)], sign, c
+    cols = [[sign * dot(p, a) for p in pts] + [sign * x for x in a] for a in zip(*adj)]
+    cols.append([sign * d * (i < len(pts)) - sum(x) for i, x in enumerate(zip(*cols))])
+    return list(basis), sign * d, cols, sign
 
 
 def _exchange(tab, j, k):
     """The tableau after f_j leaves the basis and point k enters it.
 
-    The columns take one ``bareiss_pivot`` on entry k of column j: the new d
-    is |lambda_j(p_k)|, and column j stays, negated along with the sign if
-    lambda_j(p_k) < 0; then column j moves to k's sorted place.
+    The columns, the slack's too, take one ``bareiss_pivot`` on entry k of
+    column j: the new d is |lambda_j(p_k)|, and column j stays, negated along
+    with the sign if lambda_j(p_k) < 0; then it moves to k's sorted place.
     """
-    basis, d, cols, sign, c = tab
+    basis, d, cols, sign = tab
     cols = list(cols)
     if cols[j][k] < 0:
         cols[j], sign = [-x for x in cols[j]], -sign
@@ -226,49 +240,59 @@ def _exchange(tab, j, k):
     q = bisect(basis, k)
     basis.insert(q, k)
     cols.insert(q, cols.pop(j))
-    return basis, d, cols, sign * (-1) ** abs(q - j), c    # a flip per column passed
+    return basis, d, cols, sign * (-1) ** abs(q - j)    # a flip per column passed
 
 
-def _ridges(pts, u, face):
-    """(ridge, point r0 on it, w) per ridge of a non-simplicial facet with normal u.
+def _entering(tab, j, m, rank):
+    """The point of least slack / -lambda_j over lambda_j < 0, or None if there is none.
 
-    ``ridge`` is the frozenset of the indices of the points on the ridge, the
-    same from both facets through it.  ``w`` is constant on the ridge and
-    larger on the rest of the facet, so u and w span the normals of the
-    hyperplanes through it.  The facet is projected along a coordinate k with
-    u_k != 0, injective on its hyperplane, and wrapped; a simplicial facet's
-    ridges come from its tableau instead.
+    Ties go by the lexicographic rule: in ``rank`` order over the basis and
+    the tied points, each f_i keeps the tied points of least lambda_i /
+    lambda_j, and a tied point is dropped at its own turn.
     """
-    idx = sorted(face)
-    k = next(j for j, x in enumerate(u) if x)
-    sub, _ = _wrap([pts[i][:k] + pts[i][k + 1:] for i in idx])
-    return [(frozenset(idx[j] for j in inc), pts[idx[min(inc)]], v[:k] + (0,) + v[k:])
-            for (v, _), inc in sub.items()]
+    basis, _, cols, _ = tab
+    lam, slack = cols[j], cols[-1]
+    ties, bs, bt = [], 0, -1
+    for k in range(m):
+        t = lam[k]
+        if t < 0:
+            s = slack[k]
+            x = s * bt - bs * t    # > 0 when s / -t < bs / -bt
+            if x > 0 or not ties:
+                ties, bs, bt = [k], s, t
+            elif x == 0:
+                ties.append(k)
+    for q in sorted(basis + ties, key=rank.__getitem__) if len(ties) > 1 else ():
+        if q in basis:
+            ratio = {k: Fraction(cols[basis.index(q)][k], lam[k]) for k in ties}
+            ties = [k for k in ties if ratio[k] == min(ratio.values())]
+        else:
+            ties = [k for k in ties if k != q]
+        if len(ties) == 1:
+            break
+    return ties[0] if ties else None
 
 
-def _pivot(pts, slack, u, w, r0, tilt=None):
+def _pivot(pts, slack, u, w, r0):
     """Tilt the hyperplane <u, x> = <u, r0> about its flat where w is constant.
 
-    ``slack`` holds s = <u, p - r0> >= 0 for every point, and ``tilt`` (or, if
-    None, a dot product where s > 0) t = <w, p - r0>, >= 0 where s = 0.  The
-    hyperplane stops at the first p* of least t/s over s > 0; a tie puts more
-    points on it.  Returns (u', <u', r0>), the index of p* and (s*, t*, g):
-    g u' = s* w - t* u with g > 0 keeps u' pointing into the hull, and p's
-    slack on it is (s* t - t* s) / g.  No s > 0: every point is on it.
+    ``slack`` holds s = <u, p - r0> >= 0, and t = <w, p - r0> is >= 0 where
+    s = 0.  It stops at the p of least t/s over s > 0, ties putting more
+    points on it: (u', <u', r0>), g u' = s w - t u, g > 0.
     """
-    if tilt is None:
-        c = dot(w, r0)
-        tilt = [dot(w, p) - c if s else 0 for p, s in zip(pts, slack)]
+    c = dot(w, r0)
     best_s = best_t = 0
-    for i, (s, t) in enumerate(zip(slack, tilt)):
-        if s > 0 and (best_s == 0 or t * best_s < best_t * s):
-            best_s, best_t, best = s, t, i
+    for p, s in zip(pts, slack):
+        if s > 0:
+            t = dot(w, p) - c
+            if best_s == 0 or t * best_s < best_t * s:
+                best_s, best_t = s, t
     if best_s == 0:
         raise DimensionDeficiencyError("points do not affinely span the space")
     normal = [best_s * x - best_t * y for x, y in zip(w, u)]
     g = gcd(*normal)
     normal = tuple(x // g for x in normal)
-    return (normal, dot(normal, r0)), best, (best_s, best_t, g)
+    return normal, dot(normal, r0)
 
 
 def is_smooth_fano(p: LatticePolytope):

@@ -2,17 +2,18 @@
 
 The search anchors on one unimodular facet of the Fano-side polytope, with
 vertex basis B0 = (b_0, ..., b_{n-1}): every automorphism maps that basis
-onto an ordered vertex tuple (w_0, ..., w_{n-1}), and is then A = W B0^-1.
-Each vertex is written once in the anchor basis, lambda_v = B0^-1 v
-(integral, as B0 is unimodular), so its image A v = sum_i lambda_v,i w_i is
-fixed as soon as w_0 .. w_k are, k being the last nonzero coordinate of
-lambda_v.  The backtracking over vertex tuples checks those images against
-vert(Q) at each depth and drops a partial tuple at the first image that is
-not a vertex.  The Gram form prunes it (Bremner, Dutour Sikirić, Pasechnik,
-Rehn and Schürmann 2014): with M = sum v v^T over vert(Q), A M A^T = M, so A
-keeps the positive definite form W(v, w) = v^T adj(M) w.  So w_k must have
-b_k's sorted row of W and W(w_k, w_i) = W(b_k, b_i) for i <= k; the images
-then have B0's Gram matrix, so they are independent and A permutes vert(Q).
+onto an ordered vertex tuple (w_0, ..., w_{n-1}), and is then A = W B0^-1,
+B0^-1 read off the facet's adjugate from ``hull``.  Each vertex is written
+once in the anchor basis, lambda_v = B0^-1 v (integral, as B0 is
+unimodular), so its image A v = sum_i lambda_v,i w_i is fixed as soon as
+w_0 .. w_k are, k being the last nonzero coordinate of lambda_v.  The
+backtracking over vertex tuples checks those images against vert(Q) at each
+depth and drops a partial tuple at the first image that is not a vertex.
+The Gram form prunes it (Bremner, Dutour Sikirić, Pasechnik, Rehn and
+Schürmann 2014): with M = sum v v^T over vert(Q), A M A^T = M, so A keeps
+the positive definite form W(v, w) = v^T adj(M) w.  So w_k must have b_k's
+sorted row of W and W(w_k, w_i) = W(b_k, b_i) for i <= k; the images then
+have B0's Gram matrix, so they are independent and A permutes vert(Q).
 
 The group is kept as the generators of its stabilizer chain on the anchor
 basis (Sims 1970): G_k fixes b_0 .. b_{k-1}.  Built for k = n-1 down to 0,
@@ -64,7 +65,10 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
         raise PolytopeError("automorphism search needs a simplicial facet")
 
     base = sorted(anchor.vertex_indices)
-    b0_inv = matrix_inverse_unimodular(transpose([verts[i] for i in base]))
+    if anchor.adjugate and anchor.adjugate[0] in (1, -1):    # B0^-1 = (adj / det)^T = det adj^T
+        b0_inv = tuple(tuple(anchor.adjugate[0] * x for x in col) for col in zip(*anchor.adjugate[1]))
+    else:    # a facet built without ``hull``, or no lattice basis (refused there)
+        b0_inv = matrix_inverse_unimodular(transpose([verts[i] for i in base]))
     # A basis vertex maps to its own w_k and the origin to itself, so
     # neither needs a check; every other vertex is checked at the depth of
     # its last nonzero anchor coordinate.

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import types
 import subprocess
 import sys
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import toricfano
-from toricfano import fixtures, measures
+from test_polytope import _greatest_ratio
+from toricfano import fixtures, measures, polytope
 from toricfano.cli import main
 from toricfano.io import (
     ParseError,
@@ -150,6 +152,20 @@ class TestAnalyze:
             "is_smooth_fano": False,
             "certificate": "hull: too few points to span the space",
         }
+
+    def test_hull_invariant_becomes_a_certificate(self, monkeypatch):
+        # a ratio test taking the greatest ratio breaks cx5's walk but not p2's or cross3's;
+        # the pool's workers are forked, so they run the patched module too
+        entries = [("p2", fixtures.simplex_fano(2).vertices), ("cx5", fixtures.CX5_VERTICES),
+                   ("cross3", fixtures.cross_polytope(3).vertices)]
+        pf = parse(fixtures.corpus_text(entries))
+        monkeypatch.setattr(polytope, "_entering", _greatest_ratio)
+        serial = scan(pf, ScanOptions(conjectures=True))
+        assert [r["is_smooth_fano"] for r in serial] == [True, False, True]
+        assert serial[1] == {"name": "cx5", "dim": 5, "n_vertices": None, "is_smooth_fano": False,
+                             "certificate": serial[1]["certificate"]}
+        assert re.fullmatch(r"hull: basis \[[\d, ]+\] is not lexicographically feasible", serial[1]["certificate"])
+        assert emit(scan(pf, ScanOptions(conjectures=True, jobs=2))) == emit(serial)
 
     def test_ehrhart_dim_cap(self):
         entry = parse(GOOD).entry("plane")

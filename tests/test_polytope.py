@@ -26,6 +26,7 @@ from toricfano.measures import vertex_cones
 from toricfano.polytope import (
     DimensionDeficiencyError,
     Facet,
+    HullInvariantError,
     LatticePolytope,
     PointDimensionError,
     PolytopeError,
@@ -106,6 +107,23 @@ def point_sets(draw, dims=(1, 4)):
     return pts
 
 
+@st.composite
+def origin_inside_sets(draw, dims=(1, 4)):
+    """Point sets with the origin strictly inside: spanning points, their mirror images and a crowded wall.
+
+    Coordinates are doubled, and the wall's points lie on x_0 = -4, the least
+    value the mirrored points can reach, so it is often a facet with more
+    than n points.
+    """
+    n = draw(st.integers(*dims))
+    coords = st.tuples(*[st.integers(-2, 2)] * n)
+    raw = draw(st.lists(coords, min_size=n, max_size=n + 3).filter(lambda raw: rank(raw) == n))
+    pts = [tuple(2 * x for x in p) for p in raw]
+    pts += [tuple(-x for x in p) for p in pts]
+    wall = draw(st.lists(coords, max_size=n + 2))
+    return pts + [(-4,) + tuple(2 * x for x in p[1:]) for p in wall]
+
+
 ORACLE_FIXTURES = [
     *[(f"p{n}", lambda n=n: fixtures.simplex_fano(n)) for n in range(1, 5)],
     *[(f"cross{n}", lambda n=n: fixtures.cross_polytope(n)) for n in range(2, 5)],
@@ -114,18 +132,29 @@ ORACLE_FIXTURES = [
     ("cx5", fixtures.cx5),
     ("q1", fixtures.q1),
 ]
-# simplicial facets through the origin: their ridges pivot about a point off the facet
+# simplicial facets through the origin: the walk runs on translated points
 ORIGIN_FACETS = [
     ("simplex3_at_origin", lambda: hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])),
     ("origin_in_facet", lambda: hull([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)])),
 ]
-# simplicial facets next to a non-simplicial one: a tie in the ratio test, then a fresh tableau
+# a square facet among triangles: a degenerate pivot inside it, lexicographic ties at its edges
 MIXED_FACETS = [
     ("square_pyramid", lambda: hull([(1, 1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1), (0, 0, 1)])),
+]
+# non-simplicial hulls with the origin strictly inside, on a facet, at a vertex and outside,
+# given with points that are no vertices (cube4's facet centres, a square's centre)
+ORIGIN_POSITIONS = [
+    ("prism_origin_inside", [p + (z,) for p in ((1, 0), (0, 1), (-1, -1)) for z in (-1, 1)]),
+    ("cube4_facet_centres", [tuple(2 * x for x in v) for v in fixtures.cube(4).vertices]
+     + [tuple(2 * s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]),
+    ("cube3_origin_on_facet", [(x + 1, y, z) for x, y, z in fixtures.cube(3).vertices] + [(0, 0, 0)]),
+    ("cube3_origin_at_vertex", [tuple(x + 1 for x in v) for v in fixtures.cube(3).vertices]),
+    ("cube3_origin_outside", [(x + 3, y + 1, z) for x, y, z in fixtures.cube(3).vertices]),
 ]
 ORACLE_FIXTURES += ORIGIN_FACETS + MIXED_FACETS
 SMOOTH_FANO = [(name, make) for name, make in ORACLE_FIXTURES
                if not name.startswith("cube") and (name, make) not in ORIGIN_FACETS + MIXED_FACETS]
+ORACLE_FIXTURES += [(name, lambda pts=pts: hull(pts)) for name, pts in ORIGIN_POSITIONS]
 SMOOTH_FANO.append(("q2", fixtures.q2))
 
 
@@ -142,6 +171,30 @@ def _unimodular_image(make, seed):
 # GL(n, Z) images reach each facet by other exchanges, so its basis order and sign differ
 IMAGES = [(f"{name}_image{seed}", lambda make=make, seed=seed: _unimodular_image(make, seed))
           for name, make in [("cx5", fixtures.cx5), ("q1", fixtures.q1)] for seed in (1, 2)]
+
+
+def _check_unimodular_image(pts, rng):
+    """The hull of a GL(n, Z) image of pts, shuffled, is the image of their hull."""
+    p = hull(pts)
+    n = p.dim
+    u = [list(row) for row in identity(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            k = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+        else:
+            u[i] = [-x for x in u[i]]
+        if rng.random() < 0.5:
+            u[i], u[j] = u[j], u[i]
+    images = [mat_vec(u, x) for x in pts]
+    rng.shuffle(images)
+    q = hull(images)
+    dual_map = transpose(matrix_inverse_unimodular(u))
+    assert {(mat_vec(dual_map, f.normal), f.rhs) for f in p.facets} == {
+        (f.normal, f.rhs) for f in q.facets
+    }
+    assert sorted(mat_vec(u, v) for v in p.vertices) == list(q.vertices)
 
 
 class TestHullOracle:
@@ -170,32 +223,31 @@ class TestHullOracle:
             return
         assert hull(pts) == expected
 
+    @pytest.mark.parametrize("pts", [pts for _, pts in ORIGIN_POSITIONS], ids=[name for name, _ in ORIGIN_POSITIONS])
+    def test_points_off_the_vertices_match_exhaustive(self, pts):
+        assert hull(pts) == _hull_exhaustive(pts)
+        _check_unimodular_image(pts, random.Random(len(pts)))
+
+    @given(origin_inside_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_origin_inside_matches_exhaustive(self, pts):
+        p = hull(pts)
+        assert p.contains_origin_interior()
+        assert p == _hull_exhaustive(pts)
+
     @given(point_sets(), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_unimodular_image(self, pts, rng):
         try:
-            p = hull(pts)
+            hull(pts)
         except DimensionDeficiencyError:
             return
-        n = p.dim
-        u = [list(row) for row in identity(n)]
-        for _ in range(3 * n):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i != j:
-                k = rng.choice((-2, -1, 1, 2))
-                u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-            else:
-                u[i] = [-x for x in u[i]]
-            if rng.random() < 0.5:
-                u[i], u[j] = u[j], u[i]
-        images = [mat_vec(u, x) for x in pts]
-        rng.shuffle(images)
-        q = hull(images)
-        dual_map = transpose(matrix_inverse_unimodular(u))
-        assert {(mat_vec(dual_map, f.normal), f.rhs) for f in p.facets} == {
-            (f.normal, f.rhs) for f in q.facets
-        }
-        assert sorted(mat_vec(u, v) for v in p.vertices) == list(q.vertices)
+        _check_unimodular_image(pts, rng)
+
+    @given(origin_inside_sets(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_origin_inside_unimodular_image(self, pts, rng):
+        _check_unimodular_image(pts, rng)
 
 
 class TestHull:
@@ -215,9 +267,8 @@ class TestHull:
         p = hull([(-1,), (0,), (1,)])
         assert p.vertices == ((-1,), (1,))
 
-    # each raises in a pivot with no point off its hyperplane: after the
-    # facet holding every point is found (its ridges from a non-simplicial
-    # sub-wrap), or in the initial tilt for the 2-flat in R^4
+    # each raises once the first facet holds every point, or in a tilt with
+    # no point off its hyperplane for the 2-flat in R^4
     @pytest.mark.parametrize("pts", [
         [(0, 0), (1, 1), (2, 2)],
         [(0, 0), (0, 1), (0, 2)],
@@ -276,24 +327,63 @@ class TestHull:
         rng.shuffle(shuffled)
         assert hull(shuffled) == a
 
-    @pytest.mark.parametrize("make", [fixtures.cx5, fixtures.q1, fixtures.q2] + [m for _, m in ORIGIN_FACETS],
-                             ids=["cx5", "q1", "q2"] + [name for name, _ in ORIGIN_FACETS])
-    def test_each_ridge_pivoted_once(self, make, monkeypatch):
+    # (name, make, bases, sum of the bases' |det|): a simplicial hull has one basis per
+    # facet, a non-simplicial facet one per simplex of its triangulation; with the origin
+    # strictly inside, the bases' |det| sum to n! vol, as their cones over the origin tile the hull
+    @pytest.mark.parametrize("make, bases, dets", [pytest.param(*case[1:], id=case[0]) for case in [
+        ("cx5", fixtures.cx5, 18, 18),
+        ("q1", fixtures.q1, 64, 64),
+        ("q2", fixtures.q2, 128, 128),
+        *[(name, make, 4, None) for name, make in ORIGIN_FACETS],
+        *[(name, make, 6, 16) for name, make in MIXED_FACETS],
+        ("cube3", lambda: fixtures.cube(3), 12, 3 * 2 * 8),
+        ("cube4", lambda: fixtures.cube(4), 47, 4 * 3 * 2 * 16),
+    ]])
+    def test_one_pivot_per_basis(self, make, bases, dets, monkeypatch):
         q = make()
-        assert all(len(f.vertex_indices) == q.dim for f in q.facets)
-        ridges = len(q.facets) * q.dim // 2    # simplicial: n ridges per facet, two facets per ridge
-        pivots = 0
-        pivot = polytope._pivot
+        counts = {"_pivot": 0, "_exchange": 0, "_tableau": 0, "kernel_basis": 0}
+        found = []    # (d, tableau) of each basis
+        for fn in counts:
+            wrapped = getattr(polytope, fn)
 
-        def counting_pivot(*args):
-            nonlocal pivots
-            pivots += 1
-            return pivot(*args)
+            def counting(*args, fn=fn, wrapped=wrapped):
+                counts[fn] += 1
+                out = wrapped(*args)
+                if fn in ("_exchange", "_tableau"):
+                    found.append(out)
+                return out
 
-        monkeypatch.setattr(polytope, "_pivot", counting_pivot)
+            monkeypatch.setattr(polytope, fn, counting)
         assert hull(q.vertices) == q
-        # the tilt from x_0 >= min to the first facet adds at most n - 1
-        assert ridges <= pivots <= ridges + q.dim - 1
+        # one elimination, then one exchange per further basis; the tilt from x_0 >= min
+        # to the first facet adds at most n - 1 pivots and n kernels
+        assert counts["_tableau"] == 1
+        assert counts["_exchange"] == bases - 1
+        assert counts["_pivot"] <= q.dim - 1
+        assert counts["kernel_basis"] <= q.dim
+        assert len({tuple(basis) for basis, _, _, _ in found}) == bases
+        if dets is not None:
+            assert sum(d for _, d, _, _ in found) == dets
+
+
+class TestHullInvariants:
+    def test_no_blocking_point_is_named(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_entering", lambda *args: None)
+        with pytest.raises(HullInvariantError, match="found no point to stop at"):
+            hull(fixtures.cx5().vertices)
+
+    @pytest.mark.parametrize("make", [fixtures.cx5, lambda: fixtures.cube(3)], ids=["cx5", "cube3"])
+    def test_lexicographically_infeasible_basis_is_named(self, make, monkeypatch):
+        pts = make().vertices
+        monkeypatch.setattr(polytope, "_entering", _greatest_ratio)
+        with pytest.raises(HullInvariantError, match="is not lexicographically feasible"):
+            hull(pts)
+
+
+def _greatest_ratio(tab, j, m, rank):
+    """A wrong ratio test: the point of greatest slack / -lambda_j over lambda_j < 0."""
+    cols = tab[2]
+    return max((k for k in range(m) if cols[j][k] < 0), key=lambda k: Fraction(cols[-1][k], -cols[j][k]), default=None)
 
 
 class TestStoredAdjugates:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from test_measures import PRODUCT_PAIRS, SUMMANDS
 from toricfano import fixtures, symmetry
 from toricfano.criteria import full_verdict, lct, max_pairing
+from toricfano.io import ScanOptions, scan
 from toricfano.linalg import (
     SingularMatrixError,
     dot,
@@ -366,6 +368,20 @@ def test_refuses_non_unimodular_anchor():
     # coordinates would not be integral, so the search must refuse
     with pytest.raises(SingularMatrixError):
         polytope_automorphisms(hull([(0, 0), (2, 1), (1, 2)]))
+
+
+def test_anchor_inverse_read_off_the_hull(monkeypatch, corpus_file):
+    calls = []
+    inverse = symmetry.matrix_inverse_unimodular
+    monkeypatch.setattr(symmetry, "matrix_inverse_unimodular", lambda a: calls.append(a) or inverse(a))
+    reports = scan(corpus_file, ScanOptions(conjectures=True))
+    assert sum(r["is_smooth_fano"] for r in reports) == 12
+    assert calls == []
+    # a facet built without ``hull`` has no adjugate: the anchor is inverted afresh, to the same group
+    q = fixtures.cx5()
+    bare = replace(q, facets=tuple(replace(f, adjugate=None) for f in q.facets))
+    assert polytope_automorphisms(bare) == polytope_automorphisms(q)
+    assert len(calls) == 1
 
 
 def test_transport_consistency(p2_pair):
