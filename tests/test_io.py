@@ -162,8 +162,8 @@ class TestAnalyze:
         monkeypatch.setattr(polytope, "_entering", _greatest_ratio)
         serial = scan(pf, ScanOptions(conjectures=True))
         assert [r["is_smooth_fano"] for r in serial] == [True, False, True]
-        assert serial[1] == {"name": "cx5", "dim": 5, "n_vertices": None, "is_smooth_fano": False,
-                             "certificate": serial[1]["certificate"]}
+        assert {**serial[1], "certificate": None} == {
+            "name": "cx5", "dim": 5, "n_vertices": None, "is_smooth_fano": False, "certificate": None}
         assert re.fullmatch(r"hull: basis \[[\d, ]+\] is not lexicographically feasible", serial[1]["certificate"])
         assert emit(scan(pf, ScanOptions(conjectures=True, jobs=2))) == emit(serial)
 

@@ -109,7 +109,7 @@ def point_sets(draw, dims=(1, 4)):
 
 @st.composite
 def origin_inside_sets(draw, dims=(1, 4)):
-    """Point sets with the origin strictly inside: spanning points, their mirror images and a crowded wall.
+    """Point sets with the origin strictly inside: points that span, their mirror images, a wall.
 
     Coordinates are doubled, and the wall's points lie on x_0 = -4, the least
     value the mirrored points can reach, so it is often a facet with more
@@ -229,7 +229,7 @@ class TestHullOracle:
         _check_unimodular_image(pts, random.Random(len(pts)))
 
     @given(origin_inside_sets())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_origin_inside_matches_exhaustive(self, pts):
         p = hull(pts)
         assert p.contains_origin_interior()
