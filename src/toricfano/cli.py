@@ -10,16 +10,19 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from .io import ParseError, ScanOptions, analyze_entry, emit, parse, scan
+from .io import ParseError, ScanOptions, analyze_entry, emit, parse, scan, unparse
 from .polytope import PolytopeError, dual, hull, is_smooth_fano
 
 
 def _load(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: {path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(1) from None
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(1) from None
     try:
         return parse(text)
@@ -81,13 +84,7 @@ def cmd_dual(args):
         detail = f" ({certificate})" if certificate else ""
         print(f"error: cannot dualize {name!r}: {exc}{detail}", file=sys.stderr)
         raise SystemExit(1) from None
-    p = dp.p
-    print(f"polytope {name}_dual")
-    print(f"dim {p.dim}")
-    print(f"vertices {p.n_vertices}")
-    for v in p.vertices:
-        print(" ".join(str(x) for x in v))
-    print("end")
+    sys.stdout.write(unparse([(f"{name}_dual", dp.p.dim, dp.p.vertices)]))
     return 0
 
 

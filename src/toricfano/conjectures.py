@@ -2,7 +2,7 @@
 
 Each checker reports both exact sides of its comparison so the verdict can
 be recomputed from the record.  The metric checkers read P's
-``cone_measures`` record, ``measured``, and build it when not given.
+``cone_measures`` record, ``measured``.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from math import factorial
 
 from .linalg import dot
 from .lp import feasible_point
-from .measures import cone_measures, fano_index, vertex_facets
+from .measures import vertex_facets
 from .polytope import DualPair
 
 
@@ -52,22 +52,14 @@ class BishopRecord:
     sharp: bool
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    eq1: Eq1Record | None
-    conj11: tuple
-    ehrhart_bound: EhrhartBoundRecord
-    bishop: BishopRecord
+def check_eq1(dp: DualPair, measured) -> Eq1Record:
+    """Second-highest Ehrhart coefficient against a third of the ridge volume.
 
-
-def check_eq1(dp: DualPair, measured=None) -> Eq1Record:
-    """Second-highest Ehrhart coefficient against a third of the ridge volume."""
-    p = dp.p
-    n = p.dim
+    ``measured`` is ``cone_measures(dp.p, with_ehrhart=True)``.
+    """
+    n = dp.p.dim
     if n < 2:
         raise ValueError("needs dimension at least 2")
-    if measured is None:
-        measured = cone_measures(p, with_ehrhart=True)
     _, _, ridges, poly = measured
     a = poly.coefficients[n - 2]
     third = ridges / 3
@@ -116,7 +108,7 @@ def facet_adjacency(p):
     return adjacency
 
 
-def check_ehrhart_bound(dp: DualPair, measured=None) -> EhrhartBoundRecord:
+def check_ehrhart_bound(dp: DualPair, measured) -> EhrhartBoundRecord:
     """vol(P) against (n+1)^n/n! and the weaker closed-form bound.
 
     The bound is stated for a P whose only interior lattice point is the
@@ -127,8 +119,6 @@ def check_ehrhart_bound(dp: DualPair, measured=None) -> EhrhartBoundRecord:
     n = p.dim
     if not p.is_reflexive():
         raise ValueError("P is not reflexive")
-    if measured is None:
-        measured = cone_measures(p)
     vol = measured[0]
     bound = Fraction((n + 1) ** n, factorial(n))
     equality = vol == bound
@@ -144,43 +134,20 @@ def check_ehrhart_bound(dp: DualPair, measured=None) -> EhrhartBoundRecord:
     )
 
 
-def check_bishop(dp: DualPair, measured=None, index=None) -> BishopRecord:
+def check_bishop(dp: DualPair, measured, index) -> BishopRecord:
     """Fano index times anticanonical degree against (n+1)^(n+1).
 
-    ``index`` is ``fano_index(dp.p)``, computed here if not given.
+    ``index`` is ``fano_index(dp.p)``.
     """
-    p = dp.p
-    n = p.dim
-    if measured is None:
-        measured = cone_measures(p)
-    vol = measured[0]
-    idx = fano_index(p) if index is None else index
-    degree = factorial(n) * vol
-    lhs = idx * degree
+    n = dp.p.dim
+    degree = factorial(n) * measured[0]
+    lhs = index * degree
     bound = (n + 1) ** (n + 1)
     return BishopRecord(
-        index=idx,
+        index=index,
         degree=degree,
         lhs=lhs,
         bound=bound,
         holds=lhs <= bound,
         sharp=lhs == bound,
-    )
-
-
-def run_all(dp: DualPair, ehrhart_max_dim=5, measured=None, index=None) -> ConjectureReport:
-    """Every check; eq1 is None outside dimensions 2 .. ``ehrhart_max_dim``.
-
-    The measures are built with the Ehrhart part only within
-    ``ehrhart_max_dim``; ``measured`` and the Fano ``index`` are computed
-    here when not given.
-    """
-    n = dp.p.dim
-    if measured is None:
-        measured = cone_measures(dp.p, with_ehrhart=n <= ehrhart_max_dim)
-    return ConjectureReport(
-        eq1=check_eq1(dp, measured) if 2 <= n <= ehrhart_max_dim else None,
-        conj11=tuple(check_conj11(dp)),
-        ehrhart_bound=check_ehrhart_bound(dp, measured),
-        bishop=check_bishop(dp, measured, index),
     )

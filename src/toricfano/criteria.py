@@ -50,13 +50,8 @@ def max_pairing(dp: DualPair, g: SymmetryGroup) -> Fraction:
     return max(best)
 
 
-def lct(dp: DualPair, g: SymmetryGroup = None) -> Fraction:
-    """Group-invariant log canonical threshold 1/(1 + max pairing).
-
-    ``g`` acts on the dual side; defaults to the full automorphism group.
-    """
-    if g is None:
-        g = automorphism_group(dp)[1]
+def lct(dp: DualPair, g: SymmetryGroup) -> Fraction:
+    """Group-invariant log canonical threshold 1/(1 + max pairing); ``g`` acts on the dual side."""
     return 1 / (1 + max_pairing(dp, g))
 
 
@@ -68,7 +63,7 @@ def alpha_invariant(dp: DualPair) -> Fraction:
     asymmetry of P_G is the max pairing.  When Fix(G) = {0} both are 0 and
     alpha is 1.
     """
-    return lct(dp)
+    return lct(dp, automorphism_group(dp)[1])
 
 
 def tian_condition(dp: DualPair, g: SymmetryGroup = None) -> bool:

@@ -8,6 +8,7 @@ Run ``python -m toricfano.fixtures`` to print the corpus in the native
 polytope-file format.
 """
 
+from .io import unparse
 from .polytope import LatticePolytope, free_sum, hull, segment
 
 # 7-dimensional Fano polytope with 12 vertices (non-symmetric, dual
@@ -154,16 +155,7 @@ def corpus_text(entries=None):
     """The corpus rendered in the native polytope-file grammar."""
     if entries is None:
         entries = corpus_entries()
-    lines = ["# mixed fixture corpus"]
-    for name, rows in entries:
-        dim = len(rows[0])
-        lines.append(f"polytope {name}")
-        lines.append(f"dim {dim}")
-        lines.append(f"vertices {len(rows)}")
-        for row in rows:
-            lines.append(" ".join(str(x) for x in row))
-        lines.append("end")
-    return "\n".join(lines) + "\n"
+    return "# mixed fixture corpus\n" + unparse((name, len(rows[0]), rows) for name, rows in entries)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Polytope-file parsing, the batch scan pipeline, and report emission.
+"""Polytope-file parsing and writing, the batch scan pipeline, and report emission.
 
 File grammar (whitespace-tolerant, '#' starts a comment line)::
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import factorial
 
-from . import conjectures as conj
+from .conjectures import check_bishop, check_conj11, check_eq1, check_ehrhart_bound
 from .criteria import full_verdict
 from .measures import cone_measures, fano_index
 from .polytope import PolytopeError, dual, hull, is_smooth_fano
@@ -122,6 +122,16 @@ def parse(text) -> PolytopeFile:
     return PolytopeFile(entries=tuple(entries))
 
 
+def unparse(entries):
+    """(name, dim, rows) entries as polytope-file text, which ``parse`` reads back."""
+    lines = []
+    for name, dim, rows in entries:
+        lines += [f"polytope {name}", f"dim {dim}", f"vertices {len(rows)}"]
+        lines += [" ".join(map(str, row)) for row in rows]
+        lines.append("end")
+    return "".join(line + "\n" for line in lines)
+
+
 def fmt_rat(x):
     f = Fraction(x)
     if f == 0:
@@ -174,10 +184,11 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
             report["seconds"] = time.monotonic() - t0
         return report
     dp = dual(q)
+    n = dp.p.dim
     report["is_reflexive"] = dp.p.is_reflexive()
     groups = automorphism_group(dp)
     gq, gp = groups
-    measured = cone_measures(dp.p, with_ehrhart=dp.p.dim <= options.ehrhart_max_dim)
+    measured = cone_measures(dp.p, with_ehrhart=n <= options.ehrhart_max_dim)
     verdict = full_verdict(dp, groups=groups, measured=measured)
     report["barycenter"] = _plain(verdict.barycenter)
     report["is_ke"] = verdict.is_ke
@@ -193,13 +204,17 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     report["tian_holds"] = verdict.tian_holds
     vol, _, _, poly = measured
     report["volume"] = fmt_rat(vol)
-    report["degree"] = fmt_rat(factorial(dp.p.dim) * vol)
+    report["degree"] = fmt_rat(factorial(n) * vol)
     index = report["fano_index"] = fano_index(dp.p)
     if poly is not None:
         report["ehrhart"] = _plain(poly.coefficients)
     if options.conjectures:
-        checks = conj.run_all(dp, ehrhart_max_dim=options.ehrhart_max_dim, measured=measured, index=index)
-        report["conjectures"] = _plain(checks)
+        report["conjectures"] = {
+            "eq1": _plain(check_eq1(dp, measured)) if 2 <= n <= options.ehrhart_max_dim else None,
+            "conj11": _plain(check_conj11(dp)),
+            "ehrhart_bound": _plain(check_ehrhart_bound(dp, measured)),
+            "bishop": _plain(check_bishop(dp, measured, index)),
+        }
     if options.timing:
         report["seconds"] = time.monotonic() - t0
     return report

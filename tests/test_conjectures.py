@@ -16,12 +16,11 @@ from toricfano.conjectures import (
     check_eq1,
     check_ehrhart_bound,
     facet_adjacency,
-    run_all,
 )
 from toricfano.io import ScanOptions, analyze_entry
 from toricfano.linalg import dot
 from toricfano.lp import feasible_point
-from toricfano.measures import MeasureError, count_integer_points
+from toricfano.measures import MeasureError, cone_measures, count_integer_points, fano_index
 from toricfano.polytope import (
     DimensionDeficiencyError,
     DualPair,
@@ -66,22 +65,33 @@ def _interior_count(p):
     return count_integer_points([(f.normal, f.rhs + 1) for f in p.facets])
 
 
+def _measured(dp):
+    """The one ``cone_measures`` pass a check reads, with the Ehrhart part."""
+    return cone_measures(dp.p, with_ehrhart=True)
+
+
+def _conjectures(entry, **options):
+    """The ``conjectures`` block of an entry's report."""
+    return analyze_entry(entry, ScanOptions(conjectures=True, **options))["conjectures"]
+
+
 class TestEq1:
     def test_plane(self, p2_pair):
-        r = check_eq1(p2_pair)
+        r = check_eq1(p2_pair, _measured(p2_pair))
         # a_0 = 1 vs (1/3) * 3 = 1: the inequality is sharp here
         assert r.a_n_minus_2 == 1
         assert r.third_of_codim2_vol == 1
         assert r.holds and r.equality
 
     def test_square_strict(self):
-        r = check_eq1(dual(fixtures.cross_polytope(2)))
+        dp = dual(fixtures.cross_polytope(2))
+        r = check_eq1(dp, _measured(dp))
         assert r.a_n_minus_2 == 1
         assert r.third_of_codim2_vol == Fraction(4, 3)
         assert r.holds and not r.equality
 
     def test_counterexample_fixture(self, cx5_pair):
-        r = check_eq1(cx5_pair)
+        r = check_eq1(cx5_pair, _measured(cx5_pair))
         assert r.a_n_minus_2 == Fraction(223, 3)
         assert r.third_of_codim2_vol == Fraction(290, 3)
         assert r.holds and not r.equality
@@ -94,13 +104,14 @@ class TestEq1:
             (dual(fixtures.q3()), Fraction(66389, 45), Fraction(89404, 45)),
         ]
         for dp, a, third in expected:
-            r = check_eq1(dp)
+            r = check_eq1(dp, _measured(dp))
             assert (r.a_n_minus_2, r.third_of_codim2_vol) == (a, third)
             assert r.holds and not r.equality
 
     def test_dimension_floor(self):
+        dp = dual(fixtures.segment())
         with pytest.raises(ValueError):
-            check_eq1(dual(fixtures.segment()))
+            check_eq1(dp, _measured(dp))
 
 
 class TestConj11:
@@ -207,21 +218,24 @@ class TestConj11Orbits:
 
 
 class TestEhrhartBound:
+    # a P that is not reflexive is refused before its measures are read, and
+    # the Ehrhart part of ``cone_measures`` refuses it too, so those tests pass None
     def test_plane_is_sharp(self, p2_pair):
-        r = check_ehrhart_bound(p2_pair)
+        r = check_ehrhart_bound(p2_pair, _measured(p2_pair))
         assert r.vol == r.bound == Fraction(9, 2)
         assert r.holds and r.equality
         assert r.simplex_shape is True
 
     def test_square_strict(self):
-        r = check_ehrhart_bound(dual(fixtures.cross_polytope(2)))
+        dp = dual(fixtures.cross_polytope(2))
+        r = check_ehrhart_bound(dp, _measured(dp))
         assert r.vol == 4
         assert r.bound == Fraction(9, 2)
         assert r.holds and not r.equality
         assert r.simplex_shape is None
 
     def test_counterexample_fixture(self, cx5_pair):
-        r = check_ehrhart_bound(cx5_pair)
+        r = check_ehrhart_bound(cx5_pair, _measured(cx5_pair))
         assert r.vol == Fraction(301, 10)
         assert r.bound == Fraction(324, 5)
         assert r.holds
@@ -231,16 +245,16 @@ class TestEhrhartBound:
         # 2P for P the square: nine interior lattice points
         dp = DualPair(q=None, p=hull([(-2, -2), (2, -2), (-2, 2), (2, 2)]))
         with pytest.raises(ValueError):
-            check_ehrhart_bound(dp)
+            check_ehrhart_bound(dp, None)
 
     def test_rejects_origin_on_boundary(self):
         # (1, 1) is the one interior lattice point; the origin is a vertex
         dp = DualPair(q=None, p=hull([(0, 0), (3, 0), (0, 3)]))
         with pytest.raises(ValueError):
-            check_ehrhart_bound(dp)
+            check_ehrhart_bound(dp, None)
 
     def test_reflexive_in_high_dimension(self, q1_pair):
-        r = check_ehrhart_bound(q1_pair)
+        r = check_ehrhart_bound(q1_pair, _measured(q1_pair))
         assert r.holds
 
     def test_rejects_non_reflexive_in_high_dimension(self):
@@ -248,40 +262,40 @@ class TestEhrhartBound:
         corners = [tuple(2 * (i == j) for j in range(6)) for i in range(6)] + [(-2,) * 6]
         dp = DualPair(q=None, p=hull(corners))
         with pytest.raises(ValueError):
-            check_ehrhart_bound(dp)
+            check_ehrhart_bound(dp, None)
 
 
 class TestBishop:
     def test_plane_is_sharp(self, p2_pair):
-        r = check_bishop(p2_pair)
+        r = check_bishop(p2_pair, _measured(p2_pair), fano_index(p2_pair.p))
         assert r.index == 3
         assert r.degree == 9
         assert r.lhs == r.bound == 27
         assert r.holds and r.sharp
 
     def test_counterexample_fixture(self, cx5_pair):
-        r = check_bishop(cx5_pair)
+        r = check_bishop(cx5_pair, _measured(cx5_pair), fano_index(cx5_pair.p))
         assert r.lhs == 3612
         assert r.bound == 46656
         assert r.holds and not r.sharp
 
 
-class TestRunAll:
+class TestConjecturesBlock:
     def test_dimension_one_skips_eq1(self):
-        report = run_all(dual(fixtures.segment()))
-        assert report.eq1 is None
-        assert report.ehrhart_bound.holds
-        assert report.bishop.holds
+        block = _conjectures(("p1", 1, fixtures.segment().vertices))
+        assert block["eq1"] is None
+        assert block["ehrhart_bound"]["holds"]
+        assert block["bishop"]["holds"]
 
-    def test_counterexample_report(self, cx5_pair):
-        report = run_all(cx5_pair)
-        assert report.eq1 is not None and report.eq1.holds
-        assert sum(1 for f in report.conj11 if not f.feasible) == 2
-        assert report.ehrhart_bound.holds
-        assert report.bishop.holds
+    def test_counterexample_report(self):
+        block = _conjectures(("cx5", 5, fixtures.CX5_VERTICES))
+        assert block["eq1"] is not None and block["eq1"]["holds"]
+        assert sum(1 for f in block["conj11"] if not f["feasible"]) == 2
+        assert block["ehrhart_bound"]["holds"]
+        assert block["bishop"]["holds"]
 
-    def test_eq1_skipped_above_the_cap(self, cx5_pair):
-        assert run_all(cx5_pair, ehrhart_max_dim=4).eq1 is None
+    def test_eq1_skipped_above_the_cap(self):
+        assert _conjectures(("cx5", 5, fixtures.CX5_VERTICES), ehrhart_max_dim=4)["eq1"] is None
 
 
 class TestInteriorCount:

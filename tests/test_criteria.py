@@ -42,8 +42,9 @@ class TestPairingAndLct:
         assert lct(p2_pair, g) == Fraction(1, 3)
 
     def test_symmetric_pair_gives_one(self, cross2_pair):
-        assert lct(cross2_pair) == 1
-        assert max_pairing(cross2_pair, automorphism_group(cross2_pair)[1]) == 0
+        gp = automorphism_group(cross2_pair)[1]
+        assert lct(cross2_pair, gp) == 1
+        assert max_pairing(cross2_pair, gp) == 0
 
     def test_trivial_group_on_cube(self):
         dp = dual(fixtures.cross_polytope(2))  # P is the square

@@ -6,6 +6,7 @@ import re
 import types
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 import toricfano
 from test_polytope import _greatest_ratio
 from toricfano import fixtures, measures, polytope
+from toricfano import io as scan_io
 from toricfano.cli import main
 from toricfano.io import (
     ParseError,
@@ -109,9 +111,10 @@ class TestParse:
         assert exc.value.line_no == 1
 
     def test_corpus_round_trip(self):
-        pf = parse(fixtures.corpus_text())
+        entries = fixtures.corpus_entries()
+        pf = parse(fixtures.corpus_text(entries))
         assert len(pf.entries) >= 14
-        assert pf.names() == [e[0] for e in fixtures.corpus_entries()]
+        assert [(name, rows) for name, _, rows in pf.entries] == [(name, tuple(rows)) for name, rows in entries]
 
 
 class TestFormatting:
@@ -211,13 +214,18 @@ class TestNoReferenceCycles:
         assert leaked == []
 
 
+STAGES = ("cone_measures", "fano_index", "check_eq1", "check_conj11", "check_ehrhart_bound", "check_bishop")
+
+
+def _counted(fn, counts, name):
+    return lambda *args, **kwargs: counts.update([name]) or fn(*args, **kwargs)
+
+
 class TestOnePassPerEntry:
-    def test_vertex_cones_built_once_per_smooth_entry(self, monkeypatch):
-        built = []
-        cones = measures.vertex_cones
-        monkeypatch.setattr(measures, "vertex_cones", lambda p: built.append(p) or cones(p))
-        # smooth entries within the default Ehrhart cap (dim <= 5) and above it
-        # (dims 6 and 7), and a cube, which is not smooth
+    @staticmethod
+    def _scan():
+        """A --conjectures scan of smooth entries within the default Ehrhart cap
+        (dim <= 5) and above it (dims 6 and 7), and a cube, which is not smooth."""
         polytopes = [
             ("p1", fixtures.simplex_fano(1)),
             ("p2", fixtures.simplex_fano(2)),
@@ -234,7 +242,23 @@ class TestOnePassPerEntry:
         smooth = [r for r in reports if r["is_smooth_fano"]]
         assert len(smooth) == len(entries) - 1
         assert {"ehrhart" in r for r in smooth} == {True, False}
+        return smooth
+
+    def test_vertex_cones_built_once_per_smooth_entry(self, monkeypatch):
+        built = []
+        cones = measures.vertex_cones
+        monkeypatch.setattr(measures, "vertex_cones", lambda p: built.append(p) or cones(p))
+        smooth = self._scan()
         assert len(built) == len(smooth)
+
+    def test_each_stage_called_once_per_smooth_entry(self, monkeypatch):
+        counts = Counter()
+        for name in STAGES:
+            monkeypatch.setattr(scan_io, name, _counted(getattr(scan_io, name), counts, name))
+        smooth = self._scan()
+        eq1 = sum(2 <= r["dim"] <= ScanOptions().ehrhart_max_dim for r in smooth)
+        assert 0 < eq1 < len(smooth)
+        assert counts == {**dict.fromkeys(STAGES, len(smooth)), "check_eq1": eq1}
 
 
 class TestScanEmit:
@@ -400,6 +424,16 @@ class TestCLI:
             main(["check", "/nonexistent/file.txt"])
         assert exc.value.code == 1
         assert capsys.readouterr().err == "error: /nonexistent/file.txt: No such file or directory\n"
+
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(GOOD.encode() + b"\xff\xfe")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(path)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
 
     def test_unwritable_out_exit_code(self, good_file, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"

@@ -126,3 +126,9 @@ def test_no_private_imports_across_modules():
                 offenders += [f"{path.name}:{node.lineno}: {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_ehrhart_cap_read_only_by_io_and_cli():
+    """The scan's Ehrhart cap is decided in ``io`` (set from ``cli``), not again in a check."""
+    readers = [path.name for path in SOURCES if "ehrhart_max_dim" in path.read_text()]
+    assert readers == ["cli.py", "io.py"]
