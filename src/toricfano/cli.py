@@ -16,7 +16,7 @@ from .polytope import PolytopeError, dual, hull, is_smooth_fano
 
 def _load(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:    # a byte-order mark is not text
             text = fh.read()
     except OSError as exc:
         print(f"error: {path}: {exc.strerror}", file=sys.stderr)

@@ -17,15 +17,19 @@ from .symmetry import SymmetryGroup, automorphism_group, fixed_space, index_orbi
 
 @dataclass(frozen=True)
 class KEVerdict:
-    is_ke: bool
+    """The three facts of a verdict; every other name is one of them by an identity.
+
+    alpha is the group-invariant lct, Fix(G) and Fix(G^T) have one dimension,
+    and Tian's condition holds exactly when that space is zero (``full_verdict``).
+    """
     barycenter: tuple
-    is_symmetric: bool
-    fixed_dim: int
-    fixed_dim_dual: int
     fixed_basis: tuple     # primitive basis of the Fano-side fixed space
-    alpha: Fraction
     lct: Fraction
-    tian_holds: bool
+
+    is_ke = property(lambda self: not any(self.barycenter))
+    fixed_dim = fixed_dim_dual = property(lambda self: len(self.fixed_basis))
+    is_symmetric = tian_holds = property(lambda self: not self.fixed_basis)
+    alpha = property(lambda self: self.lct)
 
 
 def max_pairing(dp: DualPair, g: SymmetryGroup) -> Fraction:
@@ -66,15 +70,13 @@ def alpha_invariant(dp: DualPair) -> Fraction:
     return lct(dp, automorphism_group(dp)[1])
 
 
-def tian_condition(dp: DualPair, g: SymmetryGroup = None) -> bool:
-    """True iff the fixed-space slice of P is the single point {0}.
+def tian_condition(dp: DualPair, g: SymmetryGroup) -> bool:
+    """True iff the fixed-space slice of P is the single point {0}; ``g`` acts on the dual side.
 
     Equivalent to lct > n/(n+1); since the slice is full-dimensional in the
     fixed space with the origin interior, it degenerates to {0} exactly when
     the fixed space itself is zero.
     """
-    if g is None:
-        g = automorphism_group(dp)[1]
     return fixed_space(g).dim == 0
 
 
@@ -91,17 +93,4 @@ def full_verdict(dp: DualPair, groups=None, measured=None) -> KEVerdict:
         groups = automorphism_group(dp)
     if measured is None:
         measured = cone_measures(dp.p)
-    fs_q = fixed_space(groups[0])
-    threshold = lct(dp, groups[1])
-    bary = measured[1]
-    return KEVerdict(
-        is_ke=all(b == 0 for b in bary),
-        barycenter=bary,
-        is_symmetric=fs_q.dim == 0,
-        fixed_dim=fs_q.dim,
-        fixed_dim_dual=fs_q.dim,
-        fixed_basis=fs_q.basis,
-        alpha=threshold,
-        lct=threshold,
-        tian_holds=fs_q.dim == 0,
-    )
+    return KEVerdict(measured[1], fixed_space(groups[0]).basis, lct(dp, groups[1]))

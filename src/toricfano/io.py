@@ -187,20 +187,18 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     n = dp.p.dim
     report["is_reflexive"] = dp.p.is_reflexive()
     groups = automorphism_group(dp)
-    gq, gp = groups
     measured = cone_measures(dp.p, with_ehrhart=n <= options.ehrhart_max_dim)
     verdict = full_verdict(dp, groups=groups, measured=measured)
     report["barycenter"] = _plain(verdict.barycenter)
     report["is_ke"] = verdict.is_ke
     report["is_symmetric"] = verdict.is_symmetric
-    report["group_order"] = gq.order
-    report["group_order_dual"] = gp.order
-    report["fixed_dim"] = verdict.fixed_dim
-    report["fixed_dim_dual"] = verdict.fixed_dim_dual
+    # each pair of twin keys is one value: transport_group copies the order,
+    # the fixed spaces share a dimension, and alpha is the lct
+    report["group_order"] = report["group_order_dual"] = groups[0].order
+    report["fixed_dim"] = report["fixed_dim_dual"] = verdict.fixed_dim
     report["fixed_generator"] = _plain(verdict.fixed_basis[0]) if verdict.fixed_dim == 1 else None
     report["vertex_sum"] = _plain(vertex_sum(q))
-    report["alpha"] = fmt_rat(verdict.alpha)
-    report["lct"] = fmt_rat(verdict.lct)
+    report["alpha"] = report["lct"] = fmt_rat(verdict.lct)
     report["tian_holds"] = verdict.tian_holds
     vol, _, _, poly = measured
     report["volume"] = fmt_rat(vol)

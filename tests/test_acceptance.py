@@ -5,8 +5,10 @@ whole-corpus analysis is shared through the session-scoped
 ``corpus_reports`` fixture.
 """
 
+import re
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -269,3 +271,15 @@ class TestCriterion12ScanEndToEnd:
         second = emit(scan(pf, options))
         parallel = emit(scan(pf, ScanOptions(conjectures=True, ehrhart_max_dim=5, jobs=2)))
         assert first == second == parallel
+
+
+def test_readme_library_snippets_run():
+    """The README's ``## Library`` code blocks run, in order, in one namespace."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec", optimize=0), namespace)    # asserts run under -O too
+    assert namespace["v"].is_symmetric and namespace["b"].sharp

@@ -57,7 +57,7 @@ class TestAlphaTian:
     def test_symmetric_alpha_is_one(self, p2_pair, hexagon_pair):
         for dp in [p2_pair, hexagon_pair]:
             assert alpha_invariant(dp) == 1
-            assert tian_condition(dp)
+            assert tian_condition(dp, automorphism_group(dp)[1])
 
     def test_headline_nonsymmetric_values(self, q1_pair, q1_groups):
         assert alpha_invariant(q1_pair) == Fraction(1, 2)

@@ -11,10 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricfano
+from test_measures import PRODUCT_PAIRS, _free_sum_rows
 from test_polytope import _greatest_ratio
-from toricfano import fixtures, measures, polytope
+from test_symmetry import _elementary_unimodular
+from toricfano import criteria, fixtures, measures, polytope
 from toricfano import io as scan_io
 from toricfano.cli import main
 from toricfano.io import (
@@ -26,6 +30,7 @@ from toricfano.io import (
     parse,
     scan,
 )
+from toricfano.linalg import mat_vec, matrix_inverse_unimodular, transpose
 from toricfano.measures import volume_and_barycenter
 from toricfano.polytope import free_sum
 
@@ -215,6 +220,8 @@ class TestNoReferenceCycles:
 
 
 STAGES = ("cone_measures", "fano_index", "check_eq1", "check_conj11", "check_ehrhart_bound", "check_bishop")
+# (module, name) of every per-entry stage, patched where the scan calls it
+PATCHED = [(scan_io, name) for name in STAGES + ("automorphism_group",)] + [(criteria, "fixed_space")]
 
 
 def _counted(fn, counts, name):
@@ -253,12 +260,61 @@ class TestOnePassPerEntry:
 
     def test_each_stage_called_once_per_smooth_entry(self, monkeypatch):
         counts = Counter()
-        for name in STAGES:
-            monkeypatch.setattr(scan_io, name, _counted(getattr(scan_io, name), counts, name))
+        for module, name in PATCHED:
+            monkeypatch.setattr(module, name, _counted(getattr(module, name), counts, name))
         smooth = self._scan()
         eq1 = sum(2 <= r["dim"] <= ScanOptions().ehrhart_max_dim for r in smooth)
         assert 0 < eq1 < len(smooth)
-        assert counts == {**dict.fromkeys(STAGES, len(smooth)), "check_eq1": eq1}
+        assert counts == {**{name: len(smooth) for _, name in PATCHED}, "check_eq1": eq1}
+
+
+# Q's vertex rows for the whole-entry metamorphic test: fixtures and the
+# small-fano free sums
+LATTICE_SOURCES = [
+    ("p2", fixtures.simplex_fano(2).vertices),
+    ("cross3", fixtures.cross_polytope(3).vertices),
+    ("hexagon", fixtures.hexagon().vertices),
+    ("cx5", fixtures.CX5_VERTICES),
+    ("q1", fixtures.Q1_VERTICES),
+] + [("+".join(pair), tuple(_free_sum_rows(pair))) for pair in PRODUCT_PAIRS]
+# report keys a change of lattice basis leaves unchanged
+BASIS_FREE_KEYS = (
+    "is_smooth_fano", "is_reflexive", "is_ke", "is_symmetric", "group_order", "group_order_dual",
+    "fixed_dim", "fixed_dim_dual", "alpha", "lct", "tian_holds", "volume", "degree", "fano_index", "ehrhart",
+)
+
+
+def _basis_free(r):
+    conj = r["conjectures"]
+    return (
+        {k: r.get(k) for k in BASIS_FREE_KEYS},
+        {k: conj[k] for k in ("eq1", "ehrhart_bound", "bishop")},
+        Counter(f["feasible"] for f in conj["conj11"]),
+    )
+
+
+@given(st.sampled_from(LATTICE_SOURCES), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_whole_entry_under_lattice_basis_change(source, rng):
+    """analyze_entry(U Q) is analyze_entry(Q) moved by U in GL(n, Z), rows shuffled.
+
+    Q's vectors (vertex sum, fixed generator up to sign) map by U, and P's
+    barycenter by U^-T, since P = Q* is moved by the inverse transpose.
+    """
+    name, rows = source
+    u = _elementary_unimodular(len(rows[0]), rng)
+    moved = [mat_vec(u, v) for v in rows]
+    rng.shuffle(moved)
+    options = ScanOptions(conjectures=True)
+    r, ru = analyze_entry((name, len(u), rows), options), analyze_entry((name, len(u), moved), options)
+    assert r["is_smooth_fano"]
+    assert _basis_free(ru) == _basis_free(r)
+    inverse_transpose = transpose(matrix_inverse_unimodular(u))
+    assert ru["barycenter"] == [fmt_rat(b) for b in mat_vec(inverse_transpose, [Fraction(b) for b in r["barycenter"]])]
+    assert ru["vertex_sum"] == list(mat_vec(u, r["vertex_sum"]))
+    if r["fixed_generator"] is not None:
+        g = mat_vec(u, r["fixed_generator"])
+        assert ru["fixed_generator"] in (list(g), [-x for x in g])
 
 
 class TestScanEmit:
@@ -434,6 +490,20 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsysbinary):
+        path = tmp_path / "bom.txt"
+        outs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(mark + GOOD.encode())
+            assert main(["check", str(path)]) == 0
+            outs.append(capsysbinary.readouterr().out)
+        assert outs[0] == outs[1] != b""
+        path.write_bytes(b"\xef\xbb\xbf" + GOOD.encode() + b"\xff\xfe")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(path)])
+        assert exc.value.code == 1
+        assert capsysbinary.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode".encode())
 
     def test_unwritable_out_exit_code(self, good_file, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"
