@@ -7,7 +7,6 @@ be recomputed from the record.  The metric checkers read P's
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 from .linalg import dot
@@ -100,12 +99,8 @@ def facet_adjacency(p):
     vertex; ``vertex_facets`` reads the facets at each vertex off P's
     incidence and raises ``MeasureError`` if P is not simple.
     """
-    adjacency = {i: set() for i in range(len(p.facets))}
-    for facets in vertex_facets(p):
-        for i, j in combinations(facets, 2):
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-    return adjacency
+    at = vertex_facets(p)
+    return {i: set().union(*(at[v] for v in f.vertex_indices)) - {i} for i, f in enumerate(p.facets)}
 
 
 def check_ehrhart_bound(dp: DualPair, measured) -> EhrhartBoundRecord:

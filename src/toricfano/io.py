@@ -133,12 +133,9 @@ def unparse(entries):
 
 
 def fmt_rat(x):
-    f = Fraction(x)
-    if f == 0:
-        return "0"
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _plain(x):

@@ -81,22 +81,13 @@ def vertex_cones(p: LatticePolytope):
     return tuple(out)
 
 
-def _generic_functional(cones, n):
-    """c = (1, N, ..., N^(n-1)) with <c, e> != 0 on every edge e.
-
-    With N = 2 max|e_k| + 1 every coordinate is a balanced base-N digit, and
-    a nonzero digit string has a nonzero value.
-    """
-    big = max(abs(x) for _, edges in cones for e in edges for x in e)
-    return tuple((2 * big + 1) ** k for k in range(n))
-
-
 def cone_measures(p: LatticePolytope, with_ehrhart=False):
     """vol, barycenter, ridge volume and Ehrhart polynomial of P, from one pass over its vertex cones.
 
-    With c from ``_generic_functional``, a_j = -<c, e_j> for the edges e_j
-    at a vertex v (``vertex_cones``), pi = prod_j a_j and s = <c, v>, the
-    Brion-Lawrence formula on the unimodular vertex cones gives:
+    With c = (1, k, ..., k^(n-1)) for the least k >= 2 that makes every
+    a_j = -<c, e_j> nonzero, e_j the edges at a vertex v (``vertex_cones``),
+    pi = prod_j a_j and s = <c, v>, the Brion-Lawrence formula on the
+    unimodular vertex cones gives:
 
     - vol = sum_v s^n / (n! pi), and the integral of x is the c-gradient of
       sum_v s^(n+1) / ((n+1)! pi), that is
@@ -120,11 +111,16 @@ def cone_measures(p: LatticePolytope, with_ehrhart=False):
     """
     n = p.dim
     cones = vertex_cones(p)
-    c = _generic_functional(cones, n)
-    terms = []
-    for v, (_, edges) in zip(p.vertices, cones):
-        a = [-dot(c, e) for e in edges]
-        terms.append((v, edges, a, prod(a), dot(c, v)))
+    # the loop ends by k = 2 max|e| + 1: each edge is then a nonzero string of balanced base-k digits
+    k, terms = 2, []
+    while len(terms) < len(cones):
+        c, terms = [k**i for i in range(n)], []
+        for v, (_, edges) in zip(p.vertices, cones):
+            a = [-dot(c, e) for e in edges]
+            if not (pi := prod(a)):
+                k += 1
+                break
+            terms.append((v, edges, a, pi, dot(c, v)))
     d = lcm(*(t[3] for t in terms))
     if with_ehrhart:
         big, nonzero = _todd_series(n)
@@ -399,6 +395,6 @@ def fano_index(p: LatticePolytope):
     v0 = p.vertices[0]
     g = 0
     for w in p.vertices[1:]:
-        for x in vec_sub(w, v0):
-            g = gcd(g, abs(x))
+        if (g := gcd(g, *vec_sub(w, v0))) == 1:
+            break
     return g

@@ -300,10 +300,7 @@ def is_smooth_fano(p: LatticePolytope):
     if not p.contains_origin_interior():
         return False, "origin is not strictly interior"
     for v in p.vertices:
-        g = 0
-        for x in v:
-            g = gcd(g, abs(x))
-        if g != 1:
+        if gcd(*v) != 1:
             return False, f"vertex {v} is not primitive"
     for f in p.facets:
         vs = p.facet_vertices(f)

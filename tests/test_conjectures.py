@@ -38,6 +38,8 @@ FIXTURE_DUALS = [
 ]
 FIXTURE_DUAL_IDS = [*(f"p{n}" for n in range(1, 5)), *(f"cross{n}" for n in range(2, 5)),
                     "hexagon", "cx5"]
+# two of PRODUCT_PAIRS: their duals are products, where a facet meets facets of both factors
+ADJACENCY_PAIRS = [("bl1", "bl2"), ("seg", "p4")]
 
 
 def _conj11_per_facet(dp):
@@ -128,9 +130,10 @@ class TestConj11:
         "make",
         [*(lambda n=n: fixtures.simplex_fano(n) for n in range(1, 5)),
          *(lambda n=n: fixtures.cross_polytope(n) for n in range(2, 5)),
-         fixtures.hexagon, fixtures.cx5, fixtures.q1],
+         fixtures.hexagon, fixtures.cx5, fixtures.q1,
+         *(lambda pair=pair: free_sum(*(hull(SUMMANDS[s]) for s in pair)) for pair in ADJACENCY_PAIRS)],
         ids=[*(f"p{n}" for n in range(1, 5)), *(f"cross{n}" for n in range(2, 5)),
-             "hexagon", "cx5", "q1"],
+             "hexagon", "cx5", "q1", *("+".join(pair) for pair in ADJACENCY_PAIRS)],
     )
     def test_adjacency_matches_ridges(self, make):
         p = dual(make()).p

@@ -465,6 +465,24 @@ class TestVertexFormula:
         assert (vol, bary) == expected
         assert ridges == codim2_volume(p) == _codim2_volume_by_ridges(p)
 
+    @pytest.mark.parametrize("name, k", [("cx5_pair", 3), ("q1_pair", 2)])
+    def test_functional_takes_the_least_k(self, request, monkeypatch, name, k):
+        # an edge of cx5's P is orthogonal to (1, 2, 4, 8, 16), so its pass restarts with k = 3;
+        # no edge of q1's P is orthogonal to (1, 2, 4, ...), so its pass takes k = 2 at once
+        p = request.getfixturevalue(name).p
+        edges = [e for _, es in vertex_cones(p) for e in es]
+        powers = {j: tuple(j**i for i in range(p.dim)) for j in range(2, k + 1)}
+        assert [any(dot(powers[j], e) == 0 for e in edges) for j in powers] == [j < k for j in powers]
+        tried = set()
+
+        def spy(u, v):
+            tried.add(tuple(u))
+            return dot(u, v)
+
+        monkeypatch.setattr(measures, "dot", spy)
+        assert cone_measures(p)[:2] == _volume_and_barycenter_triangulated(p)
+        assert tried == set(powers.values())
+
     def test_edges_invert_the_facet_normals(self, cx5_pair):
         p = cx5_pair.p
         for facets, edges in vertex_cones(p):
