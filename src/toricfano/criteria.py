@@ -1,9 +1,10 @@
 """Headline decision procedures for smooth toric Fano dual pairs.
 
 Everything here is an exact comparison; no tolerances appear anywhere.
-The alpha-invariant and the group-invariant lct are one number, read off the
-group average of vert(P), which is the centroid of each vertex orbit (see
-``max_pairing`` and ``alpha_invariant``).
+The alpha-invariant and the group-invariant lct are one number, the max
+pairing of vert(P) with the group average of vert(Q): the average of a
+vertex is the centroid of its orbit (see ``max_pairing`` and
+``alpha_invariant``).
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from fractions import Fraction
 from .linalg import dot
 from .measures import cone_measures
 from .polytope import DualPair
-from .symmetry import SymmetryGroup, automorphism_group, fixed_space, index_orbit, vertex_permutations
+from .symmetry import SymmetryGroup, automorphism_group, fixed_space, index_orbit, transport_group, vertex_permutations
 
 
 @dataclass(frozen=True)
@@ -36,21 +37,21 @@ def max_pairing(dp: DualPair, g: SymmetryGroup) -> Fraction:
     """max{<w, v> : w in P_G, v in vert(Q)} for a dual-side group g.
 
     P is convex and G-invariant, so the slice P_G = P cut by Fix(G) is the
-    image of P under the group average.  A linear function therefore has
-    the same maximum over P_G as over the averages of vert(P).  The average
-    of w is the centroid of its orbit O, found by index over g's vertex
-    permutations, so each orbit gives the integer pairings <sum(O), v> over
-    |O|.
+    image of P under the group average pi.  A linear function therefore has
+    the same maximum over P_G as over pi(vert(P)).  <pi w, v> = <w, pi^T v>,
+    and pi^T v is the centroid of v's orbit O under g^T, the Fano-side group
+    ``transport_group(g)``, which permutes vert(Q).  So each orbit O of
+    vert(Q), found by index, gives the integer pairings <w, sum(O)> over |O|.
     """
-    verts = dp.p.vertices
-    perms = vertex_permutations(g, verts)
+    verts = dp.q.vertices
+    perms = vertex_permutations(transport_group(g), verts)
     seen, best = set(), []
     for i in range(len(verts)):
         if i not in seen:
             orbit = index_orbit(i, perms)
             seen.update(orbit)
             s = tuple(map(sum, zip(*(verts[j] for j in orbit))))
-            best.append(Fraction(max(dot(s, v) for v in dp.q.vertices), len(orbit)))
+            best.append(Fraction(max(dot(w, s) for w in dp.p.vertices), len(orbit)))
     return max(best)
 
 

@@ -110,7 +110,7 @@ def parse(text) -> PolytopeFile:
             if len(rows) == nverts:
                 state = "end"
         elif state == "end":
-            if tokens[0] != "end":
+            if tokens != ["end"]:
                 raise ParseError(line_no, "expected 'end'")
             entries.append((name, dim, tuple(rows)))
             state = "top"

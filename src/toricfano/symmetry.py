@@ -20,12 +20,12 @@ basis (Sims 1970): G_k fixes b_0 .. b_{k-1}.  Built for k = n-1 down to 0,
 every generator found so far lies in G_k, and each candidate image t of b_k
 outside the orbit of b_k under them gets one search for an element of G_k
 with b_k -> t; a failed t rules out its orbit.  Then the orbit Delta_k of
-b_k is all of G_k b_k, and |G| = prod |Delta_k|.  Each generator is a
-matrix and the vertex permutation the search read off: orbits are index
-maps and fixed spaces read the matrices; no element list is built.
+b_k is all of G_k b_k, and |G| = prod |Delta_k|.  The group keeps only
+the generators' matrices: the search's vertex permutations stay local to
+it, for those orbits, and no element list is built.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .linalg import adjugate, kernel_basis, mat_mul, mat_vec, matrix_inverse_unimodular, transpose
 from .polytope import DualPair, LatticePolytope, PolytopeError
@@ -38,7 +38,6 @@ class SymmetryGroup:
     dim: int
     generators: tuple      # matrices (tuples of row tuples) generating the group
     order: int
-    perms: tuple = field(default=None, compare=False, repr=False)  # each generator on the vertex indices
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
         order *= len(orbit)
 
     generators = tuple(mat_mul(transpose([verts[p[i]] for i in base]), b0_inv) for p in perms)
-    return SymmetryGroup(dim=n, generators=generators, order=order, perms=tuple(perms))
+    return SymmetryGroup(dim=n, generators=generators, order=order)
 
 
 def _first_assignment(search, images, options, perm):
@@ -149,13 +148,7 @@ def index_orbit(i, perms):
 
 
 def vertex_permutations(g: SymmetryGroup, points):
-    """g's generators as permutations of the indices of ``points``, the vertices g permutes.
-
-    The search leaves them in ``g.perms``; a group given by matrices alone
-    gets them by one ``mat_vec`` per point and generator.
-    """
-    if g.perms is not None:
-        return g.perms
+    """g's generators as permutations of the indices of ``points``, the vertices g permutes."""
     index = {v: i for i, v in enumerate(points)}
     return tuple(tuple(index[mat_vec(a, v)] for v in points) for a in g.generators)
 
@@ -171,22 +164,9 @@ def transport_group(g: SymmetryGroup) -> SymmetryGroup:
 
 
 def automorphism_group(dp: DualPair):
-    """Groups of the Fano side and the dual side of a dual pair.
-
-    P's vertex i is Q's facet i, so a permutation of vert(Q) moves it to the
-    facet through the images of its vertices: that is a^-T on vert(P), and
-    the dual generator a^T = (a^-1)^-T acts by the inverse permutation.
-    """
-    q = dp.q
-    gq = polytope_automorphisms(q)
-    facet_index = {f.vertex_indices: i for i, f in enumerate(q.facets)}
-    dual_perms = []
-    for perm in gq.perms:
-        inverse = [0] * len(q.facets)
-        for i, f in enumerate(q.facets):
-            inverse[facet_index[frozenset(perm[j] for j in f.vertex_indices)]] = i
-        dual_perms.append(tuple(inverse))
-    return gq, replace(transport_group(gq), perms=tuple(dual_perms))
+    """Groups of the Fano side and the dual side of a dual pair."""
+    gq = polytope_automorphisms(dp.q)
+    return gq, transport_group(gq)
 
 
 def fixed_space(g: SymmetryGroup) -> FixedSpace:

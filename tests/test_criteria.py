@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_measures import PRODUCT_PAIRS, SUMMANDS
-from test_symmetry import PAIRS, _elementary_unimodular, closure, groups_of, smallest_cyclic_subgroup
+from test_symmetry import (  # unimodular_cx5_pair is a fixture: importing registers it here
+    PAIRS,
+    _elementary_unimodular,
+    closure,
+    groups_of,
+    smallest_cyclic_subgroup,
+    unimodular_cx5_pair,
+)
 from toricfano import fixtures
 from toricfano.criteria import (
     alpha_invariant,
@@ -170,7 +177,7 @@ def assert_matches_sum_oracle(dp, gp):
 
 
 class TestMaxPairingBySum:
-    @pytest.mark.parametrize("name", PAIRS + ["q1_pair"])
+    @pytest.mark.parametrize("name", PAIRS + ["q1_pair", "q2_pair", "unimodular_cx5_pair"])
     def test_fixture(self, request, name):
         assert_matches_sum_oracle(request.getfixturevalue(name), groups_of(request, name)[1])
 

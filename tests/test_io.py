@@ -99,6 +99,7 @@ class TestParse:
             ("polytope a\ndim 2\nvertices 1\n1 q\nend\n", 4),    # bad token
             ("bogus a\n", 1),                         # wrong keyword
             ("polytope a b\n", 1),                    # extra name token
+            ("polytope a\ndim 1\nvertices 2\n1\n-1\nend junk\n", 6),    # extra token after 'end'
         ],
     )
     def test_error_line_numbers(self, text, line_no):
@@ -257,6 +258,15 @@ class TestOnePassPerEntry:
         monkeypatch.setattr(measures, "vertex_cones", lambda p: built.append(p) or cones(p))
         smooth = self._scan()
         assert len(built) == len(smooth)
+
+    def test_vertex_permutations_only_of_q(self, monkeypatch):
+        """The lct pairs vert(P) with orbit averages of vert(Q): no entry permutes vert(P)."""
+        sizes = []
+        permute = criteria.vertex_permutations
+        monkeypatch.setattr(criteria, "vertex_permutations",
+                            lambda g, points: sizes.append(len(points)) or permute(g, points))
+        smooth = self._scan()
+        assert sizes == [r["n_vertices"] for r in smooth]
 
     def test_each_stage_called_once_per_smooth_entry(self, monkeypatch):
         counts = Counter()
