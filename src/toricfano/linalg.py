@@ -101,17 +101,20 @@ def bareiss_pivot(a, r, c, d):
     for i, row in enumerate(a):
         aic = row[c]
         if i != r and (aic or pivot != d):
-            a[i] = [(pivot * x - aic * y) // d for x, y in zip(row, row_r)]
+            a[i] = ([x - aic * y for x, y in zip(row, row_r)] if pivot == d == 1    # between unimodular bases
+                    else [(pivot * x - aic * y) // d for x, y in zip(row, row_r)])
     return pivot
 
 
 def integer_rows(rows):
-    """Each row scaled by the lcm of its denominators: the same row space over Z."""
+    """Each row scaled by the lcm of its denominators: the same row space over Z (an ``int`` row as it is)."""
     out = []
     for row in rows:
-        row = [x if isinstance(x, int) else Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
+        if not all(type(x) is int for x in row):
+            row = [x if isinstance(x, int) else Fraction(x) for x in row]
+            den = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (den // x.denominator) for x in row]
+        out.append(list(row))
     return out
 
 
@@ -147,6 +150,12 @@ def adjugate(m):
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return d, tuple(tuple(row[n:]) for row in a)
+
+
+def inverse_columns(m):
+    """(det(m), the columns of |det(m)| m^-1) of a square integer matrix, the form of ``Facet.inverse``."""
+    d, adj = adjugate(m)
+    return d, tuple(zip(*adj)) if d > 0 else tuple(tuple(-x for x in col) for col in zip(*adj))
 
 
 def solve_exact(a, b):

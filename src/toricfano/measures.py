@@ -14,11 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import factorial, gcd, lcm, prod
-from operator import index, mul, neg
+from operator import index, mul
 
 from .linalg import (
-    adjugate,
     dot,
+    inverse_columns,
     kernel_basis,
     rank,
     rref,
@@ -67,17 +67,17 @@ def vertex_cones(p: LatticePolytope):
     the rows of U_v are the normals of the facets through v, so
     <u_i, e_j> = delta_ij: e_j runs along the facets other than the j-th
     and is a lattice basis together with the others.  For P = Q*, U_v is
-    the vertex matrix of Q's facet v, so ``dual`` hands over the hull's
-    adjugate of it; only a P built otherwise is eliminated here.
+    the vertex matrix of Q's facet v, so ``dual`` hands over its
+    ``Facet.inverse``, the edges as they stand; only a P built otherwise is
+    inverted here (``inverse_columns``).
     """
     at = vertex_facets(p)
     out = []
-    for v, facets, known in zip(p.vertices, at, p.cone_adjugates or [None] * len(at)):
-        d, adj = known or adjugate([p.facets[fi].normal for fi in facets])
+    for v, facets, known in zip(p.vertices, at, p.cone_inverses or [None] * len(at)):
+        d, edges = known or inverse_columns([p.facets[fi].normal for fi in facets])
         if d not in (1, -1):
             raise MeasureError(f"vertex {v} has a cone of determinant {d}, not unimodular")
-        cols = tuple(zip(*adj))
-        out.append((tuple(facets), cols if d == 1 else tuple(tuple(map(neg, col)) for col in cols)))
+        out.append((tuple(facets), edges))
     return tuple(out)
 
 

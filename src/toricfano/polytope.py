@@ -10,7 +10,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import index
 
 from .linalg import (
@@ -18,6 +18,7 @@ from .linalg import (
     bareiss_pivot,
     det,
     dot,
+    inverse_columns,
     kernel_basis,
     rank,
     rref,
@@ -51,7 +52,7 @@ class Facet:
     normal: tuple          # primitive integer vector u
     rhs: int               # inequality <u, x> >= rhs
     vertex_indices: frozenset
-    adjugate: tuple = field(default=None, compare=False, repr=False)  # (det, adj) of the vertex matrix
+    inverse: tuple = field(default=None, compare=False, repr=False)  # vertex matrix B: (det B, columns of |det B| B^-1)
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class LatticePolytope:
     dim: int
     vertices: tuple        # sorted tuple of integer coordinate tuples
     facets: tuple          # of Facet, sorted by (normal, rhs)
-    cone_adjugates: tuple = field(default=None, compare=False)  # (det, adj) of each vertex cone
+    cone_inverses: tuple = field(default=None, compare=False)  # Facet.inverse of each vertex cone
 
     @property
     def n_vertices(self):
@@ -93,8 +94,8 @@ def hull(points):
     points on it start ``_wrap``.  The walk needs the origin strictly
     inside; when the first facet or a pivot shows it is not, it runs again
     on the points moved by the barycentre of that basis and a point off it,
-    times n + 1.  ``Facet.adjugate`` of a facet of n points off the origin,
-    (det, adj) of its vertex matrix, rows in vertex order, comes off the
+    times n + 1.  ``Facet.inverse`` of a facet of n points off the origin,
+    (det B, columns of |det B| B^-1) of its vertex matrix B, is read off the
     walk's tableau (one elimination per smooth Fano polytope), or afresh
     after a move.  A point is a vertex exactly when the facets through it
     meet in that point alone.  Points in a hyperplane leave a tilt no point
@@ -125,17 +126,18 @@ def hull(points):
         if wrapped is None:
             raise HullInvariantError("a pivot found no point to stop at around an inner point")
         facets = {(u, (b + dot(u, c)) // (n + 1)): inc for (u, b), inc in wrapped[0].items()}
-        wrapped = facets, {key: adjugate([pts[i] for i in sorted(inc)])
+        wrapped = facets, {key: inverse_columns([pts[i] for i in sorted(inc)])
                            for key, inc in facets.items() if key[1] and len(inc) == n}
-    facets, adjugates = wrapped
+    facets, inverses = wrapped
     face_of = [None] * len(pts)    # smallest face through each point
     for inc in facets.values():
         for i in inc:
             face_of[i] = inc if face_of[i] is None else face_of[i] & inc
     verts = [i for i, face in enumerate(face_of) if face is not None and len(face) == 1]
     vert_of = {i: k for k, i in enumerate(verts)}
-    facets = tuple(Facet(u, b, frozenset(vert_of[i] for i in inc if i in vert_of), adjugates.get((u, b)))
-                   for (u, b), inc in sorted(facets.items()))
+    same = len(verts) == len(pts)    # every point is a vertex, at its own index
+    facets = tuple(Facet(u, b, inc if same else frozenset(vert_of[i] for i in inc if i in vert_of),
+                         inverses.get((u, b))) for (u, b), inc in sorted(facets.items()))
     return LatticePolytope(n, tuple(pts[i] for i in verts), facets)
 
 
@@ -166,47 +168,50 @@ def _wrap(pts, first):
     infinitesimal, smaller the later it comes in ``rank`` (by index, then
     ``first``): so ``first`` is lexicographically feasible, every basis
     stays so, and the bases are the simplices of one triangulation of the
-    boundary, each of its ridges in two.  A new basis registers its n ridges and only a ridge whose
-    second basis is unknown is pivoted: one elimination, then one
-    ``_exchange`` per basis, O(#bases * n * m).  Bases of equal (u, b) are
-    one facet.  Returns {(primitive inward u, b): frozenset of the indices
-    of the points with <u, p> = b} and {(u, b): (det, adj) of the vertex
-    matrix} for facets of n points, or None when a pivot finds no
-    lambda_j < 0, as then the origin is not strictly inside.
+    boundary, each of its ridges in two.  A ridge, the basis's point bitmask
+    less one bit, is closed for good by its second basis, and a basis on
+    ``todo`` resumes at its next unchecked ridge: so a basis costs one
+    ``_exchange``, O((n + 1)(m + n)), and O(n) bookkeeping.  Bases of equal
+    (u, b) are one facet.  Returns {(primitive inward u, b): frozenset of
+    the points with <u, p> = b}, {(u, b): (det B, columns of |det B| B^-1)
+    off the tableau} for facets of n points B, or None when a pivot finds
+    no lambda_j < 0, as then the origin is not strictly inside.
     """
     n, m = len(pts[0]), len(pts)
     rank = [i + m * (i in first) for i in range(m)]
-    facets, adjugates, open_ridges, todo = {}, {}, set(), []
-    tab = _tableau(pts, first)
+    facets, inverses, open_ridges, todo = {}, {}, set(), []
+    tab, mask = _tableau(pts, first), sum(1 << f for f in first)    # the basis's points, as bits
     while tab:
         basis, d, cols, sign = tab
         slack = cols[n]
         on = [k for k in range(m) if not slack[k]]
         # lexicographically feasible: of a point on the hyperplane and the f_i with lambda_i != 0,
-        # the first by rank is that point or has lambda_i < 0
-        if min(slack[:m]) < 0 or any(k not in basis and min([(rank[k], d)] + [
+        # the first by rank is that point or has lambda_i < 0 (vacuous when the basis is all of it)
+        if min(slack[:m]) < 0 or len(on) > n and any(k not in basis and min([(rank[k], d)] + [
                 (rank[f], -col[k]) for f, col in zip(basis, cols) if col[k]])[1] < 0 for k in on):
             raise HullInvariantError(f"basis {basis} is not lexicographically feasible")
         g = gcd(*slack[m:])
-        key = (tuple([x // g for x in slack[m:]]), -d // g)
+        key = (tuple(slack[m:]) if g == 1 else tuple([x // g for x in slack[m:]]), -d // g)
         if key not in facets:
             facets[key] = frozenset(on)
             if len(on) == n:
-                adjugates[key] = (sign * d, tuple(zip(*([sign * x for x in col[m:]] for col in cols[:n]))))
-        ridges = [tuple(basis[:j] + basis[j + 1:]) for j in range(n)]
+                inverses[key] = (sign * d, tuple([tuple(col[m:]) for col in cols[:n]]))
+        ridges = [mask ^ 1 << f for f in basis]
         open_ridges.symmetric_difference_update(ridges)    # a ridge's second basis closes it
-        todo.append((tab, ridges))
+        todo.append([tab, ridges, 0])    # and a cursor at its next unchecked ridge
         tab = None
         while todo and not tab:
-            top, ridges = todo[-1]
-            j = next((j for j, r in enumerate(ridges) if r in open_ridges), None)
-            if j is None:
+            top, ridges, j = entry = todo[-1]
+            while j < n and ridges[j] not in open_ridges:
+                j += 1
+            if j == n:
                 todo.pop()
             elif (k := _entering(top, j, m, rank)) is None:
                 return None
             else:
-                tab = _exchange(top, j, k)
-    return facets, adjugates
+                entry[2] = j + 1
+                tab, mask = _exchange(top, j, k), ridges[j] | 1 << k    # which closes ridge j
+    return facets, inverses
 
 
 def _tableau(pts, basis):
@@ -248,7 +253,7 @@ def _entering(tab, j, m, rank):
 
     Ties go by the lexicographic rule: in ``rank`` order over the basis and
     the tied points, each f_i keeps the tied points of least lambda_i /
-    lambda_j, and a tied point is dropped at its own turn.
+    lambda_j (over ``int``), and a tied point is dropped at its own turn.
     """
     basis, _, cols, _ = tab
     lam, slack = cols[j], cols[-1]
@@ -263,9 +268,10 @@ def _entering(tab, j, m, rank):
             elif x == 0:
                 ties.append(k)
     for q in sorted(basis + ties, key=rank.__getitem__) if len(ties) > 1 else ():
-        if q in basis:
-            ratio = {k: Fraction(cols[basis.index(q)][k], lam[k]) for k in ties}
-            ties = [k for k in ties if ratio[k] == min(ratio.values())]
+        if q in basis:    # col[k] / lam[k] = col[k] (big // lam[k]) / big
+            col, big = cols[basis.index(q)], lcm(*[lam[k] for k in ties])
+            least = min(col[k] * (big // lam[k]) for k in ties)
+            ties = [k for k in ties if col[k] * (big // lam[k]) == least]
         else:
             ties = [k for k in ties if k != q]
         if len(ties) == 1:
@@ -308,7 +314,7 @@ def is_smooth_fano(p: LatticePolytope):
             return False, (
                 f"facet with normal {f.normal} has {len(vs)} vertices, expected {p.dim}"
             )
-        d = f.adjugate[0] if f.adjugate else det(vs)
+        d = f.inverse[0] if f.inverse else det(vs)
         if d not in (1, -1):
             return False, (
                 f"facet with normal {f.normal} has vertex matrix determinant {d}"
@@ -322,7 +328,7 @@ def dual(q: LatticePolytope) -> DualPair:
     Q must be reflexive (every rhs -1), as every smooth Fano polytope is; then
     P's vertex i is Q's facet normal i (sorted and distinct) and P's facet j
     is Q's vertex j, holding vertex i iff Q's facet i holds j.  The cone at
-    vertex i has Q's facet i's vertices as normals; P keeps that adjugate.
+    vertex i has Q's facet i's vertices as normals; P keeps its ``inverse``.
     """
     if not q.contains_origin_interior():
         raise PolytopeError("dualization needs the origin strictly interior")
@@ -331,7 +337,7 @@ def dual(q: LatticePolytope) -> DualPair:
     facets = tuple(Facet(v, -1, frozenset(i for i, f in enumerate(q.facets) if j in f.vertex_indices))
                    for j, v in enumerate(q.vertices))
     return DualPair(q=q, p=LatticePolytope(q.dim, tuple(f.normal for f in q.facets), facets,
-                                           tuple(f.adjugate for f in q.facets)))
+                                           tuple(f.inverse for f in q.facets)))
 
 
 def faces_codim2(p: LatticePolytope):

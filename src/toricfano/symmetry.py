@@ -3,7 +3,7 @@
 The search anchors on one unimodular facet of the Fano-side polytope, with
 vertex basis B0 = (b_0, ..., b_{n-1}): every automorphism maps that basis
 onto an ordered vertex tuple (w_0, ..., w_{n-1}), and is then A = W B0^-1,
-B0^-1 read off the facet's adjugate from ``hull``.  Each vertex is written
+B0^-1 having the columns of ``Facet.inverse`` as rows.  Each vertex is written
 once in the anchor basis, lambda_v = B0^-1 v (integral, as B0 is
 unimodular), so its image A v = sum_i lambda_v,i w_i is fixed as soon as
 w_0 .. w_k are, k being the last nonzero coordinate of lambda_v.  The
@@ -27,7 +27,7 @@ it, for those orbits, and no element list is built.
 
 from dataclasses import dataclass
 
-from .linalg import adjugate, kernel_basis, mat_mul, mat_vec, matrix_inverse_unimodular, transpose
+from .linalg import SingularMatrixError, adjugate, inverse_columns, kernel_basis, mat_mul, mat_vec, transpose
 from .polytope import DualPair, LatticePolytope, PolytopeError
 
 
@@ -64,10 +64,9 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
         raise PolytopeError("automorphism search needs a simplicial facet")
 
     base = sorted(anchor.vertex_indices)
-    if anchor.adjugate and anchor.adjugate[0] in (1, -1):    # B0^-1 = (adj / det)^T = det adj^T
-        b0_inv = tuple(tuple(anchor.adjugate[0] * x for x in col) for col in zip(*anchor.adjugate[1]))
-    else:    # a facet built without ``hull``, or no lattice basis (refused there)
-        b0_inv = matrix_inverse_unimodular(transpose([verts[i] for i in base]))
+    d, b0_inv = anchor.inverse or inverse_columns([verts[i] for i in base])    # no ``hull``: invert here
+    if d not in (1, -1):
+        raise SingularMatrixError("the anchor facet's vertices are not a lattice basis")
     # A basis vertex maps to its own w_k and the origin to itself, so
     # neither needs a check; every other vertex is checked at the depth of
     # its last nonzero anchor coordinate.

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from toricfano.linalg import (
     DimensionError,
     SingularMatrixError,
+    _eliminate,
     adjugate,
     det,
     dot,
+    integer_rows,
+    inverse_columns,
     kernel_basis,
     mat_mul,
     matrix_inverse_unimodular,
@@ -131,6 +134,21 @@ ANY_MATRIX = st.one_of(matrices(), matrices(fractions=True))
 SQUARE_SIZE = st.shared(st.integers(1, 5), key="square")
 
 
+@st.composite
+def unit_pivot_matrices(draw):
+    """[L U | C] with L and U unit triangular: every leading principal minor of L U is 1.
+
+    So each of the first n Bareiss pivots is 1 over a previous pivot of 1,
+    the d = 1 path of ``bareiss_pivot``; the extra columns C give a kernel.
+    """
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    low = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+    extra = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=2))
+    return [list(row) + [col[i] for col in extra] for i, row in enumerate(mat_mul(low, up))]
+
+
 class TestAgainstFractionOracles:
     @given(ANY_MATRIX)
     @settings(max_examples=150, deadline=None)
@@ -166,6 +184,51 @@ class TestAgainstFractionOracles:
     @settings(max_examples=100, deadline=None)
     def test_det(self, m):
         assert det(m) == det_bareiss(m)
+
+    @given(unit_pivot_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_unit_pivots(self, m):
+        n = len(m)
+        pivots, d = _eliminate([list(row) for row in m])
+        assert (pivots, d) == (list(range(n)), 1)
+        assert rref(m) == rref_fraction(m)
+        assert kernel_basis(m) == kernel_basis_fraction(m)
+        square = [row[:n] for row in m]
+        assert det(square) == det_bareiss(square) == 1
+        assert adjugate(square)[1] == matrix_inverse_unimodular(square)
+
+
+class TestIntegerRows:
+    """An ``int`` row passes through as it is, to the same results as the same row of ``Fraction``s."""
+
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_primitive_agrees_with_fractions(self, v):
+        got = primitive(v)
+        assert got == primitive([Fraction(x) for x in v])
+        assert all(type(x) is int for x in got)
+        g = gcd(*v) or 1
+        lead = next((x for x in v if x), 0)
+        assert got == tuple(x // g * (-1 if lead < 0 else 1) for x in v)
+
+    def test_primitive_negative_leading_entry(self):
+        assert primitive([0, -4, 6, -2]) == (0, 2, -3, 1)
+        assert primitive([Fraction(0), Fraction(-4), Fraction(6), Fraction(-2)]) == (0, 2, -3, 1)
+        assert primitive((-6, 0, 9)) == (2, 0, -3)
+
+    @given(matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_basis_agrees_with_fractions(self, m):
+        rows = [tuple(row) for row in m]
+        assert kernel_basis(rows) == kernel_basis([[Fraction(x) for x in row] for row in m])
+        assert rows == [tuple(row) for row in m]    # the elimination works on copies
+
+    def test_int_rows_are_copied(self):
+        rows = [[1, 2], (3, 4)]
+        out = integer_rows(rows)
+        assert out == [[1, 2], [3, 4]]
+        assert all(type(row) is list and row is not src for row, src in zip(out, rows))
+        assert integer_rows([[Fraction(1, 2), 1], [1, Fraction(2, 3)]]) == [[1, 2], [3, 2]]
 
 
 class TestRref:
@@ -361,6 +424,25 @@ class TestSaturatedKernel:
             for rows in combinations(range(n), k):
                 g = gcd(g, det([[b[i] for b in basis] for i in rows]))
             assert g == 1
+
+
+class TestInverseColumns:
+    @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_columns_of_the_scaled_inverse(self, m):
+        d = det(m)
+        if d == 0:
+            with pytest.raises(SingularMatrixError):
+                inverse_columns(m)
+            return
+        got_det, cols = inverse_columns(m)
+        assert got_det == d
+        assert mat_mul(m, tuple(zip(*cols))) == tuple(tuple(abs(d) * (i == j) for j in range(3)) for i in range(3))
+
+    def test_unimodular_is_the_inverse(self):
+        m = ((0, 1), (1, 0))
+        assert inverse_columns(m) == (-1, ((0, 1), (1, 0)))
+        assert inverse_columns(((2, 1), (5, 3))) == (1, ((3, -5), (-1, 2)))
 
 
 class TestUnimodularInverse:

@@ -483,6 +483,31 @@ class TestVertexFormula:
         assert cone_measures(p)[:2] == _volume_and_barycenter_triangulated(p)
         assert tried == set(powers.values())
 
+    def test_functional_restarts_in_dimension_8(self, q2_pair, monkeypatch):
+        # q2 under the signed coordinate permutation of the benchmark's corpus seed 1: k = 2 is
+        # orthogonal to an edge first at vertex 108 of 128, so the pass restarts late with k = 3
+        perm, signs = (0, 1, 7, 3, 2, 6, 5, 4), (-1, -1, 1, 1, -1, -1, -1, -1)
+        p = dual(hull([tuple(s * v[i] for i, s in zip(perm, signs)) for v in q2_pair.q.vertices])).p
+        powers = [tuple(k**i for i in range(8)) for k in (2, 3)]
+        cones = vertex_cones(p)
+        assert [next((i for i, (_, es) in enumerate(cones) if any(dot(c, e) == 0 for e in es)), None)
+                for c in powers] == [108, None]
+        tried = []
+
+        def spy(u, v):
+            if tuple(u) not in tried:
+                tried.append(tuple(u))
+            return dot(u, v)
+
+        monkeypatch.setattr(measures, "dot", spy)
+        vol, bary, ridge, poly = cone_measures(p, with_ehrhart=True)
+        assert tried == powers
+        monkeypatch.undo()
+        # a signed permutation is orthogonal, so it moves P = Q* as it moves Q
+        vol0, bary0, ridge0, poly0 = cone_measures(q2_pair.p, with_ehrhart=True)
+        assert (vol, ridge, poly) == (vol0, ridge0, poly0)
+        assert bary == tuple(s * bary0[i] for i, s in zip(perm, signs))
+
     def test_edges_invert_the_facet_normals(self, cx5_pair):
         p = cx5_pair.p
         for facets, edges in vertex_cones(p):

@@ -380,6 +380,63 @@ class TestHullInvariants:
             hull(pts)
 
 
+def _entering_by_fractions(tab, j, m, rank):
+    """The ratio test and its lexicographic tie-break over ``Fraction``, as ``_entering`` once read it.
+
+    Returns (the entering point or None, the number of tied points, the
+    number of basis steps that dropped a tied point).
+    """
+    basis, _, cols, _ = tab
+    lam, slack = cols[j], cols[-1]
+    blocking = [k for k in range(m) if lam[k] < 0]
+    if not blocking:
+        return None, 0, 0
+    least = min(Fraction(slack[k], -lam[k]) for k in blocking)
+    ties = [k for k in blocking if Fraction(slack[k], -lam[k]) == least]
+    tied, dropping = len(ties), 0
+    for q in sorted(basis + ties, key=rank.__getitem__) if len(ties) > 1 else ():
+        if q in basis:
+            ratio = {k: Fraction(cols[basis.index(q)][k], lam[k]) for k in ties}
+            kept = [k for k in ties if ratio[k] == min(ratio.values())]
+            dropping += len(kept) < len(ties)
+            ties = kept
+        else:
+            ties = [k for k in ties if k != q]
+        if len(ties) == 1:
+            break
+    return ties[0], tied, dropping
+
+
+# hulls whose walks meet ties in the ratio test: facets of more than n points
+TIED_WALKS = [
+    ("cube3", fixtures.cube(3).vertices),
+    ("cube4", fixtures.cube(4).vertices),
+    ("cube3_redundant", [tuple(2 * x for x in v) for v in fixtures.cube(3).vertices]
+     + [tuple(x + y for x, y in zip(a, b)) for a, b in combinations(fixtures.cube(3).vertices, 2)]),
+    *ORIGIN_POSITIONS,
+]
+
+
+def test_integer_tie_break_matches_fractions(monkeypatch):
+    """``_entering`` picks, on every call, the point the ``Fraction`` rule picks."""
+    entering, tied, dropping = polytope._entering, [], []
+
+    def checked(tab, j, m, rank):
+        k = entering(tab, j, m, rank)
+        expected, ties, drops = _entering_by_fractions(tab, j, m, rank)
+        assert k == expected
+        tied.append(ties)
+        dropping.append(drops)
+        return k
+
+    monkeypatch.setattr(polytope, "_entering", checked)
+    for name, pts in TIED_WALKS:
+        assert hull(pts) == _hull_exhaustive(pts), name
+    # not vacuous: ties were met, and basis columns broke some of them
+    assert max(tied) >= 2
+    assert sum(dropping) > 0
+
+
 def _greatest_ratio(tab, j, m, rank):
     """A wrong ratio test: the point of greatest slack / -lambda_j over lambda_j < 0."""
     cols = tab[2]
@@ -390,15 +447,17 @@ class TestStoredAdjugates:
     @pytest.mark.parametrize("make", [m for _, m in ORACLE_FIXTURES + [("q2", fixtures.q2)] + IMAGES],
                              ids=[name for name, _ in ORACLE_FIXTURES + [("q2", fixtures.q2)] + IMAGES])
     def test_adjugate_inverts_the_vertex_matrix(self, make):
+        # ``Facet.inverse`` is (det B, the columns of |det B| B^-1), B the facet's vertex matrix
         q = make()
         n = q.dim
         for f in q.facets:
-            assert (f.adjugate is not None) == (len(f.vertex_indices) == n and f.rhs != 0)
-            if f.adjugate is not None:
-                d, adj = f.adjugate
+            assert (f.inverse is not None) == (len(f.vertex_indices) == n and f.rhs != 0)
+            if f.inverse is not None:
+                d, cols = f.inverse
                 vs = q.facet_vertices(f)
                 assert type(d) is int and d == det(vs)
-                assert mat_mul(adj, vs) == tuple(tuple(d * x for x in row) for row in identity(n))
+                assert type(cols) is tuple and all(type(col) is tuple and len(col) == n for col in cols)
+                assert mat_mul(transpose(cols), vs) == tuple(tuple(abs(d) * x for x in row) for row in identity(n))
 
     @pytest.mark.parametrize("make", [fixtures.cx5, fixtures.q1, fixtures.q2], ids=["cx5", "q1", "q2"])
     def test_smooth_fano_hull_eliminates_once(self, make, monkeypatch):
@@ -418,14 +477,14 @@ class TestStoredAdjugates:
     @pytest.mark.parametrize("make", [m for _, m in ORACLE_FIXTURES], ids=[name for name, _ in ORACLE_FIXTURES])
     def test_smoothness_without_stored_adjugates(self, make):
         q = make()
-        bare = replace(q, facets=tuple(replace(f, adjugate=None) for f in q.facets))
+        bare = replace(q, facets=tuple(replace(f, inverse=None) for f in q.facets))
         assert is_smooth_fano(bare) == is_smooth_fano(q)
 
     @pytest.mark.parametrize("make", [m for _, m in SMOOTH_FANO], ids=[name for name, _ in SMOOTH_FANO])
     def test_dual_cones_match_a_fresh_elimination(self, make):
         p = dual(make()).p
-        assert all(p.cone_adjugates)
-        assert vertex_cones(p) == vertex_cones(replace(p, cone_adjugates=None))
+        assert all(p.cone_inverses)
+        assert vertex_cones(p) == vertex_cones(replace(p, cone_inverses=None))
 
 
 class TestDual:

@@ -132,3 +132,17 @@ def test_ehrhart_cap_read_only_by_io_and_cli():
     """The scan's Ehrhart cap is decided in ``io`` (set from ``cli``), not again in a check."""
     readers = [path.name for path in SOURCES if "ehrhart_max_dim" in path.read_text()]
     assert readers == ["cli.py", "io.py"]
+
+
+def test_hull_walk_is_integer_only():
+    """The hull's walk and its pivot name no ``Fraction``: every tableau entry, ratio and tie stays ``int``."""
+    walk = {"polytope.py": {"_wrap", "_entering", "_exchange"}, "linalg.py": {"bareiss_pivot"}}
+    found, offenders = set(), []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in walk.get(path.name, ()):
+                found.add(node.name)
+                offenders += [f"{path.name}:{inner.lineno}: {node.name}" for inner in ast.walk(node)
+                              if getattr(inner, "id", getattr(inner, "attr", None)) == "Fraction"]
+    assert found == set().union(*walk.values())
+    assert offenders == []

@@ -366,14 +366,14 @@ def test_refuses_non_unimodular_anchor():
 
 def test_anchor_inverse_read_off_the_hull(monkeypatch, corpus_file):
     calls = []
-    inverse = symmetry.matrix_inverse_unimodular
-    monkeypatch.setattr(symmetry, "matrix_inverse_unimodular", lambda a: calls.append(a) or inverse(a))
+    inverse = symmetry.inverse_columns
+    monkeypatch.setattr(symmetry, "inverse_columns", lambda a: calls.append(a) or inverse(a))
     reports = scan(corpus_file, ScanOptions(conjectures=True))
     assert sum(r["is_smooth_fano"] for r in reports) == 12
     assert calls == []
-    # a facet built without ``hull`` has no adjugate: the anchor is inverted afresh, to the same group
+    # a facet built without ``hull`` has no inverse: the anchor is inverted afresh, to the same group
     q = fixtures.cx5()
-    bare = replace(q, facets=tuple(replace(f, adjugate=None) for f in q.facets))
+    bare = replace(q, facets=tuple(replace(f, inverse=None) for f in q.facets))
     assert polytope_automorphisms(bare) == polytope_automorphisms(q)
     assert len(calls) == 1
 
