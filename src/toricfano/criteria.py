@@ -10,7 +10,7 @@ vertex is the centroid of its orbit (see ``max_pairing`` and
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import dot
+from .linalg import dot, kernel_basis
 from .measures import cone_measures
 from .polytope import DualPair
 from .symmetry import SymmetryGroup, automorphism_group, fixed_space, index_orbit, transport_group, vertex_permutations
@@ -33,26 +33,31 @@ class KEVerdict:
     alpha = property(lambda self: self.lct)
 
 
+def orbit_sums(dp: DualPair, g: SymmetryGroup):
+    """Nonzero sums of the orbits O of vert(Q) under the Fano-side g, and the max <w, sum(O)>/|O| on vert(P)."""
+    verts, seen, sums, top = dp.q.vertices, set(), [], Fraction(0)
+    perms = vertex_permutations(g, verts) if g.permutations is None else g.permutations
+    for i in range(len(verts)):
+        if i not in seen:
+            orbit = index_orbit(i, perms)
+            seen.update(orbit)
+            s = tuple(map(sum, zip(*(verts[j] for j in orbit))))
+            if any(s):      # a zero sum pairs to 0, a nonzero one to more: 0 is interior to P
+                sums.append(s)
+                top = max(top, Fraction(max(dot(w, s) for w in dp.p.vertices), len(orbit)))
+    return sums, top
+
+
 def max_pairing(dp: DualPair, g: SymmetryGroup) -> Fraction:
     """max{<w, v> : w in P_G, v in vert(Q)} for a dual-side group g.
 
     P is convex and G-invariant, so the slice P_G = P cut by Fix(G) is the
     image of P under the group average pi.  A linear function therefore has
     the same maximum over P_G as over pi(vert(P)).  <pi w, v> = <w, pi^T v>,
-    and pi^T v is the centroid of v's orbit O under g^T, the Fano-side group
-    ``transport_group(g)``, which permutes vert(Q).  So each orbit O of
-    vert(Q), found by index, gives the integer pairings <w, sum(O)> over |O|.
+    and pi^T v is the centroid of v's orbit under g^T, the Fano-side group
+    ``transport_group(g)``: ``orbit_sums`` pairs those centroids with vert(P).
     """
-    verts = dp.q.vertices
-    perms = vertex_permutations(transport_group(g), verts)
-    seen, best = set(), []
-    for i in range(len(verts)):
-        if i not in seen:
-            orbit = index_orbit(i, perms)
-            seen.update(orbit)
-            s = tuple(map(sum, zip(*(verts[j] for j in orbit))))
-            best.append(Fraction(max(dot(w, s) for w in dp.p.vertices), len(orbit)))
-    return max(best)
+    return orbit_sums(dp, transport_group(g))[1]
 
 
 def lct(dp: DualPair, g: SymmetryGroup) -> Fraction:
@@ -82,16 +87,18 @@ def tian_condition(dp: DualPair, g: SymmetryGroup) -> bool:
 
 
 def full_verdict(dp: DualPair, groups=None, measured=None) -> KEVerdict:
-    """One-pass verdict record; groups, fixed space and alpha = lct computed once.
+    """One-pass verdict record: the orbit sums S of vert(Q) under G give Fix(G) and alpha = lct.
 
-    The dual group is the transposes of the Fano-side group G, so its
-    Reynolds operator is the transpose of G's.  A matrix and its transpose
-    have one rank, so both fixed spaces have one dimension: Tian's condition
-    is the symmetry verdict.  ``measured`` is ``cone_measures(dp.p)``, built
-    here if not given; the verdict reads its barycenter.
+    Averaging maps R^n onto Fix(G) and vert(Q) spans R^n, so S spans Fix(G):
+    the kernel of S's kernel, which is ``fixed_space(G)`` (a kernel basis
+    depends on the kernel alone); S = {} needs no elimination.  Fix(G^T) has
+    the same dimension, so Tian's condition is the symmetry verdict.
+    ``measured`` is ``cone_measures(dp.p)``, built here if not given.
     """
     if groups is None:
         groups = automorphism_group(dp)
     if measured is None:
         measured = cone_measures(dp.p)
-    return KEVerdict(measured[1], fixed_space(groups[0]).basis, lct(dp, groups[1]))
+    sums, top = orbit_sums(dp, groups[0])
+    basis = tuple(kernel_basis(kernel_basis(sums), ncols=dp.q.dim)) if sums else ()
+    return KEVerdict(measured[1], basis, 1 / (1 + top))

@@ -16,7 +16,7 @@ import csv
 import io as _io
 import json
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -139,13 +139,14 @@ def fmt_rat(x):
 
 
 def _plain(x):
-    """JSON-ready form: Fraction as ``fmt_rat``, sequences and dataclass fields recursively."""
-    if isinstance(x, Fraction):
+    """JSON-ready form by exact type: Fraction as ``fmt_rat``, sequences, record fields from ``vars`` (field order)."""
+    t = type(x)
+    if t is Fraction:
         return fmt_rat(x)
-    if isinstance(x, (tuple, list)):
+    if t is tuple or t is list:
         return [_plain(y) for y in x]
-    if is_dataclass(x):
-        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
+    if is_dataclass(t):
+        return {k: _plain(y) for k, y in vars(x).items()}
     return x
 
 

@@ -20,12 +20,12 @@ basis (Sims 1970): G_k fixes b_0 .. b_{k-1}.  Built for k = n-1 down to 0,
 every generator found so far lies in G_k, and each candidate image t of b_k
 outside the orbit of b_k under them gets one search for an element of G_k
 with b_k -> t; a failed t rules out its orbit.  Then the orbit Delta_k of
-b_k is all of G_k b_k, and |G| = prod |Delta_k|.  The group keeps only
-the generators' matrices: the search's vertex permutations stay local to
-it, for those orbits, and no element list is built.
+b_k is all of G_k b_k, and |G| = prod |Delta_k|.  The group keeps the
+generators' matrices and the search's vertex permutations of vert(Q), whose
+orbits the verdict reads; no element list is built.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import SingularMatrixError, adjugate, inverse_columns, kernel_basis, mat_mul, mat_vec, transpose
 from .polytope import DualPair, LatticePolytope, PolytopeError
@@ -38,6 +38,7 @@ class SymmetryGroup:
     dim: int
     generators: tuple      # matrices (tuples of row tuples) generating the group
     order: int
+    permutations: tuple = field(default=None, compare=False)   # the generators on vert(q)'s indices, from the search
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class FixedSpace:
 
 
 def trivial_group(dim):
-    return SymmetryGroup(dim=dim, generators=(), order=1)
+    return SymmetryGroup(dim=dim, generators=(), order=1, permutations=())
 
 
 def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
@@ -99,7 +100,7 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
         order *= len(orbit)
 
     generators = tuple(mat_mul(transpose([verts[p[i]] for i in base]), b0_inv) for p in perms)
-    return SymmetryGroup(dim=n, generators=generators, order=order)
+    return SymmetryGroup(dim=n, generators=generators, order=order, permutations=tuple(perms))
 
 
 def _first_assignment(search, images, options, perm):
@@ -173,8 +174,8 @@ def fixed_space(g: SymmetryGroup) -> FixedSpace:
 
     The rows of a - I for every generator a are stacked into one matrix,
     and its kernel is Fix(G): a point fixed by each generator is fixed by
-    the group.  The rows of the Reynolds operator sum(G) - |G|*I span the
-    same annihilator, so they would give the same RREF and basis.
+    the group.  The scan takes Fix(G) as the span of the orbit sums of
+    vert(Q) instead (``criteria.full_verdict``), and this is its oracle.
     """
     rows = [[x - (i == j) for j, x in enumerate(row)]
             for a in g.generators for i, row in enumerate(a)]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from test_symmetry import (  # unimodular_cx5_pair is a fixture: importing regis
     smallest_cyclic_subgroup,
     unimodular_cx5_pair,
 )
-from toricfano import fixtures
+from toricfano import criteria, fixtures
 from toricfano.criteria import (
     alpha_invariant,
     full_verdict,
@@ -24,7 +25,7 @@ from toricfano.criteria import (
 from toricfano.linalg import dot, mat_vec
 from toricfano.measures import coefficient_of_asymmetry
 from toricfano.polytope import dual, free_sum, hull, restrict_to_subspace
-from toricfano.symmetry import automorphism_group, fixed_space, trivial_group
+from toricfano.symmetry import SymmetryGroup, automorphism_group, fixed_space, transport_group, trivial_group
 
 
 class TestKETest:
@@ -158,6 +159,7 @@ class TestSliceOracle:
         v, vu = full_verdict(dp), full_verdict(dpu)
         assert [getattr(vu, f) for f in fields] == [getattr(v, f) for f in fields]
         assert vu.alpha == slice_threshold(dpu, automorphism_group(dpu)[1])
+        assert_matches_stacked_fixed_space(dpu, automorphism_group(dpu))
 
 
 # Differential oracle: the group-sum route max_pairing used to take.  The
@@ -185,3 +187,42 @@ class TestMaxPairingBySum:
     def test_free_sum(self, pair):
         dp = dual(free_sum_of(pair))
         assert_matches_sum_oracle(dp, automorphism_group(dp)[1])
+
+
+# Differential oracle: the stacked route the verdict's fixed space used to
+# take, the kernel of every a - I over G's generators, against the span of
+# the orbit sums of vert(Q) read off the search's permutations.
+
+def assert_matches_stacked_fixed_space(dp, groups):
+    gq = groups[0]
+    v = full_verdict(dp, groups=groups)
+    assert v.fixed_basis == fixed_space(gq).basis
+    assert full_verdict(dp, groups=(replace(gq, permutations=None), groups[1])) == v
+
+
+class TestOrbitRoute:
+    @pytest.mark.parametrize("name", PAIRS + ["q1_pair", "q2_pair"])
+    def test_fixture(self, request, name):
+        assert_matches_stacked_fixed_space(request.getfixturevalue(name), groups_of(request, name))
+
+    @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids=["+".join(p) for p in PRODUCT_PAIRS])
+    def test_free_sum(self, pair):
+        dp = dual(free_sum_of(pair))
+        assert_matches_stacked_fixed_space(dp, automorphism_group(dp))
+
+    def test_group_equality_ignores_permutations(self, q1_groups):
+        gq, gp = q1_groups
+        bare = replace(gq, permutations=None)
+        assert gq.permutations and bare == gq and hash(bare) == hash(gq)
+        assert SymmetryGroup(gq.dim, gq.generators, gq.order) == gq == transport_group(gp)
+        assert trivial_group(3).permutations == ()
+
+    def test_symmetric_entry_needs_no_elimination(self, cross3_pair, monkeypatch):
+        calls = []
+        kernel_basis = criteria.kernel_basis
+        monkeypatch.setattr(criteria, "kernel_basis", lambda *a, **k: calls.append(a) or kernel_basis(*a, **k))
+        groups = automorphism_group(cross3_pair)
+        assert full_verdict(cross3_pair, groups=groups).is_symmetric
+        assert calls == []
+        full_verdict(cross3_pair, groups=(trivial_group(3), trivial_group(3)))
+        assert len(calls) == 2

@@ -18,7 +18,7 @@ import toricfano
 from test_measures import PRODUCT_PAIRS, _free_sum_rows
 from test_polytope import _greatest_ratio
 from test_symmetry import _elementary_unimodular
-from toricfano import criteria, fixtures, measures, polytope
+from toricfano import criteria, fixtures, measures, polytope, symmetry
 from toricfano import io as scan_io
 from toricfano.cli import main
 from toricfano.io import (
@@ -222,7 +222,7 @@ class TestNoReferenceCycles:
 
 STAGES = ("cone_measures", "fano_index", "check_eq1", "check_conj11", "check_ehrhart_bound", "check_bishop")
 # (module, name) of every per-entry stage, patched where the scan calls it
-PATCHED = [(scan_io, name) for name in STAGES + ("automorphism_group",)] + [(criteria, "fixed_space")]
+PATCHED = [(scan_io, name) for name in STAGES + ("automorphism_group",)] + [(criteria, "orbit_sums")]
 
 
 def _counted(fn, counts, name):
@@ -260,13 +260,18 @@ class TestOnePassPerEntry:
         assert len(built) == len(smooth)
 
     def test_vertex_permutations_only_of_q(self, monkeypatch):
-        """The lct pairs vert(P) with orbit averages of vert(Q): no entry permutes vert(P)."""
-        sizes = []
-        permute = criteria.vertex_permutations
-        monkeypatch.setattr(criteria, "vertex_permutations",
-                            lambda g, points: sizes.append(len(points)) or permute(g, points))
+        """The verdict reads the search's own permutations of vert(Q): no scan calls
+        ``vertex_permutations`` or ``fixed_space``, and no entry permutes vert(P)."""
+        calls, sizes = Counter(), []
+        for module in (criteria, symmetry):
+            for name in ("vertex_permutations", "fixed_space"):
+                monkeypatch.setattr(module, name, _counted(getattr(module, name), calls, name))
+        sums = criteria.orbit_sums
+        monkeypatch.setattr(criteria, "orbit_sums",
+                            lambda dp, g: sizes.append({len(p) for p in g.permutations}) or sums(dp, g))
         smooth = self._scan()
-        assert sizes == [r["n_vertices"] for r in smooth]
+        assert calls == Counter()
+        assert sizes == [{r["n_vertices"]} if r["group_order"] > 1 else set() for r in smooth]
 
     def test_each_stage_called_once_per_smooth_entry(self, monkeypatch):
         counts = Counter()

@@ -304,12 +304,16 @@ def _action(a, points):
 
 @pytest.mark.parametrize("name", PAIRS + ["q1_pair", "q2_pair", "unimodular_cx5_pair"])
 def test_permutations_are_the_matrix_actions(request, name):
-    """Each Fano-side generator a permutes vert(Q), and each dual one a^T vert(P)."""
+    """Each Fano-side generator a permutes vert(Q), and each dual one a^T vert(P);
+    the search keeps the Fano-side actions, and the transposes keep none."""
     dp = request.getfixturevalue(name)
-    for g, points in zip(groups_of(request, name), (dp.q.vertices, dp.p.vertices)):
+    gq, gp = groups_of(request, name)
+    for g, points in ((gq, dp.q.vertices), (gp, dp.p.vertices)):
         assert g.generators
         for a in g.generators:
             assert sorted(_action(a, points)) == list(range(len(points)))
+    assert gq.permutations == tuple(_action(a, dp.q.vertices) for a in gq.generators)
+    assert gp.permutations is None
 
 
 @pytest.mark.parametrize(
