@@ -13,7 +13,8 @@ from fractions import Fraction
 from .linalg import dot, kernel_basis
 from .measures import cone_measures
 from .polytope import DualPair
-from .symmetry import SymmetryGroup, automorphism_group, fixed_space, index_orbit, transport_group, vertex_permutations
+from .symmetry import (SymmetryGroup, automorphism_group, fixed_space, index_orbit, polytope_automorphisms,
+                       transport_group, vertex_permutations)
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,10 @@ def alpha_invariant(dp: DualPair) -> Fraction:
     The facets of P_G read <v, x> >= -1 for v in vert(Q), so -P_G lies in
     s*P_G exactly when <v, w> <= s for every such v and every w in P_G: the
     asymmetry of P_G is the max pairing.  When Fix(G) = {0} both are 0 and
-    alpha is 1.
+    alpha is 1.  The max pairing is read off the orbits of the Fano-side
+    group's own vertex permutations, as ``full_verdict`` reads it.
     """
-    return lct(dp, automorphism_group(dp)[1])
+    return 1 / (1 + orbit_sums(dp, polytope_automorphisms(dp.q))[1])
 
 
 def tian_condition(dp: DualPair, g: SymmetryGroup) -> bool:

@@ -9,7 +9,7 @@ equality is equality of that canonical form.
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 from operator import index
 
@@ -21,7 +21,6 @@ from .linalg import (
     inverse_columns,
     kernel_basis,
     rank,
-    rref,
     solve_exact,
     vec_sub,
 )
@@ -89,19 +88,21 @@ def hull(points):
     """Convex hull of integer points: irredundant vertices, facets, incidence.
 
     Facet-to-facet gift wrapping (Chand-Kapur 1970; Swart 1985) over ``int``
-    by basis exchange (Avis-Fukuda 1992; Avis 2000).  ``x_0 >= min`` is
-    tilted about its face until that is a facet, and n affinely independent
-    points on it start ``_wrap``.  The walk needs the origin strictly
-    inside; when the first facet or a pivot shows it is not, it runs again
-    on the points moved by the barycentre of that basis and a point off it,
-    times n + 1.  ``Facet.inverse`` of a facet of n points off the origin,
-    (det B, columns of |det B| B^-1) of its vertex matrix B, is read off the
-    walk's tableau (one elimination per smooth Fano polytope), or afresh
-    after a move.  A point is a vertex exactly when the facets through it
-    meet in that point alone.  Points in a hyperplane leave a tilt no point
-    off it, or all lie on the first facet (``DimensionDeficiencyError``).
-    Exact, order-insensitive, robust to redundant points; coordinates are
-    ints, the same positive number per point (``PointDimensionError``).
+    by basis exchange (Avis-Fukuda 1992; Avis 2000).  One kernel of the
+    coordinates names n independent points, or shows that a hyperplane holds
+    every point (``DimensionDeficiencyError``).  A dual simplex phase
+    (``_first_basis``) exchanges them until they span a facet with the
+    origin strictly on its inner side, and ``_wrap`` walks on from that
+    tableau.  The walk needs the origin strictly inside: when a coordinate
+    keeps one sign, or a pivot shows it is not, both run again on the points
+    moved by the barycentre of the n and a point off their hyperplane, times
+    n + 1.  ``Facet.inverse`` of a facet of n points off the origin, (det B,
+    columns of |det B| B^-1) of its vertex matrix B, is read off the walk's
+    tableau (one elimination per smooth Fano polytope), or afresh after a
+    move.  A point is a vertex exactly when the facets through it meet in
+    that point alone.  Exact, order-insensitive, robust to redundant points;
+    coordinates are ints, the same positive number per point
+    (``PointDimensionError``).
     """
     pts = sorted(set(tuple(index(x) for x in p) for p in points))
     if not pts:
@@ -111,18 +112,22 @@ def hull(points):
         raise PointDimensionError("points need one common, positive number of coordinates")
     if len(pts) < n + 1:
         raise DimensionDeficiencyError("too few points to span the space")
-
-    u, b, first = _first_facet(pts)
-    if len(first) == len(pts):
+    coords = list(zip(*pts))
+    # the linear dependences, one ending at each point that depends on those before it; a hyperplane
+    # holds every point when fewer than n are independent, or when all sum to 0 (<u, p> = 1 for some u)
+    ker = kernel_basis(coords)
+    if len(ker) > len(pts) - n or not any(map(sum, ker)):
         raise DimensionDeficiencyError("points do not affinely span the space")
-    if len(first) > n:    # its first point and those whose differences from it are pivot columns
-        diffs = [vec_sub(pts[i], pts[first[0]]) for i in first[1:]]
-        first = first[:1] + [first[1 + j] for j in rref(list(zip(*diffs)))[1]]
-    wrapped = _wrap(pts, first) if b < 0 else None
+    free = {max(compress(range(len(pts)), v)) for v in ker}
+    start = [i for i in range(len(pts)) if i not in free]
+    # the origin is strictly inside only if every coordinate takes both signs
+    wrapped = _wrap(pts, _first_basis(pts, start)) if all(min(x) < 0 < max(x) for x in coords) else None
     if wrapped is None:
-        off = max(range(len(pts)), key=lambda i: dot(u, pts[i]))    # a point off the first facet
-        c = [sum(x) for x in zip(*(pts[i] for i in first + [off]))]
-        wrapped = _wrap([tuple((n + 1) * x - y for x, y in zip(p, c)) for p in pts], first)
+        # a dependence with a nonzero sum ends at a point off the hyperplane through start
+        off = max(compress(range(len(pts)), next(v for v in ker if sum(v))))
+        c = [sum(x) for x in zip(*(pts[i] for i in start + [off]))]
+        moved = [tuple((n + 1) * x - y for x, y in zip(p, c)) for p in pts]
+        wrapped = _wrap(moved, _first_basis(moved, start))
         if wrapped is None:
             raise HullInvariantError("a pivot found no point to stop at around an inner point")
         facets = {(u, (b + dot(u, c)) // (n + 1)): inc for (u, b), inc in wrapped[0].items()}
@@ -141,23 +146,29 @@ def hull(points):
     return LatticePolytope(n, tuple(pts[i] for i in verts), facets)
 
 
-def _first_facet(pts):
-    """(u, b, sorted indices of the points on it) of a facet <u, x> >= b."""
-    u, b, ker = (1,) + (0,) * (len(pts[0]) - 1), min(p[0] for p in pts), ()
-    while True:
-        slack = [dot(u, p) - b for p in pts]
-        face = [i for i, s in enumerate(slack) if not s]
-        if len(ker) == 1:    # each tilt adds a dimension to the face, and that was its last
-            return u, b, face
-        # a normal w to the face inside the hyperplane, one per dimension the face lacks
-        ker = kernel_basis([vec_sub(pts[i], pts[face[0]]) for i in face[1:]] + [u])
-        if not ker:
-            return u, b, face
-        u, b = _pivot(pts, slack, u, ker[0], pts[face[0]])
+def _first_basis(pts, start):
+    """The tableau of a basis spanning a facet, the origin strictly on its inner side.
+
+    The dual simplex with Bland's rule (Bland 1977) on max <c, y> over
+    <p, y> <= 1, c the sum of the n independent points ``start`` and
+    <y, x> = 1 the basis's hyperplane: while some point has negative slack,
+    the first such point k replaces the f_j of least <c, A_j> / lambda_j(p_k)
+    over lambda_j(p_k) > 0, the lower position on a tie.  A point with no
+    lambda_j > 0 has slack >= d, so a violated one is a broken tableau.
+    """
+    tab, m, n = _tableau(pts, start), len(pts), len(pts[0])
+    while (k := next((k for k in range(m) if tab[2][n][k] < 0), None)) is not None:
+        cols = tab[2]
+        lam = {j: col[k] for j, col in enumerate(cols[:n]) if col[k] > 0}
+        if not lam:
+            raise HullInvariantError(f"point {pts[k]} violates basis {tab[0]} with no lambda_j > 0")
+        big = lcm(*lam.values())    # <c, A_j> / lambda_j = <c, A_j> (big // lambda_j) / big
+        tab = _exchange(tab, min(lam, key=lambda j: sum([cols[j][i] for i in start]) * (big // lam[j])), k)
+    return tab
 
 
-def _wrap(pts, first):
-    """Facets of the hull of points around the origin, as bases walked from ``first``.
+def _wrap(pts, tab):
+    """Facets of the hull of points around the origin, as bases walked from the tableau ``tab``.
 
     A basis is n points of a facet; its tableau (``_tableau``) holds every
     point's coordinates lambda in it and its slack.  Crossing the ridge
@@ -166,21 +177,22 @@ def _wrap(pts, first):
     beyond the ridge (slack 0, a degenerate pivot).  Ties go by Avis's
     lexicographic rule, as if each point moved toward the origin by its own
     infinitesimal, smaller the later it comes in ``rank`` (by index, then
-    ``first``): so ``first`` is lexicographically feasible, every basis
-    stays so, and the bases are the simplices of one triangulation of the
-    boundary, each of its ridges in two.  A ridge, the basis's point bitmask
-    less one bit, is closed for good by its second basis, and a basis on
-    ``todo`` resumes at its next unchecked ridge: so a basis costs one
-    ``_exchange``, O((n + 1)(m + n)), and O(n) bookkeeping.  Bases of equal
-    (u, b) are one facet.  Returns {(primitive inward u, b): frozenset of
-    the points with <u, p> = b}, {(u, b): (det B, columns of |det B| B^-1)
-    off the tableau} for facets of n points B, or None when a pivot finds
-    no lambda_j < 0, as then the origin is not strictly inside.
+    the first basis): the first basis is feasible and ranks last, so it is
+    lexicographically feasible, every basis stays so, and the bases are the
+    simplices of one triangulation of the boundary, each of its ridges in
+    two.  A ridge, the basis's point bitmask less one bit, is closed for good
+    by its second basis, and a basis on ``todo`` resumes at its next
+    unchecked ridge: so a basis costs one ``_exchange``, O((n + 1)(m + n)),
+    and O(n) bookkeeping.
+    Bases of equal (u, b) are one facet.  Returns {(primitive inward u, b):
+    frozenset of the points with <u, p> = b}, {(u, b): (det B, columns of
+    |det B| B^-1) off the tableau} for facets of n points B, or None when a
+    pivot finds no lambda_j < 0, as then the origin is not strictly inside.
     """
     n, m = len(pts[0]), len(pts)
-    rank = [i + m * (i in first) for i in range(m)]
+    rank = [i + m * (i in tab[0]) for i in range(m)]
     facets, inverses, open_ridges, todo = {}, {}, set(), []
-    tab, mask = _tableau(pts, first), sum(1 << f for f in first)    # the basis's points, as bits
+    mask = sum(1 << f for f in tab[0])    # the basis's points, as bits
     while tab:
         basis, d, cols, sign = tab
         slack = cols[n]
@@ -277,28 +289,6 @@ def _entering(tab, j, m, rank):
         if len(ties) == 1:
             break
     return ties[0] if ties else None
-
-
-def _pivot(pts, slack, u, w, r0):
-    """Tilt the hyperplane <u, x> = <u, r0> about its flat where w is constant.
-
-    ``slack`` holds s = <u, p - r0> >= 0, and t = <w, p - r0> is >= 0 where
-    s = 0.  It stops at the p of least t/s over s > 0, ties putting more
-    points on it: (u', <u', r0>), g u' = s w - t u, g > 0.
-    """
-    c = dot(w, r0)
-    best_s = best_t = 0
-    for p, s in zip(pts, slack):
-        if s > 0:
-            t = dot(w, p) - c
-            if best_s == 0 or t * best_s < best_t * s:
-                best_s, best_t = s, t
-    if best_s == 0:
-        raise DimensionDeficiencyError("points do not affinely span the space")
-    normal = [best_s * x - best_t * y for x, y in zip(w, u)]
-    g = gcd(*normal)
-    normal = tuple(x // g for x in normal)
-    return normal, dot(normal, r0)
 
 
 def is_smooth_fano(p: LatticePolytope):

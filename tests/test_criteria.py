@@ -14,7 +14,7 @@ from test_symmetry import (  # unimodular_cx5_pair is a fixture: importing regis
     smallest_cyclic_subgroup,
     unimodular_cx5_pair,
 )
-from toricfano import criteria, fixtures
+from toricfano import criteria, fixtures, symmetry
 from toricfano.criteria import (
     alpha_invariant,
     full_verdict,
@@ -66,6 +66,16 @@ class TestAlphaTian:
         for dp in [p2_pair, hexagon_pair]:
             assert alpha_invariant(dp) == 1
             assert tian_condition(dp, automorphism_group(dp)[1])
+
+    @pytest.mark.parametrize("name", PAIRS + ["q1_pair", "q2_pair"])
+    def test_alpha_reads_the_fano_side_orbits(self, name, request, monkeypatch):
+        # the search's own vertex permutations: no transposed group, no permutations rebuilt
+        dp = request.getfixturevalue(name)
+        expected = full_verdict(dp, groups=groups_of(request, name)).lct
+        for module in (criteria, symmetry):
+            for fn in ("transport_group", "vertex_permutations"):
+                monkeypatch.setattr(module, fn, lambda *args, fn=fn: pytest.fail(f"{fn} called"))
+        assert alpha_invariant(dp) == expected
 
     def test_headline_nonsymmetric_values(self, q1_pair, q1_groups):
         assert alpha_invariant(q1_pair) == Fraction(1, 2)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import toricfano
 from test_measures import PRODUCT_PAIRS, _free_sum_rows
-from test_polytope import _greatest_ratio
+from test_polytope import PHASE1_POINTS, _blind_tableau, _greatest_ratio
 from test_symmetry import _elementary_unimodular
 from toricfano import criteria, fixtures, measures, polytope, symmetry
 from toricfano import io as scan_io
@@ -55,6 +55,13 @@ vertices 4
 end
 """
 
+
+# the keys of a smooth entry's report with conjectures and the Ehrhart part
+SMOOTH_KEYS = {
+    "name", "dim", "n_vertices", "is_smooth_fano", "is_reflexive", "barycenter", "is_ke", "is_symmetric",
+    "group_order", "group_order_dual", "fixed_dim", "fixed_dim_dual", "fixed_generator", "vertex_sum",
+    "alpha", "lct", "tian_holds", "volume", "degree", "fano_index", "ehrhart", "conjectures",
+}
 
 # degenerate entries first: a segment and a collinear triple in the plane
 MIXED = """\
@@ -175,6 +182,26 @@ class TestAnalyze:
             "name": "cx5", "dim": 5, "n_vertices": None, "is_smooth_fano": False, "certificate": None}
         assert re.fullmatch(r"hull: basis \[[\d, ]+\] is not lexicographically feasible", serial[1]["certificate"])
         assert emit(scan(pf, ScanOptions(conjectures=True, jobs=2))) == emit(serial)
+
+    def test_broken_first_basis_becomes_a_certificate(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_tableau", _blind_tableau)
+        r = analyze_entry(("phase1", 3, tuple(PHASE1_POINTS)), ScanOptions(conjectures=True))
+        assert r["is_smooth_fano"] is False and r["n_vertices"] is None
+        assert re.fullmatch(r"hull: point \([-\d, ]+\) violates basis \[[\d, ]+\] with no lambda_j > 0",
+                            r["certificate"])
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=9))))
+    @settings(max_examples=200, deadline=None)
+    def test_random_point_sets_get_a_report(self, case):
+        # the smooth keys or a certificate, never an exception
+        n, rows = case
+        r = analyze_entry(("fuzz", n, tuple(rows)), ScanOptions(conjectures=True))
+        if r["is_smooth_fano"]:
+            assert set(r) == SMOOTH_KEYS
+        else:
+            assert set(r) == {"name", "dim", "n_vertices", "is_smooth_fano", "certificate"}
+            assert isinstance(r["certificate"], str) and r["certificate"]
 
     def test_ehrhart_dim_cap(self):
         entry = parse(GOOD).entry("plane")

@@ -341,7 +341,7 @@ class TestHull:
     ]])
     def test_one_pivot_per_basis(self, make, bases, dets, monkeypatch):
         q = make()
-        counts = {"_pivot": 0, "_exchange": 0, "_tableau": 0, "kernel_basis": 0}
+        counts = {"_exchange": 0, "_tableau": 0, "kernel_basis": 0}
         found = []    # (d, tableau) of each basis
         for fn in counts:
             wrapped = getattr(polytope, fn)
@@ -355,12 +355,12 @@ class TestHull:
 
             monkeypatch.setattr(polytope, fn, counting)
         assert hull(q.vertices) == q
-        # one elimination, then one exchange per further basis; the tilt from x_0 >= min
-        # to the first facet adds at most n - 1 pivots and n kernels
+        # one kernel for the span, one elimination, then one exchange per further basis: the
+        # first basis is already a facet here, also of the points moved when a coordinate keeps
+        # one sign (the origin-facet hulls)
+        assert counts["kernel_basis"] == 1
         assert counts["_tableau"] == 1
         assert counts["_exchange"] == bases - 1
-        assert counts["_pivot"] <= q.dim - 1
-        assert counts["kernel_basis"] <= q.dim
         assert len({tuple(basis) for basis, _, _, _ in found}) == bases
         if dets is not None:
             assert sum(d for _, d, _, _ in found) == dets
@@ -378,6 +378,50 @@ class TestHullInvariants:
         monkeypatch.setattr(polytope, "_entering", _greatest_ratio)
         with pytest.raises(HullInvariantError, match="is not lexicographically feasible"):
             hull(pts)
+
+    def test_violated_point_without_positive_lambda_is_named(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_tableau", _blind_tableau)
+        with pytest.raises(HullInvariantError, match=r"point \(.*\) violates basis \[.*\] with no lambda_j > 0"):
+            hull(PHASE1_POINTS)
+
+
+# its first basis, the first independent points, leaves points beyond its hyperplane
+PHASE1_POINTS = [(-1, -2, -2), (0, 2, -2), (1, -1, 1), (1, 1, -1), (2, -2, 2), (2, 0, -1)]
+_TABLEAU = polytope._tableau
+
+
+def _blind_tableau(pts, basis):
+    """A broken tableau: every lambda_j of a point beyond the hyperplane made <= 0, which its slack forbids."""
+    basis, d, cols, sign = _TABLEAU(pts, basis)
+    slack = cols[-1]
+    for k in range(len(pts)):
+        if slack[k] < 0:
+            for col in cols[:-1]:
+                col[k] = -abs(col[k])
+    return basis, d, cols, sign
+
+
+def test_first_basis_pivots_to_a_facet(monkeypatch):
+    exchanges, first = [], []
+    exchange, wrap = polytope._exchange, polytope._wrap
+
+    def counting(tab, j, k):
+        exchanges.append(k)
+        return exchange(tab, j, k)
+
+    def starting(pts, tab):
+        first.append((len(exchanges), tab))
+        return wrap(pts, tab)
+
+    monkeypatch.setattr(polytope, "_exchange", counting)
+    monkeypatch.setattr(polytope, "_wrap", starting)
+    assert hull(PHASE1_POINTS) == _hull_exhaustive(PHASE1_POINTS)
+    # phase 1 pivoted at least twice, to a basis with every slack >= 0 and 0 on the basis; the
+    # origin is outside, so a second walk follows on moved points
+    assert len(first) == 2
+    pivots, (basis, _, cols, _) = first[0]
+    assert pivots >= 2
+    assert min(cols[-1][:len(PHASE1_POINTS)]) == 0 and not any(cols[-1][k] for k in basis)
 
 
 def _entering_by_fractions(tab, j, m, rank):
