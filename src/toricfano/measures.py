@@ -6,7 +6,9 @@ affine lattice = 1), the convention compatible with Ehrhart coefficients.
 
 A scan makes one pass over each entry's vertex cones (``cone_measures``):
 the volume and barycenter always, the Todd product and the ridge sum only
-within ``--ehrhart-max-dim``.
+within ``--ehrhart-max-dim``.  Lattice points are counted slice by slice
+over the hulls of P's projections to its leading coordinates
+(``count_lattice_points``), in ``int`` throughout.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,6 @@ from .linalg import (
     dot,
     inverse_columns,
     kernel_basis,
-    rank,
     rref,
     saturated_kernel,
     vec_sub,
@@ -164,111 +165,39 @@ def volume_and_barycenter(p: LatticePolytope):
     return cone_measures(p)[:2]
 
 
-def _fm_eliminate(cons):
-    """Fourier-Motzkin elimination of the last variable.
-
-    ``cons`` are (coeffs, rhs) meaning <coeffs, x> <= rhs.  Output constrains
-    the remaining prefix variables; exact, with gcd reduction and dedup.
-    """
-    out, pos, neg = {}, [], []
-    for a, b in cons:
-        c = a[-1]
-        if c == 0:
-            prev = out.get(a[:-1])
-            if prev is None or b < prev:
-                out[a[:-1]] = b
-        elif c > 0:
-            pos.append((a, b))
-        else:
-            neg.append((a, b))
-    for a, b in pos:
-        for c, e in neg:
-            al, cl = a[-1], c[-1]
-            coeffs = tuple(al * cj - cl * aj for aj, cj in zip(a[:-1], c[:-1]))
-            rhs = al * e - cl * b
-            g = 0
-            for x in coeffs:
-                g = gcd(g, abs(x))
-            g = gcd(g, abs(rhs))
-            if g > 1:
-                coeffs = tuple(x // g for x in coeffs)
-                rhs = rhs // g
-            if not any(coeffs):
-                if rhs < 0:
-                    return None  # globally infeasible projection
-                continue
-            prev = out.get(coeffs)
-            if prev is None or rhs < prev:
-                out[coeffs] = rhs
-    return list(out.items())
-
-
 def count_lattice_points(p: LatticePolytope, k=1):
-    """Exact number of lattice points in the k-th dilate."""
+    """Exact number of lattice points in the k-th dilate, counted slice by slice.
+
+    The projection of P to its first d + 1 coordinates is the hull of the
+    projected vertices, so ``hull`` gives level d its irredundant facets
+    <u, x> >= b; the last level is P's own.  A facet with u_d = 0 is one of
+    the level before, which every prefix already meets, so level d keeps
+    the others.  Over a fixed prefix of d coordinates, with
+    r = k b - <u, prefix>, coordinate d runs from the largest
+    ceil(r / u_d) over u_d > 0 to the least floor(r / u_d) over u_d < 0:
+    a bounded projection has facets of both signs in every coordinate.
+    """
     if k < 1:
         raise MeasureError("dilation factor must be a positive integer")
-    if p.dim == 0:
-        return 1
-    return count_integer_points([(f.normal, k * f.rhs) for f in p.facets])
-
-
-def count_integer_points(halfspaces):
-    """Number of integer x with <u, x> >= b for every (u, b) in ``halfspaces``.
-
-    Coordinate-recursive slicing: successive exact eliminations give the
-    integer range of each coordinate given the previous ones.  The system
-    must describe a bounded set.
-    """
-    n = len(halfspaces[0][0])
-    # <u, x> >= b  as  <-u, x> <= -b
-    cons = [(tuple(-x for x in u), -b) for u, b in halfspaces]
-    systems = [None] * n
-    systems[n - 1] = cons
-    for d in range(n - 1, 0, -1):
-        cons = _fm_eliminate(cons)
-        if cons is None:
-            return 0
-        systems[d - 1] = cons
+    levels = [hull({v[: d + 1] for v in p.vertices}).facets for d in range(p.dim - 1)] + [p.facets]
+    systems = [[(f.normal, k * f.rhs) for f in facets if f.normal[d]] for d, facets in enumerate(levels)]
     return _count_level(systems, 0, (), [b for _, b in systems[0]])
-
-
-def _slice_bounds(cons, rests):
-    """Integer range of the next coordinate over a fixed prefix.
-
-    ``rests`` holds b - <a, prefix> for each constraint <a, x> <= b; with c
-    the last coefficient, the coordinate is at most rest / c for c > 0 and
-    at least rest / c for c < 0, and floor and ceiling are exact integer
-    divisions.
-    """
-    lo, hi = None, None
-    for (a, _), rest in zip(cons, rests):
-        c = a[-1]
-        if c > 0:
-            val = rest // c
-            if hi is None or val < hi:
-                hi = val
-        elif c < 0:
-            val = -(-rest // c)
-            if lo is None or val > lo:
-                lo = val
-    return lo, hi
 
 
 def _count_level(systems, d, prefix, rests):
     """Lattice points whose first d coordinates are ``prefix``.
 
-    ``rests`` holds b - <a, prefix> for each constraint of ``systems[d]``;
+    ``rests`` holds b - <u, prefix> for each facet (u, b) of ``systems[d]``;
     the next level's residuals are formed once here and updated by one
     product per coordinate value.
     """
-    lo, hi = _slice_bounds(systems[d], rests)
-    if lo is None or hi is None:
-        raise MeasureError("unbounded slice; input is not a polytope")
+    lo = max(-(-r // u[d]) for (u, _), r in zip(systems[d], rests) if u[d] > 0)
+    hi = min(r // u[d] for (u, _), r in zip(systems[d], rests) if u[d] < 0)
     if hi < lo:
         return 0
     if d == len(systems) - 1:
         return hi - lo + 1
-    base = [(b - sum(map(mul, a, prefix)), a[d]) for a, b in systems[d + 1]]
+    base = [(b - sum(map(mul, u, prefix)), u[d]) for u, b in systems[d + 1]]
     total = 0
     for x in range(lo, hi + 1):
         total += _count_level(systems, d + 1, prefix + (x,), [r - c * x for r, c in base])
@@ -325,10 +254,10 @@ def relative_volume(face_vertices):
     n = len(vs[0])
     v0 = vs[0]
     diffs = [vec_sub(v, v0) for v in vs[1:]]
-    d = rank(diffs)
-    if d == n:
-        return volume_and_barycenter(hull(vs))[0]
     normals = kernel_basis(diffs, ncols=n)
+    if not normals:
+        return volume_and_barycenter(hull(vs))[0]
+    d = n - len(normals)
     lattice_basis = saturated_kernel(normals)
     if len(lattice_basis) != d:
         raise MeasureError("induced lattice rank differs from the face dimension")

@@ -1,6 +1,7 @@
 import warnings
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from toricfano.conjectures import (
 from toricfano.io import ScanOptions, analyze_entry
 from toricfano.linalg import dot
 from toricfano.lp import feasible_point
-from toricfano.measures import MeasureError, cone_measures, count_integer_points, fano_index
+from toricfano.measures import MeasureError, cone_measures, count_lattice_points, fano_index
 from toricfano.polytope import (
     DimensionDeficiencyError,
     DualPair,
@@ -64,7 +65,14 @@ def _interior_lattice_points(p):
 
 
 def _interior_count(p):
-    return count_integer_points([(f.normal, f.rhs + 1) for f in p.facets])
+    """#int(P) = (-1)^n L(-1) by Ehrhart-Macdonald reciprocity, L interpolated from its values at k = 0..n.
+
+    L has degree n, so its (n+1)-st difference vanishes: exact Lagrange
+    interpolation at -1 from the nodes 0..n is L(-1) = sum_k (-1)^k C(n+1, k+1) L(k).
+    """
+    n = p.dim
+    counts = [1] + [count_lattice_points(p, k) for k in range(1, n + 1)]
+    return (-1) ** n * sum((-1) ** k * comb(n + 1, k + 1) * c for k, c in enumerate(counts))
 
 
 def _measured(dp):

@@ -192,6 +192,24 @@ class TestCounting:
             return
         assert count_lattice_points(p, k) == count_lattice_points_bruteforce(p, k)
 
+    @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 4), min_size=5, max_size=9))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_bruteforce_in_dimension_4(self, pts):
+        try:
+            p = hull(pts)
+        except DimensionDeficiencyError:
+            return
+        assert count_lattice_points(p) == count_lattice_points_bruteforce(p)
+
+    def test_many_facets_in_dimension_4(self):
+        # 9 vertices and 21 facets: pairing every lower bound with every upper
+        # bound, redundant rows kept, grows each eliminated system far past
+        # the projection's own facets
+        p = hull([(-2, -1, 0, -3), (0, -1, -2, -2), (1, -3, 0, -2), (1, 2, -2, -1), (2, -3, 3, 0),
+                  (2, -2, 2, -3), (3, -2, 1, -3), (3, -1, 2, 0), (3, 3, -1, 3)])
+        assert (p.n_vertices, len(p.facets)) == (9, 21)
+        assert count_lattice_points(p) == count_lattice_points_bruteforce(p) == 43
+
 
 def direct_product(p1: LatticePolytope, p2: LatticePolytope) -> LatticePolytope:
     """Cartesian product in block coordinates; F x P2 holds (v_i, w_j) iff F holds v_i."""
