@@ -4,7 +4,7 @@ All scalars are Python ``int`` or ``fractions.Fraction``; nothing in this
 module (or the rest of the package) ever touches floating point.  Matrices
 are sequences of row sequences; public results come back as tuples.
 ``det``, ``adjugate``, ``rref`` and ``kernel_basis`` (so ``rank`` and ``solve_exact``)
-all read ``_eliminate``, a Gauss-Jordan by ``bareiss_pivot``, the hull's and the LP's pivot too.
+all read ``_eliminate``, a Gauss-Jordan by ``bareiss_pivot``, the LP's pivot too.
 """
 
 from fractions import Fraction

@@ -6,16 +6,14 @@ integer normal, so a reflexive polytope is exactly one whose facets all read
 equality is equality of that canonical form.
 """
 
-from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress
-from math import gcd, lcm
-from operator import index
+from math import gcd
+from operator import index, mul
 
 from .linalg import (
     adjugate,
-    bareiss_pivot,
     det,
     dot,
     inverse_columns,
@@ -87,22 +85,17 @@ class DualPair:
 def hull(points):
     """Convex hull of integer points: irredundant vertices, facets, incidence.
 
-    Facet-to-facet gift wrapping (Chand-Kapur 1970; Swart 1985) over ``int``
-    by basis exchange (Avis-Fukuda 1992; Avis 2000).  One kernel of the
-    coordinates names n independent points, or shows that a hyperplane holds
-    every point (``DimensionDeficiencyError``).  A dual simplex phase
-    (``_first_basis``) exchanges them until they span a facet with the
-    origin strictly on its inner side, and ``_wrap`` walks on from that
-    tableau.  The walk needs the origin strictly inside: when a coordinate
-    keeps one sign, or a pivot shows it is not, both run again on the points
-    moved by the barycentre of the n and a point off their hyperplane, times
-    n + 1.  ``Facet.inverse`` of a facet of n points off the origin, (det B,
-    columns of |det B| B^-1) of its vertex matrix B, is read off the walk's
-    tableau (one elimination per smooth Fano polytope), or afresh after a
-    move.  A point is a vertex exactly when the facets through it meet in
-    that point alone.  Exact, order-insensitive, robust to redundant points;
-    coordinates are ints, the same positive number per point
-    (``PointDimensionError``).
+    The double-description method (Motzkin-Raiffa-Thompson-Thrall 1953;
+    Fukuda-Prodon 1996) over ``int``.  One kernel of the coordinates names
+    n + 1 affinely independent points, or shows that a hyperplane holds every
+    point (``DimensionDeficiencyError``); ``_insertion_hull`` starts from their
+    simplex and inserts the other points.  ``Facet.inverse`` of a facet of n
+    points off the origin, (det B, columns of |det B| B^-1) of its vertex
+    matrix B, is carried across ridges from one elimination per connected
+    component (``_ridge_inverses``).  A point is a vertex exactly when the
+    facets through it meet in that point alone.  Exact, order-insensitive,
+    robust to redundant points; coordinates are ints, the same positive number
+    per point (``PointDimensionError``).
     """
     pts = sorted(set(tuple(index(x) for x in p) for p in points))
     if not pts:
@@ -112,183 +105,147 @@ def hull(points):
         raise PointDimensionError("points need one common, positive number of coordinates")
     if len(pts) < n + 1:
         raise DimensionDeficiencyError("too few points to span the space")
-    coords = list(zip(*pts))
     # the linear dependences, one ending at each point that depends on those before it; a hyperplane
     # holds every point when fewer than n are independent, or when all sum to 0 (<u, p> = 1 for some u)
-    ker = kernel_basis(coords)
+    ker = kernel_basis(list(zip(*pts)))
     if len(ker) > len(pts) - n or not any(map(sum, ker)):
         raise DimensionDeficiencyError("points do not affinely span the space")
     free = {max(compress(range(len(pts)), v)) for v in ker}
-    start = [i for i in range(len(pts)) if i not in free]
-    # the origin is strictly inside only if every coordinate takes both signs
-    wrapped = _wrap(pts, _first_basis(pts, start)) if all(min(x) < 0 < max(x) for x in coords) else None
-    if wrapped is None:
-        # a dependence with a nonzero sum ends at a point off the hyperplane through start
-        off = max(compress(range(len(pts)), next(v for v in ker if sum(v))))
-        c = [sum(x) for x in zip(*(pts[i] for i in start + [off]))]
-        moved = [tuple((n + 1) * x - y for x, y in zip(p, c)) for p in pts]
-        wrapped = _wrap(moved, _first_basis(moved, start))
-        if wrapped is None:
-            raise HullInvariantError("a pivot found no point to stop at around an inner point")
-        facets = {(u, (b + dot(u, c)) // (n + 1)): inc for (u, b), inc in wrapped[0].items()}
-        wrapped = facets, {key: inverse_columns([pts[i] for i in sorted(inc)])
-                           for key, inc in facets.items() if key[1] and len(inc) == n}
-    facets, inverses = wrapped
-    face_of = [None] * len(pts)    # smallest face through each point
-    for inc in facets.values():
-        for i in inc:
-            face_of[i] = inc if face_of[i] is None else face_of[i] & inc
-    verts = [i for i, face in enumerate(face_of) if face is not None and len(face) == 1]
-    vert_of = {i: k for k, i in enumerate(verts)}
-    same = len(verts) == len(pts)    # every point is a vertex, at its own index
-    facets = tuple(Facet(u, b, inc if same else frozenset(vert_of[i] for i in inc if i in vert_of),
-                         inverses.get((u, b))) for (u, b), inc in sorted(facets.items()))
+    # a dependence with a nonzero sum ends at a point off the hyperplane through the n independent points
+    off = max(compress(range(len(pts)), next(v for v in ker if sum(v))))
+    facets = _insertion_hull(pts, [i for i in range(len(pts)) if i not in free or i == off])
+    rows = {key: _bits(inc) for key, inc in facets.items()}
+    inverses = _ridge_inverses(pts, facets, rows)
+    face_of = [-1] * len(pts)    # smallest face through each point, as a bitmask
+    for key, inc in facets.items():
+        for i in rows[key]:
+            face_of[i] &= inc
+    verts = [i for i, face in enumerate(face_of) if face == 1 << i]
+    if len(verts) < len(pts):    # renumber the incidences by vertex
+        vert_of = {i: k for k, i in enumerate(verts)}
+        rows = {key: [vert_of[i] for i in on if i in vert_of] for key, on in rows.items()}
+    facets = tuple(Facet(u, b, frozenset(rows[u, b]), inverses.get((u, b))) for u, b in sorted(facets))
     return LatticePolytope(n, tuple(pts[i] for i in verts), facets)
 
 
-def _first_basis(pts, start):
-    """The tableau of a basis spanning a facet, the origin strictly on its inner side.
+def _bits(mask):
+    """The indices of the set bits of ``mask``, in increasing order."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
-    The dual simplex with Bland's rule (Bland 1977) on max <c, y> over
-    <p, y> <= 1, c the sum of the n independent points ``start`` and
-    <y, x> = 1 the basis's hyperplane: while some point has negative slack,
-    the first such point k replaces the f_j of least <c, A_j> / lambda_j(p_k)
-    over lambda_j(p_k) > 0, the lower position on a tie.  A point with no
-    lambda_j > 0 has slack >= d, so a violated one is a broken tableau.
+
+def _facet(u, b, inc):
+    """(u, b, inc) with u made primitive; a zero u, which no two adjacent facets combine to, is a broken hull."""
+    g = gcd(*u)
+    if g == 1:
+        return tuple(u), b, inc
+    if not g:
+        raise HullInvariantError(f"the hyperplane through points {_bits(inc)} has a zero normal")
+    return tuple([x // g for x in u]), b // g, inc
+
+
+def _insertion_hull(pts, simplex):
+    """{(primitive inward u, b): bitmask of the points with <u, p> = b} for the facets of conv(pts).
+
+    Column k of the adjugate of the simplex's rows (p, 1) is the facet
+    opposite its point k, up to the sign of the determinant.  Each further
+    point p, in index order, splits the facets by s = <u, p> - b: those with
+    s < 0 go, and those with s = 0 take p into their incidence.  Each
+    adjacent pair with s+ > 0 > s- gives the facet (s+ u- - s- u+,
+    s+ b- - s- b+) through their common points and p.  Two facets are
+    adjacent when they share n - 1 points and one of them holds only n, as
+    those n are affinely independent; else when they share more and no
+    third facet holds all of those.
     """
-    tab, m, n = _tableau(pts, start), len(pts), len(pts[0])
-    while (k := next((k for k in range(m) if tab[2][n][k] < 0), None)) is not None:
-        cols = tab[2]
-        lam = {j: col[k] for j, col in enumerate(cols[:n]) if col[k] > 0}
-        if not lam:
-            raise HullInvariantError(f"point {pts[k]} violates basis {tab[0]} with no lambda_j > 0")
-        big = lcm(*lam.values())    # <c, A_j> / lambda_j = <c, A_j> (big // lambda_j) / big
-        tab = _exchange(tab, min(lam, key=lambda j: sum([cols[j][i] for i in start]) * (big // lam[j])), k)
-    return tab
-
-
-def _wrap(pts, tab):
-    """Facets of the hull of points around the origin, as bases walked from the tableau ``tab``.
-
-    A basis is n points of a facet; its tableau (``_tableau``) holds every
-    point's coordinates lambda in it and its slack.  Crossing the ridge
-    opposite f_j enters the point of least slack / -lambda_j over
-    lambda_j < 0 (``_entering``): on the next facet, or on the same one
-    beyond the ridge (slack 0, a degenerate pivot).  Ties go by Avis's
-    lexicographic rule, as if each point moved toward the origin by its own
-    infinitesimal, smaller the later it comes in ``rank`` (by index, then
-    the first basis): the first basis is feasible and ranks last, so it is
-    lexicographically feasible, every basis stays so, and the bases are the
-    simplices of one triangulation of the boundary, each of its ridges in
-    two.  A ridge, the basis's point bitmask less one bit, is closed for good
-    by its second basis, and a basis on ``todo`` resumes at its next
-    unchecked ridge: so a basis costs one ``_exchange``, O((n + 1)(m + n)),
-    and O(n) bookkeeping.
-    Bases of equal (u, b) are one facet.  Returns {(primitive inward u, b):
-    frozenset of the points with <u, p> = b}, {(u, b): (det B, columns of
-    |det B| B^-1) off the tableau} for facets of n points B, or None when a
-    pivot finds no lambda_j < 0, as then the origin is not strictly inside.
-    """
-    n, m = len(pts[0]), len(pts)
-    rank = [i + m * (i in tab[0]) for i in range(m)]
-    facets, inverses, open_ridges, todo = {}, {}, set(), []
-    mask = sum(1 << f for f in tab[0])    # the basis's points, as bits
-    while tab:
-        basis, d, cols, sign = tab
-        slack = cols[n]
-        on = [k for k in range(m) if not slack[k]]
-        # lexicographically feasible: of a point on the hyperplane and the f_i with lambda_i != 0,
-        # the first by rank is that point or has lambda_i < 0 (vacuous when the basis is all of it)
-        if min(slack[:m]) < 0 or len(on) > n and any(k not in basis and min([(rank[k], d)] + [
-                (rank[f], -col[k]) for f, col in zip(basis, cols) if col[k]])[1] < 0 for k in on):
-            raise HullInvariantError(f"basis {basis} is not lexicographically feasible")
-        g = gcd(*slack[m:])
-        key = (tuple(slack[m:]) if g == 1 else tuple([x // g for x in slack[m:]]), -d // g)
-        if key not in facets:
-            facets[key] = frozenset(on)
-            if len(on) == n:
-                inverses[key] = (sign * d, tuple([tuple(col[m:]) for col in cols[:n]]))
-        ridges = [mask ^ 1 << f for f in basis]
-        open_ridges.symmetric_difference_update(ridges)    # a ridge's second basis closes it
-        todo.append([tab, ridges, 0])    # and a cursor at its next unchecked ridge
-        tab = None
-        while todo and not tab:
-            top, ridges, j = entry = todo[-1]
-            while j < n and ridges[j] not in open_ridges:
-                j += 1
-            if j == n:
-                todo.pop()
-            elif (k := _entering(top, j, m, rank)) is None:
-                return None
-            else:
-                entry[2] = j + 1
-                tab, mask = _exchange(top, j, k), ridges[j] | 1 << k    # which closes ridge j
-    return facets, inverses
-
-
-def _tableau(pts, basis):
-    """(basis, d, columns, sign) of n points with rows f_i, by one adjugate.
-
-    The rows have (det, adj) = sign * (d, A), d > 0.  Column i holds
-    lambda_i(p) = <p, A_i> for each point p, then A_i (<f_j, A_i> = d [i = j]).
-    Column n, the slack, holds d - sum lambda(p), then -sum A_i: d/g times
-    <u, p> - b for the facet <u, x> >= b through the rows, g = gcd(sum A_i).
-    """
-    d, adj = adjugate([pts[i] for i in basis])
+    n = len(pts[0])
+    d, adj = adjugate([pts[i] + (1,) for i in simplex])
     sign = 1 if d > 0 else -1
-    cols = [[sign * dot(p, a) for p in pts] + [sign * x for x in a] for a in zip(*adj)]
-    cols.append([sign * d * (i < len(pts)) - sum(x) for i, x in enumerate(zip(*cols))])
-    return list(basis), sign * d, cols, sign
+    done = sum(1 << i for i in simplex)
+    facets = [_facet([sign * x for x in col[:n]], -sign * col[n], done ^ 1 << k) for k, col in zip(simplex, zip(*adj))]
+    for k, p in enumerate(pts):
+        if done >> k & 1:
+            continue
+        bit, keep, pos, neg = 1 << k, [], [], []
+        for f in facets:
+            u, b, inc = f
+            s = sum(map(mul, u, p)) - b
+            if s > 0:
+                keep.append(f)
+                pos.append((s, u, b, inc))
+            elif s < 0:
+                neg.append((s, u, b, inc))
+            else:
+                keep.append((u, b, inc | bit))
+        for sn, un, bn, im in neg:
+            simple = im.bit_count() == n
+            for sp, up, bp, ip in pos:
+                c = ip & im
+                w = c.bit_count()
+                if w == n - 1 and (simple or ip.bit_count() == n) or w >= n - 1 and not any(
+                        g[2] & c == c and g[2] != ip and g[2] != im for g in facets):
+                    keep.append(_facet([sp * x - sn * y for x, y in zip(un, up)], sp * bn - sn * bp, c | bit))
+        facets = keep
+    return {(u, b): inc for u, b, inc in facets}
 
 
-def _exchange(tab, j, k):
-    """The tableau after f_j leaves the basis and point k enters it.
+def _ridge_inverses(pts, facets, rows):
+    """{(u, b): (det B, columns of |det B| B^-1)} for the facets of n points B off the origin.
 
-    The columns, the slack's too, take one ``bareiss_pivot`` on entry k of
-    column j: the new d is |lambda_j(p_k)|, and column j stays, negated along
-    with the sign if lambda_j(p_k) < 0; then it moves to k's sorted place.
+    ``facets`` maps each facet to its bitmask and ``rows`` to its sorted
+    points.  One ``inverse_columns`` per connected component of those facets
+    across their common ridges; each crossing is a ``_cross``.
     """
-    basis, d, cols, sign = tab
-    cols = list(cols)
-    if cols[j][k] < 0:
-        cols[j], sign = [-x for x in cols[j]], -sign
-    d = bareiss_pivot(cols, j, k, d)
-    basis = basis[:j] + basis[j + 1:]
-    q = bisect(basis, k)
-    basis.insert(q, k)
-    cols.insert(q, cols.pop(j))
-    return basis, d, cols, sign * (-1) ** abs(q - j)    # a flip per column passed
+    n = len(pts[0])
+    links, ends = {}, {}    # facet: (row j, facet across the ridge without j, its row off it); ridge: (facet, row)
+    for key, inc in facets.items():
+        if key[1] and inc.bit_count() == n:
+            links[key] = []
+            for j, i in enumerate(rows[key]):
+                ridge = inc ^ 1 << i
+                if ridge in ends:
+                    other, jo = ends.pop(ridge)
+                    links[key].append((j, other, jo))
+                    links[other].append((jo, key, j))
+                else:
+                    ends[ridge] = key, j
+    inverses = {}
+    for root in links:
+        if root not in inverses:
+            inverses[root] = inverse_columns([pts[i] for i in rows[root]])
+            todo = [root]
+            while todo:
+                key = todo.pop()
+                for j, other, jo in links[key]:
+                    if other not in inverses:
+                        inverses[other] = _cross(inverses[key], j, jo, pts[rows[other][jo]])
+                        todo.append(other)
+    return inverses
 
 
-def _entering(tab, j, m, rank):
-    """The point of least slack / -lambda_j over lambda_j < 0, or None if there is none.
+def _cross(inverse, j, q, point):
+    """``Facet.inverse`` (det B, columns C of D B^-1, D = |det B|) once ``point`` b' replaces row j and moves to row q.
 
-    Ties go by the lexicographic rule: in ``rank`` order over the basis and
-    the tied points, each f_i keeps the tied points of least lambda_i /
-    lambda_j (over ``int``), and a tied point is dropped at its own turn.
+    With t = <b', C_j>: C_j becomes sgn(t) C_j and each other C_i becomes
+    sgn(t) (t C_i - <b', C_i> C_j) / D, an exact division (Bareiss 1968), or
+    C_i - t <b', C_i> C_j when D = |t| = 1; det becomes sgn(det B) t, negated
+    per row b' passes on the way to row q.
     """
-    basis, _, cols, _ = tab
-    lam, slack = cols[j], cols[-1]
-    ties, bs, bt = [], 0, -1
-    for k in range(m):
-        t = lam[k]
-        if t < 0:
-            s = slack[k]
-            x = s * bt - bs * t    # > 0 when s / -t < bs / -bt
-            if x > 0 or not ties:
-                ties, bs, bt = [k], s, t
-            elif x == 0:
-                ties.append(k)
-    for q in sorted(basis + ties, key=rank.__getitem__) if len(ties) > 1 else ():
-        if q in basis:    # col[k] / lam[k] = col[k] (big // lam[k]) / big
-            col, big = cols[basis.index(q)], lcm(*[lam[k] for k in ties])
-            least = min(col[k] * (big // lam[k]) for k in ties)
-            ties = [k for k in ties if col[k] * (big // lam[k]) == least]
-        else:
-            ties = [k for k in ties if k != q]
-        if len(ties) == 1:
-            break
-    return ties[0] if ties else None
+    d, cols = inverse
+    cj = cols[j]
+    t = sum(map(mul, point, cj))
+    if not t:
+        raise HullInvariantError(f"crossing a ridge to point {point} gives t = 0")
+    e, a, big = (1 if t > 0 else -1), abs(t), abs(d)
+    out = list(cols)
+    for i, c in enumerate(cols):
+        if i == j:
+            continue
+        w = e * sum(map(mul, point, c))
+        if w or a != big:
+            out[i] = tuple([x - w * y for x, y in zip(c, cj)] if a == big == 1 else
+                           [(a * x - w * y) // big for x, y in zip(c, cj)])
+    del out[j]
+    out.insert(q, cj if e > 0 else tuple([-y for y in cj]))
+    return (1 if d > 0 else -1) * t * (-1) ** abs(q - j), tuple(out)
 
 
 def is_smooth_fano(p: LatticePolytope):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import toricfano
 from test_measures import PRODUCT_PAIRS, _free_sum_rows
-from test_polytope import PHASE1_POINTS, _blind_tableau, _greatest_ratio
 from test_symmetry import _elementary_unimodular
 from toricfano import criteria, fixtures, measures, polytope, symmetry
 from toricfano import io as scan_io
@@ -81,6 +80,15 @@ vertices 3
 end
 
 """ + GOOD
+
+
+_ADJUGATE = polytope.adjugate
+
+
+def _blind_in_dimension_5(m):
+    """``adjugate``, but all zeros for the 6 x 6 rows (p, 1) of a 5-dimensional start simplex."""
+    d, adj = _ADJUGATE(m)
+    return (d, ((0,) * 6,) * 6) if len(m) == 6 else (d, adj)
 
 
 class TestParse:
@@ -170,25 +178,26 @@ class TestAnalyze:
         }
 
     def test_hull_invariant_becomes_a_certificate(self, monkeypatch):
-        # a ratio test taking the greatest ratio breaks cx5's walk but not p2's or cross3's;
-        # the pool's workers are forked, so they run the patched module too
+        # an adjugate gone blind in dimension 5 leaves cx5's start simplex a zero normal but not
+        # p2's or cross3's; the pool's workers are forked, so they run the patched module too
         entries = [("p2", fixtures.simplex_fano(2).vertices), ("cx5", fixtures.CX5_VERTICES),
                    ("cross3", fixtures.cross_polytope(3).vertices)]
         pf = parse(fixtures.corpus_text(entries))
-        monkeypatch.setattr(polytope, "_entering", _greatest_ratio)
+        monkeypatch.setattr(polytope, "adjugate", _blind_in_dimension_5)
         serial = scan(pf, ScanOptions(conjectures=True))
         assert [r["is_smooth_fano"] for r in serial] == [True, False, True]
         assert {**serial[1], "certificate": None} == {
             "name": "cx5", "dim": 5, "n_vertices": None, "is_smooth_fano": False, "certificate": None}
-        assert re.fullmatch(r"hull: basis \[[\d, ]+\] is not lexicographically feasible", serial[1]["certificate"])
+        assert re.fullmatch(r"hull: the hyperplane through points \[[\d, ]+\] has a zero normal", serial[1]["certificate"])
         assert emit(scan(pf, ScanOptions(conjectures=True, jobs=2))) == emit(serial)
 
     def test_broken_first_basis_becomes_a_certificate(self, monkeypatch):
-        monkeypatch.setattr(polytope, "_tableau", _blind_tableau)
-        r = analyze_entry(("phase1", 3, tuple(PHASE1_POINTS)), ScanOptions(conjectures=True))
+        # a first inverse of zero columns leaves every ridge crossing t = 0
+        entry = ("p3", 3, fixtures.simplex_fano(3).vertices)
+        monkeypatch.setattr(polytope, "inverse_columns", lambda m: (1, ((0,) * len(m),) * len(m)))
+        r = analyze_entry(entry, ScanOptions(conjectures=True))
         assert r["is_smooth_fano"] is False and r["n_vertices"] is None
-        assert re.fullmatch(r"hull: point \([-\d, ]+\) violates basis \[[\d, ]+\] with no lambda_j > 0",
-                            r["certificate"])
+        assert re.fullmatch(r"hull: crossing a ridge to point \([-\d, ]+\) gives t = 0", r["certificate"])
 
     @given(st.integers(1, 4).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=9))))

@@ -176,6 +176,13 @@ class TestCounting:
         with pytest.raises(MeasureError):
             count_lattice_points(p2_pair.p, 0)
 
+    # the paper's dim 7 and 8 examples: their duals' projections have facets of tens of points;
+    # the Todd pass over the vertex cones gives the Ehrhart polynomial independently, and L(1) is its sum
+    @pytest.mark.parametrize("make, points", [(fixtures.q1, 2257), (fixtures.q2, 6771)], ids=["q1", "q2"])
+    def test_paper_duals_match_ehrhart(self, make, points):
+        p = dual(make()).p
+        assert count_lattice_points(p, 1) == sum(ehrhart(p).coefficients) == points
+
     @given(
         st.integers(1, 3).flatmap(
             lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n + 1, max_size=n + 4)

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -14,6 +15,7 @@ from toricfano.linalg import (
     det,
     dot,
     identity,
+    inverse_columns,
     kernel_basis,
     mat_mul,
     mat_vec,
@@ -26,7 +28,6 @@ from toricfano.measures import vertex_cones
 from toricfano.polytope import (
     DimensionDeficiencyError,
     Facet,
-    HullInvariantError,
     LatticePolytope,
     PointDimensionError,
     PolytopeError,
@@ -86,6 +87,15 @@ def _hull_exhaustive(points):
     facets = tuple(Facet(u, b, frozenset(i for i, v in enumerate(verts) if dot(u, v) == b))
                    for u, b in sorted(seen))
     return LatticePolytope(n, tuple(verts), facets)
+
+
+def _inverses_afresh(p, points):
+    """``Facet.inverse`` of each facet of p = hull(points) by its own elimination of its sorted points.
+
+    None for a facet through the origin or holding other than n of the points.
+    """
+    on = [sorted(x for x in set(points) if dot(f.normal, x) == f.rhs) for f in p.facets]
+    return [inverse_columns(b) if len(b) == p.dim and f.rhs else None for f, b in zip(p.facets, on)]
 
 
 @st.composite
@@ -221,7 +231,9 @@ class TestHullOracle:
             with pytest.raises(DimensionDeficiencyError):
                 hull(pts)
             return
-        assert hull(pts) == expected
+        p = hull(pts)
+        assert p == expected
+        assert [f.inverse for f in p.facets] == _inverses_afresh(p, pts)
 
     @pytest.mark.parametrize("pts", [pts for _, pts in ORIGIN_POSITIONS], ids=[name for name, _ in ORIGIN_POSITIONS])
     def test_points_off_the_vertices_match_exhaustive(self, pts):
@@ -234,6 +246,7 @@ class TestHullOracle:
         p = hull(pts)
         assert p.contains_origin_interior()
         assert p == _hull_exhaustive(pts)
+        assert [f.inverse for f in p.facets] == _inverses_afresh(p, pts)
 
     @given(point_sets(), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
@@ -327,164 +340,41 @@ class TestHull:
         rng.shuffle(shuffled)
         assert hull(shuffled) == a
 
-    # (name, make, bases, sum of the bases' |det|): a simplicial hull has one basis per
-    # facet, a non-simplicial facet one per simplex of its triangulation; with the origin
-    # strictly inside, the bases' |det| sum to n! vol, as their cones over the origin tile the hull
-    @pytest.mark.parametrize("make, bases, dets", [pytest.param(*case[1:], id=case[0]) for case in [
-        ("cx5", fixtures.cx5, 18, 18),
-        ("q1", fixtures.q1, 64, 64),
-        ("q2", fixtures.q2, 128, 128),
-        *[(name, make, 4, None) for name, make in ORIGIN_FACETS],
-        *[(name, make, 6, 16) for name, make in MIXED_FACETS],
-        ("cube3", lambda: fixtures.cube(3), 12, 3 * 2 * 8),
-        ("cube4", lambda: fixtures.cube(4), 47, 4 * 3 * 2 * 16),
+    # (name, make, vertices, facets, components, sum of |det| over Facet.inverse): with the origin strictly
+    # inside, the simplicial facets' cones over it tile the hull less the cones of the others, so on
+    # a smooth Fano polytope the |det| sum to the facet count, and a cube has no simplicial facet
+    @pytest.mark.parametrize("make, vertices, facets, components, dets", [pytest.param(*case[1:], id=case[0]) for case in [
+        ("cx5", fixtures.cx5, 8, 18, 1, 18),
+        ("q1", fixtures.q1, 12, 64, 1, 64),
+        ("q2", fixtures.q2, 14, 128, 1, 128),
+        ("simplex3_at_origin", ORIGIN_FACETS[0][1], 4, 4, 1, 1),
+        ("origin_in_facet", ORIGIN_FACETS[1][1], 4, 4, 1, 3),
+        ("square_pyramid", MIXED_FACETS[0][1], 5, 5, 1, 8),
+        *[(f"cube{n}", lambda n=n: fixtures.cube(n), 2 ** n, 2 * n, 0, 0) for n in range(3, 9)],
     ]])
-    def test_one_pivot_per_basis(self, make, bases, dets, monkeypatch):
+    def test_work_follows_facets(self, make, vertices, facets, components, dets, monkeypatch):
         q = make()
-        counts = {"_exchange": 0, "_tableau": 0, "kernel_basis": 0}
-        found = []    # (d, tableau) of each basis
+        counts = dict.fromkeys(["kernel_basis", "adjugate", "inverse_columns"], 0)
         for fn in counts:
             wrapped = getattr(polytope, fn)
 
             def counting(*args, fn=fn, wrapped=wrapped):
                 counts[fn] += 1
-                out = wrapped(*args)
-                if fn in ("_exchange", "_tableau"):
-                    found.append(out)
-                return out
+                return wrapped(*args)
 
             monkeypatch.setattr(polytope, fn, counting)
-        assert hull(q.vertices) == q
-        # one kernel for the span, one elimination, then one exchange per further basis: the
-        # first basis is already a facet here, also of the points moved when a coordinate keeps
-        # one sign (the origin-facet hulls)
-        assert counts["kernel_basis"] == 1
-        assert counts["_tableau"] == 1
-        assert counts["_exchange"] == bases - 1
-        assert len({tuple(basis) for basis, _, _, _ in found}) == bases
-        if dets is not None:
-            assert sum(d for _, d, _, _ in found) == dets
+        p = hull(q.vertices)
+        assert p == q and (p.n_vertices, len(p.facets)) == (vertices, facets)
+        # one kernel for the span, one adjugate for the start simplex, one elimination per
+        # component of the simplicial facets off the origin, then one crossing per further facet
+        assert counts == {"kernel_basis": 1, "adjugate": 1, "inverse_columns": components}
+        assert sum(abs(f.inverse[0]) for f in p.facets if f.inverse) == dets
 
-
-class TestHullInvariants:
-    def test_no_blocking_point_is_named(self, monkeypatch):
-        monkeypatch.setattr(polytope, "_entering", lambda *args: None)
-        with pytest.raises(HullInvariantError, match="found no point to stop at"):
-            hull(fixtures.cx5().vertices)
-
-    @pytest.mark.parametrize("make", [fixtures.cx5, lambda: fixtures.cube(3)], ids=["cx5", "cube3"])
-    def test_lexicographically_infeasible_basis_is_named(self, make, monkeypatch):
-        pts = make().vertices
-        monkeypatch.setattr(polytope, "_entering", _greatest_ratio)
-        with pytest.raises(HullInvariantError, match="is not lexicographically feasible"):
-            hull(pts)
-
-    def test_violated_point_without_positive_lambda_is_named(self, monkeypatch):
-        monkeypatch.setattr(polytope, "_tableau", _blind_tableau)
-        with pytest.raises(HullInvariantError, match=r"point \(.*\) violates basis \[.*\] with no lambda_j > 0"):
-            hull(PHASE1_POINTS)
-
-
-# its first basis, the first independent points, leaves points beyond its hyperplane
-PHASE1_POINTS = [(-1, -2, -2), (0, 2, -2), (1, -1, 1), (1, 1, -1), (2, -2, 2), (2, 0, -1)]
-_TABLEAU = polytope._tableau
-
-
-def _blind_tableau(pts, basis):
-    """A broken tableau: every lambda_j of a point beyond the hyperplane made <= 0, which its slack forbids."""
-    basis, d, cols, sign = _TABLEAU(pts, basis)
-    slack = cols[-1]
-    for k in range(len(pts)):
-        if slack[k] < 0:
-            for col in cols[:-1]:
-                col[k] = -abs(col[k])
-    return basis, d, cols, sign
-
-
-def test_first_basis_pivots_to_a_facet(monkeypatch):
-    exchanges, first = [], []
-    exchange, wrap = polytope._exchange, polytope._wrap
-
-    def counting(tab, j, k):
-        exchanges.append(k)
-        return exchange(tab, j, k)
-
-    def starting(pts, tab):
-        first.append((len(exchanges), tab))
-        return wrap(pts, tab)
-
-    monkeypatch.setattr(polytope, "_exchange", counting)
-    monkeypatch.setattr(polytope, "_wrap", starting)
-    assert hull(PHASE1_POINTS) == _hull_exhaustive(PHASE1_POINTS)
-    # phase 1 pivoted at least twice, to a basis with every slack >= 0 and 0 on the basis; the
-    # origin is outside, so a second walk follows on moved points
-    assert len(first) == 2
-    pivots, (basis, _, cols, _) = first[0]
-    assert pivots >= 2
-    assert min(cols[-1][:len(PHASE1_POINTS)]) == 0 and not any(cols[-1][k] for k in basis)
-
-
-def _entering_by_fractions(tab, j, m, rank):
-    """The ratio test and its lexicographic tie-break over ``Fraction``, as ``_entering`` once read it.
-
-    Returns (the entering point or None, the number of tied points, the
-    number of basis steps that dropped a tied point).
-    """
-    basis, _, cols, _ = tab
-    lam, slack = cols[j], cols[-1]
-    blocking = [k for k in range(m) if lam[k] < 0]
-    if not blocking:
-        return None, 0, 0
-    least = min(Fraction(slack[k], -lam[k]) for k in blocking)
-    ties = [k for k in blocking if Fraction(slack[k], -lam[k]) == least]
-    tied, dropping = len(ties), 0
-    for q in sorted(basis + ties, key=rank.__getitem__) if len(ties) > 1 else ():
-        if q in basis:
-            ratio = {k: Fraction(cols[basis.index(q)][k], lam[k]) for k in ties}
-            kept = [k for k in ties if ratio[k] == min(ratio.values())]
-            dropping += len(kept) < len(ties)
-            ties = kept
-        else:
-            ties = [k for k in ties if k != q]
-        if len(ties) == 1:
-            break
-    return ties[0], tied, dropping
-
-
-# hulls whose walks meet ties in the ratio test: facets of more than n points
-TIED_WALKS = [
-    ("cube3", fixtures.cube(3).vertices),
-    ("cube4", fixtures.cube(4).vertices),
-    ("cube3_redundant", [tuple(2 * x for x in v) for v in fixtures.cube(3).vertices]
-     + [tuple(x + y for x, y in zip(a, b)) for a, b in combinations(fixtures.cube(3).vertices, 2)]),
-    *ORIGIN_POSITIONS,
-]
-
-
-def test_integer_tie_break_matches_fractions(monkeypatch):
-    """``_entering`` picks, on every call, the point the ``Fraction`` rule picks."""
-    entering, tied, dropping = polytope._entering, [], []
-
-    def checked(tab, j, m, rank):
-        k = entering(tab, j, m, rank)
-        expected, ties, drops = _entering_by_fractions(tab, j, m, rank)
-        assert k == expected
-        tied.append(ties)
-        dropping.append(drops)
-        return k
-
-    monkeypatch.setattr(polytope, "_entering", checked)
-    for name, pts in TIED_WALKS:
-        assert hull(pts) == _hull_exhaustive(pts), name
-    # not vacuous: ties were met, and basis columns broke some of them
-    assert max(tied) >= 2
-    assert sum(dropping) > 0
-
-
-def _greatest_ratio(tab, j, m, rank):
-    """A wrong ratio test: the point of greatest slack / -lambda_j over lambda_j < 0."""
-    cols = tab[2]
-    return max((k for k in range(m) if cols[j][k] < 0), key=lambda k: Fraction(cols[-1][k], -cols[j][k]), default=None)
+    def test_cube8_is_quick(self):
+        start = time.perf_counter()
+        p = fixtures.cube(8)
+        assert time.perf_counter() - start < 0.5
+        assert len(p.facets) == 16 and p.n_vertices == 256
 
 
 class TestStoredAdjugates:

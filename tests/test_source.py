@@ -135,9 +135,10 @@ def test_ehrhart_cap_read_only_by_io_and_cli():
 
 
 def test_hull_walk_is_integer_only():
-    """Phase 1, the hull walk, their pivot and the lattice-point counter name no ``Fraction``:
-    tableau entries, ratios, ties and slice bounds stay ``int``."""
-    walk = {"polytope.py": {"_first_basis", "_wrap", "_entering", "_exchange"}, "linalg.py": {"bareiss_pivot"},
+    """The insertion hull, its ridge crossings, the pivot of its eliminations and the lattice-point
+    counter name no ``Fraction``: normals, incidences, inverses and slice bounds stay ``int``."""
+    walk = {"polytope.py": {"hull", "_insertion_hull", "_facet", "_ridge_inverses", "_cross"},
+            "linalg.py": {"bareiss_pivot"},
             "measures.py": {"count_lattice_points", "_count_level"}}
     found, offenders = set(), []
     for path in SOURCES:
