@@ -5,7 +5,7 @@ be recomputed from the record.  The metric checkers read P's
 ``cone_measures`` record, ``measured``.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -15,40 +15,22 @@ from .measures import vertex_facets
 from .polytope import DualPair
 
 
-@dataclass(frozen=True)
-class Eq1Record:
-    a_n_minus_2: Fraction
-    third_of_codim2_vol: Fraction
-    holds: bool
-    equality: bool
+class Eq1Record(namedtuple("Eq1Record", "a_n_minus_2 third_of_codim2_vol holds equality")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FacetFeasibility:
-    facet_index: int
-    facet_normal: tuple
-    feasible: bool
+class FacetFeasibility(namedtuple("FacetFeasibility", "facet_index facet_normal feasible")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EhrhartBoundRecord:
-    vol: Fraction
-    bound: Fraction
-    holds: bool
-    equality: bool
-    simplex_shape: bool | None   # only meaningful when equality holds
-    known_bound: Fraction
-    known_bound_holds: bool
+class EhrhartBoundRecord(namedtuple("EhrhartBoundRecord",
+                                    "vol bound holds equality simplex_shape known_bound known_bound_holds")):
+    """``simplex_shape`` is None unless equality holds."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BishopRecord:
-    index: int
-    degree: Fraction
-    lhs: Fraction
-    bound: int
-    holds: bool
-    sharp: bool
+class BishopRecord(namedtuple("BishopRecord", "index degree lhs bound holds sharp")):
+    __slots__ = ()
 
 
 def check_eq1(dp: DualPair, measured) -> Eq1Record:

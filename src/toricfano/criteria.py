@@ -7,27 +7,24 @@ vertex is the centroid of its orbit (see ``max_pairing`` and
 ``alpha_invariant``).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import dot, kernel_basis
 from .measures import cone_measures
 from .polytope import DualPair
-from .symmetry import (SymmetryGroup, automorphism_group, fixed_space, index_orbit, polytope_automorphisms,
-                       transport_group, vertex_permutations)
+from .symmetry import (SymmetryGroup, fixed_space, index_orbit, polytope_automorphisms, transport_group,
+                       vertex_permutations)
 
 
-@dataclass(frozen=True)
-class KEVerdict:
+class KEVerdict(namedtuple("KEVerdict", "barycenter fixed_basis lct")):
     """The three facts of a verdict; every other name is one of them by an identity.
 
-    alpha is the group-invariant lct, Fix(G) and Fix(G^T) have one dimension,
-    and Tian's condition holds exactly when that space is zero (``full_verdict``).
+    ``fixed_basis`` is a primitive basis of the Fano-side fixed space.  alpha
+    is the group-invariant lct, Fix(G) and Fix(G^T) have one dimension, and
+    Tian's condition holds exactly when that space is zero (``full_verdict``).
     """
-    barycenter: tuple
-    fixed_basis: tuple     # primitive basis of the Fano-side fixed space
-    lct: Fraction
-
+    __slots__ = ()
     is_ke = property(lambda self: not any(self.barycenter))
     fixed_dim = fixed_dim_dual = property(lambda self: len(self.fixed_basis))
     is_symmetric = tian_holds = property(lambda self: not self.fixed_basis)
@@ -95,12 +92,11 @@ def full_verdict(dp: DualPair, groups=None, measured=None) -> KEVerdict:
     the kernel of S's kernel, which is ``fixed_space(G)`` (a kernel basis
     depends on the kernel alone); S = {} needs no elimination.  Fix(G^T) has
     the same dimension, so Tian's condition is the symmetry verdict.
-    ``measured`` is ``cone_measures(dp.p)``, built here if not given.
+    Only ``groups[0]``, the Fano-side group, is read, and ``measured`` is
+    ``cone_measures(dp.p)``; each is built here if not given.
     """
-    if groups is None:
-        groups = automorphism_group(dp)
     if measured is None:
         measured = cone_measures(dp.p)
-    sums, top = orbit_sums(dp, groups[0])
+    sums, top = orbit_sums(dp, groups[0] if groups else polytope_automorphisms(dp.q))
     basis = tuple(kernel_basis(kernel_basis(sums), ncols=dp.q.dim)) if sums else ()
     return KEVerdict(measured[1], basis, 1 / (1 + top))

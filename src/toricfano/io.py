@@ -12,11 +12,10 @@ Rationals serialize as lowest-terms "p/q" (integer part only when the
 denominator is 1, "0" for zero); floats never appear.
 """
 
-import csv
 import io as _io
 import json
 import time
-from dataclasses import dataclass, is_dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -24,7 +23,7 @@ from .conjectures import check_bishop, check_conj11, check_eq1, check_ehrhart_bo
 from .criteria import full_verdict
 from .measures import cone_measures, fano_index
 from .polytope import PolytopeError, dual, hull, is_smooth_fano
-from .symmetry import automorphism_group, vertex_sum
+from .symmetry import polytope_automorphisms, vertex_sum
 
 
 class ParseError(Exception):
@@ -33,9 +32,9 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class PolytopeFile:
-    entries: tuple         # of (name, dim, vertex rows)
+class PolytopeFile(namedtuple("PolytopeFile", "entries")):
+    """The (name, dim, vertex rows) entries of a polytope file."""
+    __slots__ = ()
 
     def names(self):
         return [e[0] for e in self.entries]
@@ -139,23 +138,19 @@ def fmt_rat(x):
 
 
 def _plain(x):
-    """JSON-ready form by exact type: Fraction as ``fmt_rat``, sequences, record fields from ``vars`` (field order)."""
+    """JSON-ready form by exact type: Fraction as ``fmt_rat``, sequences, a record's fields in field order."""
     t = type(x)
     if t is Fraction:
         return fmt_rat(x)
     if t is tuple or t is list:
         return [_plain(y) for y in x]
-    if is_dataclass(t):
-        return {k: _plain(y) for k, y in vars(x).items()}
+    if isinstance(x, tuple):    # a record: a named tuple
+        return {k: _plain(y) for k, y in zip(x._fields, x)}
     return x
 
 
-@dataclass(frozen=True)
-class ScanOptions:
-    conjectures: bool = False
-    ehrhart_max_dim: int = 5
-    jobs: int = 1
-    timing: bool = False
+class ScanOptions(namedtuple("ScanOptions", "conjectures ehrhart_max_dim jobs timing", defaults=(False, 5, 1, False))):
+    __slots__ = ()
 
 
 def analyze_entry(entry, options: ScanOptions = ScanOptions()):
@@ -184,15 +179,15 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     dp = dual(q)
     n = dp.p.dim
     report["is_reflexive"] = dp.p.is_reflexive()
-    groups = automorphism_group(dp)
+    gq = polytope_automorphisms(dp.q)
     measured = cone_measures(dp.p, with_ehrhart=n <= options.ehrhart_max_dim)
-    verdict = full_verdict(dp, groups=groups, measured=measured)
+    verdict = full_verdict(dp, groups=(gq,), measured=measured)
     report["barycenter"] = _plain(verdict.barycenter)
     report["is_ke"] = verdict.is_ke
     report["is_symmetric"] = verdict.is_symmetric
-    # each pair of twin keys is one value: transport_group copies the order,
-    # the fixed spaces share a dimension, and alpha is the lct
-    report["group_order"] = report["group_order_dual"] = groups[0].order
+    # each pair of twin keys is one value: the dual group (the transposes) has
+    # the same order, the fixed spaces share a dimension, and alpha is the lct
+    report["group_order"] = report["group_order_dual"] = gq.order
     report["fixed_dim"] = report["fixed_dim_dual"] = verdict.fixed_dim
     report["fixed_generator"] = _plain(verdict.fixed_basis[0]) if verdict.fixed_dim == 1 else None
     report["vertex_sum"] = _plain(vertex_sum(q))
@@ -247,6 +242,8 @@ def emit(reports, format="json"):
     if format == "json":
         return (json.dumps(reports, indent=2) + "\n").encode()
     if format == "csv":
+        import csv    # here, so the JSON path skips its import
+
         buf = _io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()

@@ -14,7 +14,7 @@ and y.b = rhs < 0.  Both are read as rows over their basic entries and
 checked exactly against the original system before return.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import bareiss_pivot, dot, integer_rows
@@ -31,11 +31,9 @@ class SimplexInvariantError(Exception):
     """The solver broke one of its own invariants; a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" (feasible) | "infeasible"
-    point: tuple | None = None
-    farkas: tuple | None = None
+class LPResult(namedtuple("LPResult", "status point farkas", defaults=(None, None))):
+    """status "optimal" (feasible) with a point, or "infeasible" with a Farkas witness."""
+    __slots__ = ()
 
 
 def _dual_simplex(cons, n):

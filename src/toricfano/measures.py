@@ -11,7 +11,7 @@ over the hulls of P's projections to its leading coordinates
 (``count_lattice_points``), in ``int`` throughout.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, product
@@ -37,11 +37,9 @@ class LatticeInvariantError(MeasureError):
     """A face vertex off the induced lattice: ``relative_volume`` proves it cannot happen."""
 
 
-@dataclass(frozen=True)
-class EhrhartPolynomial:
-    """Coefficients a_0..a_n of k -> #(kP ∩ Z^n)."""
-
-    coefficients: tuple    # of Fraction
+class EhrhartPolynomial(namedtuple("EhrhartPolynomial", "coefficients")):
+    """Coefficients a_0..a_n of k -> #(kP ∩ Z^n), as Fractions."""
+    __slots__ = ()
 
 
 def vertex_facets(p: LatticePolytope):

@@ -6,7 +6,7 @@ integer normal, so a reflexive polytope is exactly one whose facets all read
 equality is equality of that canonical form.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, compress
 from math import gcd
@@ -44,20 +44,22 @@ class HullInvariantError(PolytopeError):
     pass
 
 
-@dataclass(frozen=True)
-class Facet:
-    normal: tuple          # primitive integer vector u
-    rhs: int               # inequality <u, x> >= rhs
-    vertex_indices: frozenset
-    inverse: tuple = field(default=None, compare=False, repr=False)  # vertex matrix B: (det B, columns of |det B| B^-1)
+class WithCache:
+    """Record mixin: the last field is a cache derived from the others, which equality and hashing ignore."""
+    __slots__ = ()
+    __eq__ = lambda self, other: type(other) is type(self) and self[:-1] == other[:-1]
+    __ne__ = lambda self, other: not self == other
+    __hash__ = lambda self: hash(self[:-1])
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
-    dim: int
-    vertices: tuple        # sorted tuple of integer coordinate tuples
-    facets: tuple          # of Facet, sorted by (normal, rhs)
-    cone_inverses: tuple = field(default=None, compare=False)  # Facet.inverse of each vertex cone
+class Facet(WithCache, namedtuple("Facet", "normal rhs vertex_indices inverse", defaults=(None,))):
+    """<normal, x> >= rhs, normal primitive; ``inverse`` of vertex matrix B: (det B, columns of |det B| B^-1)."""
+    __slots__ = ()
+
+
+class LatticePolytope(WithCache, namedtuple("LatticePolytope", "dim vertices facets cone_inverses", defaults=(None,))):
+    """Sorted integer vertex tuples, Facets sorted by (normal, rhs), ``Facet.inverse`` of each vertex cone."""
+    __slots__ = ()
 
     @property
     def n_vertices(self):
@@ -76,10 +78,9 @@ class LatticePolytope:
         return f"LatticePolytope(dim={self.dim}, vertices={self.n_vertices}, facets={len(self.facets)})"
 
 
-@dataclass(frozen=True)
-class DualPair:
-    q: LatticePolytope     # Fano side
-    p: LatticePolytope     # reflexive dual P = Q*
+class DualPair(namedtuple("DualPair", "q p")):
+    """The Fano side q and its reflexive dual p = q*."""
+    __slots__ = ()
 
 
 def hull(points):
@@ -320,19 +321,15 @@ def segment() -> LatticePolytope:
     return hull([(-1,), (1,)])
 
 
-@dataclass(frozen=True)
-class SubspacePolytope:
+class SubspacePolytope(namedtuple("SubspacePolytope", "dim basis vertices constraints")):
     """A polytope sliced out of an ambient polytope by a linear subspace.
 
-    Lives in coordinates with respect to ``basis``; vertices may be rational.
-    ``constraints`` are (coeffs, rhs) meaning <coeffs, c> >= rhs and contain
-    one entry per ambient facet (possibly redundant after restriction).
+    Lives in coordinates with respect to ``basis`` (vectors in ambient
+    coordinates); vertices may be rational.  ``constraints`` are (coeffs,
+    rhs) meaning <coeffs, c> >= rhs and contain one entry per ambient facet
+    (possibly redundant after restriction).
     """
-
-    dim: int
-    basis: tuple           # subspace basis vectors in ambient coordinates
-    vertices: tuple        # rational coordinate tuples w.r.t. basis
-    constraints: tuple
+    __slots__ = ()
 
     def ambient_vertices(self):
         out = []

@@ -25,26 +25,23 @@ generators' matrices and the search's vertex permutations of vert(Q), whose
 orbits the verdict reads; no element list is built.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .linalg import SingularMatrixError, adjugate, inverse_columns, kernel_basis, mat_mul, mat_vec, transpose
-from .polytope import DualPair, LatticePolytope, PolytopeError
+from .polytope import DualPair, LatticePolytope, PolytopeError, WithCache
 
 
-@dataclass(frozen=True)
-class SymmetryGroup:
-    """Finite group of unimodular matrices mapping a polytope onto itself."""
+class SymmetryGroup(WithCache, namedtuple("SymmetryGroup", "dim generators order permutations", defaults=(None,))):
+    """Finite group of unimodular matrices (tuples of row tuples) mapping a polytope onto itself.
 
-    dim: int
-    generators: tuple      # matrices (tuples of row tuples) generating the group
-    order: int
-    permutations: tuple = field(default=None, compare=False)   # the generators on vert(q)'s indices, from the search
+    ``permutations`` are the generators on vert(q)'s indices, from the search, or None.
+    """
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FixedSpace:
-    dim: int
-    basis: tuple           # primitive integer vectors, possibly empty
+class FixedSpace(namedtuple("FixedSpace", "dim basis")):
+    """A fixed subspace and its primitive integer basis, possibly empty."""
+    __slots__ = ()
 
 
 def trivial_group(dim):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -207,7 +206,7 @@ def assert_matches_stacked_fixed_space(dp, groups):
     gq = groups[0]
     v = full_verdict(dp, groups=groups)
     assert v.fixed_basis == fixed_space(gq).basis
-    assert full_verdict(dp, groups=(replace(gq, permutations=None), groups[1])) == v
+    assert full_verdict(dp, groups=(gq._replace(permutations=None), groups[1])) == v
 
 
 class TestOrbitRoute:
@@ -222,7 +221,7 @@ class TestOrbitRoute:
 
     def test_group_equality_ignores_permutations(self, q1_groups):
         gq, gp = q1_groups
-        bare = replace(gq, permutations=None)
+        bare = gq._replace(permutations=None)
         assert gq.permutations and bare == gq and hash(bare) == hash(gq)
         assert SymmetryGroup(gq.dim, gq.generators, gq.order) == gq == transport_group(gp)
         assert trivial_group(3).permutations == ()

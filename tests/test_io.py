@@ -258,7 +258,7 @@ class TestNoReferenceCycles:
 
 STAGES = ("cone_measures", "fano_index", "check_eq1", "check_conj11", "check_ehrhart_bound", "check_bishop")
 # (module, name) of every per-entry stage, patched where the scan calls it
-PATCHED = [(scan_io, name) for name in STAGES + ("automorphism_group",)] + [(criteria, "orbit_sums")]
+PATCHED = [(scan_io, name) for name in STAGES + ("polytope_automorphisms",)] + [(criteria, "orbit_sums")]
 
 
 def _counted(fn, counts, name):

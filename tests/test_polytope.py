@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -411,14 +410,14 @@ class TestStoredAdjugates:
     @pytest.mark.parametrize("make", [m for _, m in ORACLE_FIXTURES], ids=[name for name, _ in ORACLE_FIXTURES])
     def test_smoothness_without_stored_adjugates(self, make):
         q = make()
-        bare = replace(q, facets=tuple(replace(f, inverse=None) for f in q.facets))
+        bare = q._replace(facets=tuple(f._replace(inverse=None) for f in q.facets))
         assert is_smooth_fano(bare) == is_smooth_fano(q)
 
     @pytest.mark.parametrize("make", [m for _, m in SMOOTH_FANO], ids=[name for name, _ in SMOOTH_FANO])
     def test_dual_cones_match_a_fresh_elimination(self, make):
         p = dual(make()).p
         assert all(p.cone_inverses)
-        assert vertex_cones(p) == vertex_cones(replace(p, cone_inverses=None))
+        assert vertex_cones(p) == vertex_cones(p._replace(cone_inverses=None))
 
 
 class TestDual:

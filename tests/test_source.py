@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import toricfano
@@ -44,6 +47,31 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         offenders += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert offenders == []
+
+
+def test_no_dataclasses():
+    """Records are named tuples: importing ``dataclasses`` pulls ``inspect`` into every process start."""
+    offenders = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert offenders == []
+
+
+def test_cli_import_skips_heavy_modules():
+    """A fresh ``import toricfano.cli`` loads none of ``dataclasses``, ``inspect`` and ``csv``
+    (``csv`` only when ``emit`` writes CSV)."""
+    code = "import sys; before = set(sys.modules); import toricfano.cli; print(' '.join(set(sys.modules) - before))"
+    env = dict(os.environ, PYTHONPATH=str(Path(toricfano.__file__).parent.parent))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "toricfano.cli" in loaded.stdout.split()
+    assert {"dataclasses", "inspect", "csv"}.isdisjoint(loaded.stdout.split())
 
 
 def test_no_nested_functions():
