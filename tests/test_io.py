@@ -122,6 +122,33 @@ class TestParse:
             parse(text)
         assert exc.value.line_no == line_no
 
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("bogus a\n", 1, "expected 'polytope NAME', got 'bogus'"),
+            ("# note\n\npolytope a b\n", 3, "expected exactly one name after 'polytope'"),
+            ("polytope a\ndim 1\nvertices 2\n1\n-1\nend\n# again\npolytope a\n", 8, "duplicate polytope name 'a'"),
+            ("polytope a\npolytope b\n", 2, "expected 'dim N'"),
+            ("polytope a\n\ndim x\n", 3, "non-integer dimension 'x'"),
+            ("polytope a\ndim 0\n", 2, "dimension must be positive"),
+            ("polytope a\ndim 2\nvertices\n", 3, "expected 'vertices M'"),
+            ("polytope a\ndim 2\nvertices x\n", 3, "non-integer vertex count 'x'"),
+            ("polytope a\ndim 2\nvertices 0\n", 3, "vertex count must be positive"),
+            ("polytope a\ndim 2\nvertices 2\n1 0\n  end\n", 5, "'end' after 1 of 2 vertex rows"),
+            ("polytope a\ndim 2\nvertices 1\n 1  q \nend\n", 4, "non-integer token in vertex row: '1  q'"),
+            ("polytope a\ndim 2\nvertices 1\n1 2 3\nend\n", 4, "vertex row has 3 coordinates, expected 2"),
+            ("polytope a\ndim 1\nvertices 2\n1\n-1\nend junk\n", 6, "expected 'end'"),
+            ("# c\n\npolytope a\ndim 2\nvertices 1\n1 0\n", 3, "polytope 'a' is missing its 'end'"),
+        ],
+        ids=["keyword", "name-count", "duplicate", "dim-line", "dim-int", "dim-positive", "vertices-line",
+             "vertices-int", "vertices-positive", "early-end", "row-int", "row-length", "end-line", "missing-end"],
+    )
+    def test_error_messages(self, text, line_no, message):
+        """Each of ``parse``'s raise sites, by message and by the line it names."""
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line_no, str(exc.value)) == (line_no, f"line {line_no}: {message}")
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ParseError):
             parse(GOOD + GOOD)
