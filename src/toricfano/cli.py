@@ -10,49 +10,48 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from .io import ParseError, ScanOptions, analyze_entry, emit, parse, scan, unparse
+from .io import ParseError, PolytopeFile, ScanOptions, emit, parse, scan, unparse
 from .polytope import PolytopeError, dual, hull, is_smooth_fano
+
+
+def _fail(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(1) from None
 
 
 def _load(path):
     try:
         with open(path, encoding="utf-8-sig") as fh:    # a byte-order mark is not text
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
-        raise SystemExit(1) from None
-    except UnicodeDecodeError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(1) from None
-    try:
-        return parse(text)
-    except ParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(1) from None
+            return parse(fh.read())
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
+        _fail(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}")
 
 
 def _select(pf, name):
+    """``pf``, or a file of its one entry named ``name``."""
     if name is None:
-        return pf.entries
+        return pf
     try:
-        return (pf.entry(name),)
+        return PolytopeFile((pf.entry(name),))
     except KeyError:
-        print(f"error: no polytope named {name!r}", file=sys.stderr)
-        raise SystemExit(1) from None
+        _fail(f"no polytope named {name!r}")
+
+
+def _open(path, mode):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        _fail(f"{path}: {exc.strerror}")
 
 
 def cmd_check(args):
-    pf = _load(args.file)
-    entries = _select(pf, args.name)
-    reports = [analyze_entry(e) for e in entries]
-    sys.stdout.buffer.write(emit(reports, "json"))
+    sys.stdout.buffer.write(emit(scan(_select(_load(args.file), args.name)), "json"))
     return 0
 
 
 def cmd_scan(args):
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, not {args.jobs}", file=sys.stderr)
-        raise SystemExit(1)
+        _fail(f"--jobs must be at least 1, not {args.jobs}")
     pf = _load(args.file)
     options = ScanOptions(
         conjectures=args.conjectures,
@@ -60,21 +59,16 @@ def cmd_scan(args):
         jobs=args.jobs,
         timing=args.timing,
     )
-    # an unwritable --out fails before the scan, not after it
-    try:
-        out = open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer)
-    except OSError as exc:
-        print(f"error: {args.out}: {exc.strerror}", file=sys.stderr)
-        raise SystemExit(1) from None
-    with out as fh:
-        fh.write(emit(scan(pf, options), args.format))
+    if args.out:    # an unwritable --out fails before the scan; appending truncates no old report
+        _open(args.out, "ab").close()
+    data = emit(scan(pf, options), args.format)
+    with _open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer) as fh:
+        fh.write(data)
     return 0
 
 
 def cmd_dual(args):
-    pf = _load(args.file)
-    (entry,) = _select(pf, args.name)
-    name, dim, rows = entry
+    ((name, _, rows),) = _select(_load(args.file), args.name).entries
     q = None
     try:
         q = hull(rows)
@@ -82,8 +76,7 @@ def cmd_dual(args):
     except PolytopeError as exc:
         certificate = is_smooth_fano(q)[1] if q is not None else None
         detail = f" ({certificate})" if certificate else ""
-        print(f"error: cannot dualize {name!r}: {exc}{detail}", file=sys.stderr)
-        raise SystemExit(1) from None
+        _fail(f"cannot dualize {name!r}: {exc}{detail}")
     sys.stdout.write(unparse([(f"{name}_dual", dp.p.dim, dp.p.vertices)]))
     return 0
 

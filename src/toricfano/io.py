@@ -36,9 +36,6 @@ class PolytopeFile(namedtuple("PolytopeFile", "entries")):
     """The (name, dim, vertex rows) entries of a polytope file."""
     __slots__ = ()
 
-    def names(self):
-        return [e[0] for e in self.entries]
-
     def entry(self, name):
         for e in self.entries:
             if e[0] == name:
@@ -47,78 +44,57 @@ class PolytopeFile(namedtuple("PolytopeFile", "entries")):
 
 
 def parse(text) -> PolytopeFile:
-    entries = []
-    names = set()
-    state = "top"
-    name = dim = nverts = None
-    rows = []
-    start_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    """Read the entries in order from the numbered lines that are neither blank nor comments."""
+    lines = ((no, line) for no, line in enumerate(map(str.strip, text.splitlines()), start=1)
+             if line and not line.startswith("#"))
+    entries, names = [], set()
+    for start, line in lines:
         tokens = line.split()
-        if state == "top":
-            if tokens[0] != "polytope":
-                raise ParseError(line_no, f"expected 'polytope NAME', got {tokens[0]!r}")
-            if len(tokens) != 2:
-                raise ParseError(line_no, "expected exactly one name after 'polytope'")
-            name = tokens[1]
-            if name in names:
-                raise ParseError(line_no, f"duplicate polytope name {name!r}")
-            names.add(name)
-            start_line = line_no
-            state = "dim"
-        elif state == "dim":
-            if tokens[0] != "dim" or len(tokens) != 2:
-                raise ParseError(line_no, "expected 'dim N'")
-            try:
-                dim = int(tokens[1])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer dimension {tokens[1]!r}") from None
-            if dim < 1:
-                raise ParseError(line_no, "dimension must be positive")
-            state = "vertices"
-        elif state == "vertices":
-            if tokens[0] != "vertices" or len(tokens) != 2:
-                raise ParseError(line_no, "expected 'vertices M'")
-            try:
-                nverts = int(tokens[1])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer vertex count {tokens[1]!r}") from None
-            if nverts < 1:
-                raise ParseError(line_no, "vertex count must be positive")
+        if tokens[0] != "polytope":
+            raise ParseError(start, f"expected 'polytope NAME', got {tokens[0]!r}")
+        if len(tokens) != 2:
+            raise ParseError(start, "expected exactly one name after 'polytope'")
+        name = tokens[1]
+        if name in names:
+            raise ParseError(start, f"duplicate polytope name {name!r}")
+        names.add(name)
+        try:
+            dim = _count(next(lines), "dim N", "dimension")
+            nverts = _count(next(lines), "vertices M", "vertex count")
             rows = []
-            state = "rows"
-        elif state == "rows":
-            if tokens[0] == "end":
-                raise ParseError(
-                    line_no,
-                    f"'end' after {len(rows)} of {nverts} vertex rows",
-                )
-            try:
-                row = tuple(int(t) for t in tokens)
-            except ValueError:
-                raise ParseError(line_no, f"non-integer token in vertex row: {line!r}") from None
-            if len(row) != dim:
-                raise ParseError(
-                    line_no,
-                    f"vertex row has {len(row)} coordinates, expected {dim}",
-                )
-            rows.append(row)
-            if len(rows) == nverts:
-                state = "end"
-        elif state == "end":
-            if tokens != ["end"]:
-                raise ParseError(line_no, "expected 'end'")
-            entries.append((name, dim, tuple(rows)))
-            state = "top"
-    if state != "top":
-        raise ParseError(
-            start_line,
-            f"polytope {name!r} is missing its 'end'",
-        )
+            while len(rows) < nverts:
+                line_no, line = next(lines)
+                tokens = line.split()
+                if tokens[0] == "end":
+                    raise ParseError(line_no, f"'end' after {len(rows)} of {nverts} vertex rows")
+                try:
+                    rows.append(tuple(map(int, tokens)))
+                except ValueError:
+                    raise ParseError(line_no, f"non-integer token in vertex row: {line!r}") from None
+                if len(tokens) != dim:
+                    raise ParseError(line_no, f"vertex row has {len(tokens)} coordinates, expected {dim}")
+            line_no, line = next(lines)
+        except StopIteration:    # the text ended inside this entry
+            raise ParseError(start, f"polytope {name!r} is missing its 'end'") from None
+        if line.split() != ["end"]:
+            raise ParseError(line_no, "expected 'end'")
+        entries.append((name, dim, tuple(rows)))
     return PolytopeFile(entries=tuple(entries))
+
+
+def _count(numbered, usage, what):
+    """The positive int N of a numbered line spelled as ``usage`` ("dim N" or "vertices M")."""
+    line_no, line = numbered
+    tokens = line.split()
+    if len(tokens) != 2 or tokens[0] != usage.split()[0]:
+        raise ParseError(line_no, f"expected {usage!r}")
+    try:
+        n = int(tokens[1])
+    except ValueError:
+        raise ParseError(line_no, f"non-integer {what} {tokens[1]!r}") from None
+    if n < 1:
+        raise ParseError(line_no, f"{what} must be positive")
+    return n
 
 
 def unparse(entries):

@@ -74,9 +74,6 @@ class LatticePolytope(WithCache, namedtuple("LatticePolytope", "dim vertices fac
     def facet_vertices(self, facet):
         return [self.vertices[i] for i in sorted(facet.vertex_indices)]
 
-    def __repr__(self):
-        return f"LatticePolytope(dim={self.dim}, vertices={self.n_vertices}, facets={len(self.facets)})"
-
 
 class DualPair(namedtuple("DualPair", "q p")):
     """The Fano side q and its reflexive dual p = q*."""

@@ -28,6 +28,7 @@ from toricfano.io import (
     fmt_rat,
     parse,
     scan,
+    unparse,
 )
 from toricfano.linalg import mat_vec, matrix_inverse_unimodular, transpose
 from toricfano.measures import volume_and_barycenter
@@ -82,6 +83,27 @@ end
 """ + GOOD
 
 
+# parse's keywords, comments, names and integers in and out of place, with odd spacing
+TOKENS = st.sampled_from(["polytope", "dim", "vertices", "end", "#", "a", "b", "0", "1", "-1", "2", "x", "+3", "1.5", "\t"])
+SOUP_LINE = st.lists(TOKENS, max_size=4).map(" ".join)
+SOUP = st.lists(SOUP_LINE, max_size=14).map("\n".join)
+ENTRY = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.sampled_from("abc"), st.just(n), st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=3)))
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid file's lines with a few deleted, inserted from ``SOUP_LINE`` or repeated."""
+    lines = unparse(draw(st.lists(ENTRY, max_size=3))).splitlines()
+    for at, line in draw(st.lists(st.tuples(st.integers(0, 40), st.none() | SOUP_LINE | st.just("repeat")), max_size=3)):
+        at %= len(lines) + 1
+        if line is None:
+            del lines[at:at + 1]
+        else:
+            lines.insert(at, lines[at - 1] if line == "repeat" and at else line)
+    return "\n".join(lines)
+
+
 _ADJUGATE = polytope.adjugate
 
 
@@ -94,7 +116,7 @@ def _blind_in_dimension_5(m):
 class TestParse:
     def test_two_entries(self):
         pf = parse(GOOD)
-        assert pf.names() == ["plane", "cross"]
+        assert [e[0] for e in pf.entries] == ["plane", "cross"]
         name, dim, rows = pf.entry("plane")
         assert dim == 2
         assert rows == ((1, 0), (0, 1), (-1, -1))
@@ -148,6 +170,16 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (exc.value.line_no, str(exc.value)) == (line_no, f"line {line_no}: {message}")
+
+    @given(st.one_of(SOUP, mutated_files(), st.text(max_size=60)))
+    @settings(max_examples=300, deadline=None)
+    def test_token_soup(self, text):
+        """Only ``ParseError`` escapes, and what parses is read back from ``unparse`` unchanged."""
+        try:
+            pf = parse(text)
+        except ParseError:
+            return
+        assert parse(unparse(pf.entries)) == pf
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ParseError):
@@ -603,6 +635,17 @@ class TestCLI:
             main(["scan", good_file, "--out", str(out)])
         assert exc.value.code == 1
         assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+    def test_failed_scan_keeps_the_old_report(self, good_file, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("toricfano.cli.scan", interrupted)
+        out = tmp_path / "r.json"
+        out.write_bytes(b"old report\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["scan", good_file, "--out", str(out)])
+        assert out.read_bytes() == b"old report\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, good_file, capsys, jobs):

@@ -1,12 +1,33 @@
 """Checks on the package source itself."""
 
 import ast
+import cProfile
+import importlib
+import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import pytest
+
 import toricfano
+from toricfano import fixtures
+from toricfano.cli import main
+from toricfano.conjectures import check_conj11
+from toricfano.criteria import full_verdict, lct
+from toricfano.linalg import dot
+from toricfano.measures import (
+    boundary_volume,
+    count_lattice_points,
+    count_lattice_points_bruteforce,
+    ehrhart,
+    volume_and_barycenter,
+)
+from toricfano.polytope import dual, free_sum, is_smooth_fano, segment
+from toricfano.symmetry import automorphism_group, fixed_space, trivial_group, vertex_sum
 
 SOURCES = sorted(Path(toricfano.__file__).parent.glob("*.py"))
 
@@ -177,3 +198,86 @@ def test_hull_walk_is_integer_only():
                               if getattr(inner, "id", getattr(inner, "attr", None)) == "Fraction"]
     assert found == set().union(*walk.values())
     assert offenders == []
+
+
+def _benchmark_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracer", Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _defined():
+    """{code object: "module.name" or "module.Class.name"} of each top-level function and method in ``src/``."""
+    out = {}
+    for info in pkgutil.iter_modules(toricfano.__path__):
+        module = importlib.import_module(f"toricfano.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if isinstance(obj, type) else [(None, obj)]
+            for attr, member in members:
+                fn = getattr(member, "__func__", getattr(member, "fget", getattr(member, "__wrapped__", member)))
+                if isinstance(fn, types.FunctionType):
+                    out[fn.__code__] = ".".join(filter(None, (info.name, name, attr)))
+    return out
+
+
+def _run_the_cli_and_acceptance_imports(tmp_path):
+    corpus, bad = tmp_path / "corpus.txt", tmp_path / "bad.txt"
+    corpus.write_text(fixtures.corpus_text())
+    bad.write_text("polytope a\n")
+    for argv in (["scan", corpus, "--conjectures", "--out", tmp_path / "r.json"],
+                 ["scan", corpus, "--conjectures", "--format", "csv", "--out", tmp_path / "r.csv"],
+                 ["check", corpus, "--name", "cx5"],
+                 ["dual", corpus, "--name", "cx5"]):
+        assert main([str(a) for a in argv]) == 0
+    with pytest.raises(SystemExit):
+        main(["check", str(bad)])
+    # one call of each name tests/test_acceptance.py imports
+    for polytope in (fixtures.simplex_fano(2), fixtures.cross_polytope(2), fixtures.cube(2), fixtures.q1(),
+                     fixtures.q2(), fixtures.q3(), fixtures.cx5(), fixtures.product_family(1)):
+        is_smooth_fano(polytope)
+    dp = dual(fixtures.hexagon())
+    dot((1, 2), (3, 4))
+    for measure in (boundary_volume, count_lattice_points, count_lattice_points_bruteforce, ehrhart, volume_and_barycenter):
+        measure(dp.p)
+    groups = automorphism_group(dp)
+    assert full_verdict(dp).alpha == full_verdict(dp, groups=groups).lct == lct(dp, trivial_group(2)) * 2
+    check_conj11(dp)
+    fixed_space(groups[0])
+    vertex_sum(dp.q)
+    free_sum(fixtures.simplex_fano(2), segment())
+
+
+# tracer.TARGETS names these, and nothing else keeps them: the benchmark change that retargets the
+# tracer deletes them (ROADMAP item 1)
+TRACED = {
+    "criteria.alpha_invariant", "criteria.tian_condition", "linalg.det", "linalg.matrix_inverse_unimodular",
+    "linalg.solve_exact", "measures.codim2_volume", "measures.coefficient_of_asymmetry", "polytope.faces_codim2",
+    "polytope.restrict_to_subspace",
+}
+UNREACHED = {
+    **{name: "tracer.TARGETS" for name in TRACED},
+    "io._analyze_star": "benchmarks/tracer.py wraps it in each forked pool worker",
+    "linalg.rank": "called only by polytope.faces_codim2 and restrict_to_subspace (tracer.TARGETS)",
+    "polytope.SubspacePolytope.ambient_vertices": "the record restrict_to_subspace returns (tracer.TARGETS)",
+    "polytope.WithCache.__ne__": "tuple's own != would read the cache field (tests/test_records.py)",
+}
+
+
+def test_every_function_is_reached(tmp_path, capsys):
+    """A CLI scan of the fixture corpus (JSON and CSV, with conjectures), ``check``, ``dual``, a parse
+    error and one call of each acceptance import reach every top-level function and method in
+    ``src/`` but the named ``UNREACHED``; a stale entry fails too."""
+    assert TRACED <= set(_benchmark_tracer().NAMES)
+    volume_and_barycenter.cache_clear()    # a cached call would not reach the function
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        _run_the_cli_and_acceptance_imports(tmp_path)
+    finally:
+        profile.disable()
+    reached = {stat.code for stat in profile.getstats()}
+    assert {name for code, name in _defined().items() if code not in reached} == set(UNREACHED)
