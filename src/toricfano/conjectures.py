@@ -11,8 +11,9 @@ from math import factorial
 
 from .linalg import dot
 from .lp import feasible_point
-from .measures import vertex_facets
+from .measures import MeasureError
 from .polytope import DualPair
+from .symmetry import SymmetryGroup, index_orbit
 
 
 class Eq1Record(namedtuple("Eq1Record", "a_n_minus_2 third_of_codim2_vol holds equality")):
@@ -52,37 +53,35 @@ def check_eq1(dp: DualPair, measured) -> Eq1Record:
     )
 
 
-def check_conj11(dp: DualPair):
-    """Per-facet feasibility of the half-bound point criterion.
+def check_conj11(dp: DualPair, g: SymmetryGroup = None):
+    """Per-facet feasibility of the half-bound point criterion, once per orbit of ``polytope_automorphisms(dp.q)``.
 
     For each facet F of P: is there x in aff(F) with <u_G, x> <= 1/2 for
-    every facet G sharing a ridge with F?  The average of F's vertices lies
-    on F, and it is such a point exactly when 2 <u_G, sum(F)> <= |F| for
-    each G, which is checked over ``int``.  Only a facet where that witness
-    fails gets an LP (``feasible_point``), which decides it either way.  The
-    criterion assumes b_P = 0, which the entry's ``KEVerdict.is_ke`` records.
+    every facet G sharing a ridge with F?  P's facet i has normal vert(Q)[i],
+    so g's ``permutations`` of vert(Q) permute P's facets, and a in g maps such
+    an x to a^-T x on F's image.  Each orbit is decided at its least index (each
+    facet alone if ``g`` is None).  It assumes b_P = 0 (``KEVerdict.is_ke``) and a simple P.
     """
-    p = dp.p
-    adjacency = facet_adjacency(p)
-    out = []
-    for i, f in enumerate(p.facets):
-        normals = [p.facets[j].normal for j in sorted(adjacency[i])]
-        s = tuple(map(sum, zip(*p.facet_vertices(f))))
-        feasible = all(2 * dot(u, s) <= len(f.vertex_indices) for u in normals) or feasible_point(
-            [(u, Fraction(1, 2)) for u in normals], [(f.normal, Fraction(f.rhs))]).status == "optimal"
-        out.append(FacetFeasibility(facet_index=i, facet_normal=f.normal, feasible=feasible))
-    return out
+    p, q = dp.p, dp.q
+    if any(len(f.vertex_indices) != p.dim for f in q.facets):
+        raise MeasureError("P is not simple: a facet of Q has more than n vertices")
+    perms = () if g is None else g.permutations
+    feasible = {}
+    for i in range(len(p.facets)):
+        if i not in feasible:
+            feasible.update(dict.fromkeys(index_orbit(i, perms), _facet_feasible(dp, i)))
+    return [FacetFeasibility(i, f.normal, feasible[i]) for i, f in enumerate(p.facets)]
 
 
-def facet_adjacency(p):
-    """{facet index: indices of the facets sharing a ridge with it}.
-
-    P is simple, so two facets share a ridge exactly when they share a
-    vertex; ``vertex_facets`` reads the facets at each vertex off P's
-    incidence and raises ``MeasureError`` if P is not simple.
-    """
-    at = vertex_facets(p)
-    return {i: set().union(*(at[v] for v in f.vertex_indices)) - {i} for i, f in enumerate(p.facets)}
+def _facet_feasible(dp: DualPair, i):
+    """Facet F = i: its vertex average, if 2 <u_G, sum(F)> <= |F| for each G over ``int``, else an LP decides.
+    P is simple, so the G sharing a ridge with F are those at its vertices k: Q's facet k's vertices."""
+    q, f = dp.q, dp.p.facets[i]
+    corners = [q.facets[k] for k in f.vertex_indices]
+    normals = [q.vertices[j] for j in sorted(set().union(*(c.vertex_indices for c in corners)) - {i})]
+    s = tuple(map(sum, zip(*(c.normal for c in corners))))
+    return all(2 * dot(u, s) <= len(corners) for u in normals) or feasible_point(
+        [(u, Fraction(1, 2)) for u in normals], [(f.normal, Fraction(f.rhs))]).status == "optimal"
 
 
 def check_ehrhart_bound(dp: DualPair, measured) -> EhrhartBoundRecord:

@@ -13,10 +13,10 @@ denominator is 1, "0" for zero); floats never appear.
 """
 
 import io as _io
-import json
 import time
 from collections import namedtuple
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import factorial
 
 from .conjectures import check_bishop, check_conj11, check_eq1, check_ehrhart_bound
@@ -178,7 +178,7 @@ def analyze_entry(entry, options: ScanOptions = ScanOptions()):
     if options.conjectures:
         report["conjectures"] = {
             "eq1": _plain(check_eq1(dp, measured)) if 2 <= n <= options.ehrhart_max_dim else None,
-            "conj11": _plain(check_conj11(dp)),
+            "conj11": _plain(check_conj11(dp, gq)),
             "ehrhart_bound": _plain(check_ehrhart_bound(dp, measured)),
             "bishop": _plain(check_bishop(dp, measured, index)),
         }
@@ -214,9 +214,10 @@ CSV_COLUMNS = [
 
 
 def emit(reports, format="json"):
-    """Serialize reports to bytes; key order and content are deterministic."""
+    """Serialize reports to bytes; key order and content are deterministic, JSON as ``json.dumps(indent=2)``."""
     if format == "json":
-        return (json.dumps(reports, indent=2) + "\n").encode()
+        _write_json(reports, out := [], "\n")
+        return ("".join(out) + "\n").encode()
     if format == "csv":
         import csv    # here, so the JSON path skips its import
 
@@ -227,3 +228,24 @@ def emit(reports, format="json"):
             writer.writerow({k: r.get(k, "") for k in CSV_COLUMNS})
         return buf.getvalue().encode()
     raise ValueError(f"unknown format {format!r}")
+
+
+def _write_json(x, out, nl):
+    """Append the pieces of ``x`` as ``json.dumps(x, indent=2)`` writes it, nested where ``nl`` (newline + indent) is.
+    The report's types only: str-keyed dicts, lists, tuples, str (by json's C escape), int, bool, None, float."""
+    t = type(x)
+    if t is dict or t is list or t is tuple:
+        inner, sep = nl + "  ", "{" if t is dict else "["
+        for item in x.items() if t is dict else x:
+            out += (sep, inner)
+            if t is dict:
+                out += (encode_basestring_ascii(item[0]), ": ")
+                item = item[1]
+            _write_json(item, out, inner)
+            sep = ","
+        out += (nl if x else sep, "}" if t is dict else "]")
+    elif t is str:
+        out.append(encode_basestring_ascii(x))
+    else:    # int.__repr__ and float.__repr__ refuse any other type, as json.dumps does
+        out.append("null" if x is None else "true" if x is True else "false" if x is False
+                   else int.__repr__(x) if t is int else float.__repr__(x))

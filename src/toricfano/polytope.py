@@ -279,8 +279,11 @@ def dual(q: LatticePolytope) -> DualPair:
         raise PolytopeError("dualization needs the origin strictly interior")
     if not q.is_reflexive():
         raise PolytopeError("dual polytope would not be a lattice polytope")
-    facets = tuple(Facet(v, -1, frozenset(i for i, f in enumerate(q.facets) if j in f.vertex_indices))
-                   for j, v in enumerate(q.vertices))
+    at = [[] for _ in q.vertices]    # per vertex of Q, the facets of Q through it
+    for i, f in enumerate(q.facets):
+        for j in f.vertex_indices:
+            at[j].append(i)
+    facets = tuple(Facet(v, -1, frozenset(on)) for v, on in zip(q.vertices, at))
     return DualPair(q=q, p=LatticePolytope(q.dim, tuple(f.normal for f in q.facets), facets,
                                            tuple(f.inverse for f in q.facets)))
 

@@ -27,7 +27,7 @@ orbits the verdict reads; no element list is built.
 
 from collections import namedtuple
 
-from .linalg import SingularMatrixError, adjugate, inverse_columns, kernel_basis, mat_mul, mat_vec, transpose
+from .linalg import SingularMatrixError, adjugate, dot, inverse_columns, kernel_basis, mat_mul, mat_vec, transpose
 from .polytope import DualPair, LatticePolytope, PolytopeError, WithCache
 
 
@@ -51,9 +51,10 @@ def trivial_group(dim):
 def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
     """Full group of unimodular maps permuting vert(q), by its stabilizer chain.
 
-    Requires some facet of q to have exactly ``dim`` vertices (true for every
-    smooth Fano polytope), and refuses with ``SingularMatrixError`` when that
-    facet's vertices are not a lattice basis.
+    Requires a facet of q with exactly ``dim`` vertices (true for every smooth
+    Fano polytope), and refuses with ``SingularMatrixError`` when its vertices
+    are not a lattice basis.  W is symmetric, as M is, so only its W[i][j] with
+    j >= i are multiplied out.  The permutations give ``check_conj11`` its orbits.
     """
     n = q.dim
     verts = q.vertices
@@ -73,9 +74,9 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
         lam = [(i, c) for i, c in enumerate(mat_vec(b0_inv, v)) if c]
         if lam and j not in base:
             checks[lam[-1][0]].append((j, lam))
-    vt = transpose(verts)
-    _, adj = adjugate(mat_mul(vt, verts))      # adj(M), M = sum v v^T
-    gram = mat_mul(mat_mul(verts, adj), vt)
+    _, adj = adjugate(mat_mul(transpose(verts), verts))      # adj(M), M = sum v v^T
+    upper = [[dot(row, v) for v in verts[i:]] for i, row in enumerate(mat_mul(verts, adj))]
+    gram = [[upper[j][i - j] for j in range(i)] + row for i, row in enumerate(upper)]    # mirrored
     rows = [sorted(row) for row in gram]
     targets = [[t for t in range(len(verts)) if rows[t] == rows[b]] for b in base]
 

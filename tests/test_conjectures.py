@@ -9,19 +9,19 @@ from hypothesis import strategies as st
 
 from test_lp import assert_farkas, assert_point
 from test_measures import PRODUCT_PAIRS, SUMMANDS
-from toricfano import conjectures, fixtures
+from test_symmetry import _elementary_unimodular
+from toricfano import conjectures, fixtures, symmetry
 from toricfano.conjectures import (
     FacetFeasibility,
     check_bishop,
     check_conj11,
     check_eq1,
     check_ehrhart_bound,
-    facet_adjacency,
 )
 from toricfano.io import ScanOptions, analyze_entry
-from toricfano.linalg import dot
+from toricfano.linalg import dot, mat_vec
 from toricfano.lp import feasible_point
-from toricfano.measures import MeasureError, cone_measures, count_lattice_points, fano_index
+from toricfano.measures import MeasureError, cone_measures, count_lattice_points, fano_index, vertex_facets
 from toricfano.polytope import (
     DimensionDeficiencyError,
     DualPair,
@@ -30,6 +30,7 @@ from toricfano.polytope import (
     free_sum,
     hull,
 )
+from toricfano.symmetry import polytope_automorphisms
 
 FIXTURE_DUALS = [
     *(lambda n=n: dual(fixtures.simplex_fano(n)) for n in range(1, 5)),
@@ -41,6 +42,17 @@ FIXTURE_DUAL_IDS = [*(f"p{n}" for n in range(1, 5)), *(f"cross{n}" for n in rang
                     "hexagon", "cx5"]
 # two of PRODUCT_PAIRS: their duals are products, where a facet meets facets of both factors
 ADJACENCY_PAIRS = [("bl1", "bl2"), ("seg", "p4")]
+
+
+def facet_adjacency(p):
+    """{facet index: indices of the facets sharing a ridge with it}, from P's own incidence.
+
+    P is simple, so two facets share a ridge exactly when they share a
+    vertex; ``vertex_facets`` reads the facets at each vertex off P's
+    incidence and raises ``MeasureError`` if P is not simple.
+    """
+    at = vertex_facets(p)
+    return {i: set().union(*(at[v] for v in f.vertex_indices)) - {i} for i, f in enumerate(p.facets)}
 
 
 def _conj11_per_facet(dp):
@@ -156,6 +168,11 @@ class TestConj11:
         with pytest.raises(MeasureError, match="lies on 4 facets"):
             facet_adjacency(fixtures.cross_polytope(3))
 
+    def test_rejects_non_simple(self):
+        # the cube is reflexive with four vertices per facet, so its dual, the octahedron, is not simple
+        with pytest.raises(MeasureError, match="not simple"):
+            check_conj11(dual(fixtures.cube(3)))
+
     def test_non_ke_entry_scans_without_warning(self):
         # b_P != 0 for P^2 blown up at a point: is_ke records it, and conj11 still has a record per facet
         rows = ((1, 0), (0, 1), (-1, -1), (1, 1))
@@ -185,27 +202,54 @@ class TestConj11:
                 assert_farkas(res.farkas, system)
 
 
+def _conj11_both_ways(dp):
+    """``check_conj11`` without a group and with the Fano-side group, which must agree."""
+    alone = check_conj11(dp)
+    assert check_conj11(dp, polytope_automorphisms(dp.q)) == alone
+    return alone
+
+
+def _counted_stages(monkeypatch):
+    """Record the facet of each witness (``_facet_feasible``) and the system of each LP (``feasible_point``)."""
+    witnesses, lps = [], []
+    witness, solve = conjectures._facet_feasible, conjectures.feasible_point
+    monkeypatch.setattr(conjectures, "_facet_feasible", lambda dp, i: witnesses.append(i) or witness(dp, i))
+    monkeypatch.setattr(conjectures, "feasible_point",
+                        lambda ineqs, eqs: lps.append((ineqs, eqs)) or solve(ineqs, eqs))
+    return witnesses, lps
+
+
 class TestConj11Orbits:
-    """The witness-first records equal those of one LP per facet."""
+    """The witness-first records, per facet or per orbit, equal those of one LP per facet."""
 
     @pytest.mark.parametrize("make", FIXTURE_DUALS, ids=FIXTURE_DUAL_IDS)
     def test_fixture_duals_match_per_facet(self, make):
         dp = make()
-        assert check_conj11(dp) == _conj11_per_facet(dp)
+        assert _conj11_both_ways(dp) == _conj11_per_facet(dp)
 
     def test_bl1_matches_per_facet(self):
         dp = dual(hull(SUMMANDS["bl1"]))
-        assert check_conj11(dp) == _conj11_per_facet(dp)
+        assert _conj11_both_ways(dp) == _conj11_per_facet(dp)
 
     @pytest.mark.parametrize("name", ["q1", "q2"])
     def test_q_matches_per_facet(self, request, name):
         dp = request.getfixturevalue(f"{name}_pair")
-        assert check_conj11(dp) == _conj11_per_facet(dp)
+        assert _conj11_both_ways(dp) == _conj11_per_facet(dp)
 
     @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids=["+".join(p) for p in PRODUCT_PAIRS])
     def test_free_sums_match_per_facet(self, pair):
         dp = dual(free_sum(*(hull(SUMMANDS[s]) for s in pair)))
-        assert check_conj11(dp) == _conj11_per_facet(dp)
+        assert _conj11_both_ways(dp) == _conj11_per_facet(dp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([*PRODUCT_PAIRS, *((s,) for s in SUMMANDS), ("cx5",)]), st.randoms(use_true_random=False))
+    def test_lattice_images_match_per_facet(self, names, rng):
+        # under U in GL(n, Z) the group is U G U^-1 and the facets come in another order
+        parts = [fixtures.cx5() if s == "cx5" else hull(SUMMANDS[s]) for s in names]
+        q = parts[0] if len(parts) == 1 else free_sum(*parts)
+        u = _elementary_unimodular(q.dim, rng)
+        dp = dual(hull([mat_vec(u, v) for v in q.vertices]))
+        assert check_conj11(dp, polytope_automorphisms(dp.q)) == _conj11_per_facet(dp)
 
     @pytest.mark.parametrize(
         "name, lps",
@@ -214,18 +258,33 @@ class TestConj11Orbits:
     )
     def test_lp_only_where_the_witness_fails(self, request, monkeypatch, name, lps):
         dp = request.getfixturevalue(name)
-        calls = []
-        solve = conjectures.feasible_point
-
-        def counted(ineqs, eqs):
-            calls.append(eqs)
-            return solve(ineqs, eqs)
-
-        monkeypatch.setattr(conjectures, "feasible_point", counted)
+        witnesses, calls = _counted_stages(monkeypatch)
         records = check_conj11(dp)
+        assert witnesses == list(range(len(dp.p.facets)))
         assert len(calls) == lps
         # the vertex average is a point on every feasible facet: only cx5's two infeasible ones reach the LP
-        assert {eqs[0][0] for eqs in calls} == {r.facet_normal for r in records if not r.feasible}
+        assert {eqs[0][0] for _, eqs in calls} == {r.facet_normal for r in records if not r.feasible}
+        # read off Q's facet rows, each LP bounds exactly the neighbours P's own incidence gives
+        adjacency, at = facet_adjacency(dp.p), {f.normal: i for i, f in enumerate(dp.p.facets)}
+        for ineqs, eqs in calls:
+            assert ineqs == [(dp.p.facets[j].normal, Fraction(1, 2)) for j in sorted(adjacency[at[eqs[0][0]]])]
+
+    @pytest.mark.parametrize("name, orbits, lps", [("cx5_pair", 2, 1), ("q1_pair", 4, 0), ("q2_pair", 5, 0)])
+    def test_one_witness_per_orbit_with_the_group(self, request, monkeypatch, name, orbits, lps):
+        dp = request.getfixturevalue(name)
+        g = polytope_automorphisms(dp.q)
+        witnesses, calls = _counted_stages(monkeypatch)
+        records = check_conj11(dp, g)
+        # each orbit of vert(Q), the facets of P, is decided at its least index
+        seen, least = set(), []
+        for i in range(len(dp.q.vertices)):
+            if i not in seen:
+                least.append(i)
+                seen.update(symmetry.index_orbit(i, g.permutations))
+        assert witnesses == least and len(least) == orbits
+        # cx5's infeasible facets 3 and 5 are one orbit, so one LP decides both
+        assert len(calls) == lps
+        assert [r.facet_index for r in records if not r.feasible] == ([3, 5] if lps else [])
 
 
 class TestEhrhartBound:

@@ -499,6 +499,44 @@ class TestGoldenReport:
         golden = Path(__file__).parent / "data" / "corpus_report.json"
         assert emit(corpus_reports) == golden.read_bytes()
 
+    def test_golden_is_what_json_writes(self, corpus_reports):
+        golden = Path(__file__).parent / "data" / "corpus_report.json"
+        assert (json.dumps(corpus_reports, indent=2) + "\n").encode() == golden.read_bytes()
+
+
+# what a report can hold, and the strings json escapes: quotes, backslashes, control and non-ASCII characters
+JSON_LEAVES = (st.text(st.characters(codec="utf-8")) | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é ✓ 𝔽"])
+               | st.integers() | st.integers(min_value=2 ** 64, max_value=2 ** 200).map(lambda n: n * (-1) ** n)
+               | st.booleans() | st.none() | st.floats(allow_nan=False, allow_infinity=False))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, x):
+        assert emit(x) == (json.dumps(x, indent=2) + "\n").encode()
+
+    def test_empty_and_nested_containers(self):
+        x = {"": [], "a": {}, "b": [[], {}, ()], "c": ({"d": None},)}
+        assert emit(x) == (json.dumps(x, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), {1, 2}, b"bytes", object()])
+    def test_refuses_what_json_refuses(self, x):
+        # a report holds no such value; writing its repr would not be JSON
+        pytest.raises(TypeError, json.dumps, [x], indent=2)
+        with pytest.raises(TypeError):
+            emit([x])
+
+    def test_timing_seconds(self):
+        reports = scan(parse(GOOD), ScanOptions(conjectures=True, timing=True))
+        assert all(type(r["seconds"]) is float for r in reports)
+        assert emit(reports) == (json.dumps(reports, indent=2) + "\n").encode()
+
 
 class TestFixtureIntegrity:
     """The embedded matrices are load-bearing; pin them byte-for-byte."""

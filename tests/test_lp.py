@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfano import lp
-from toricfano.conjectures import facet_adjacency
 from toricfano.lp import PIVOT_LIMIT, LPResult, PivotLimitExceeded, SimplexInvariantError, feasible_point
 
 
@@ -225,6 +224,8 @@ class TestIntegerTableau:
     @pytest.mark.parametrize("name", ["cx5_pair", "q1_pair", "q2_pair"])
     def test_conj11_systems(self, request, name):
         # every facet's system, as ``check_conj11`` and ``feasible_point`` build it
+        from test_conjectures import facet_adjacency    # here: test_conjectures imports this module
+
         p = request.getfixturevalue(name).p
         adjacency = facet_adjacency(p)
         for i, f in enumerate(p.facets):

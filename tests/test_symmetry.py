@@ -12,6 +12,7 @@ from toricfano.criteria import full_verdict, lct, max_pairing
 from toricfano.io import ScanOptions, scan
 from toricfano.linalg import (
     SingularMatrixError,
+    adjugate,
     dot,
     identity,
     kernel_basis,
@@ -313,6 +314,25 @@ def test_permutations_are_the_matrix_actions(request, name):
             assert sorted(_action(a, points)) == list(range(len(points)))
     assert gq.permutations == tuple(_action(a, dp.q.vertices) for a in gq.generators)
     assert gp.permutations is None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(lambda n=n: fixtures.simplex_fano(n) for n in range(1, 5)),
+     *(lambda n=n: fixtures.cross_polytope(n) for n in range(2, 5)),
+     fixtures.hexagon, fixtures.cx5, fixtures.q1, fixtures.q2, fixtures.q3],
+    ids=[*(f"p{n}" for n in range(1, 5)), *(f"cross{n}" for n in range(2, 5)), "hexagon", "cx5", "q1", "q2", "q3"],
+)
+def test_half_filled_gram_is_the_two_product_table(monkeypatch, make):
+    """The search's W, filled for j >= i and mirrored, is V adj(M) V^T multiplied out in full."""
+    q = make()
+    tables = []
+    search = symmetry._first_assignment
+    monkeypatch.setattr(symmetry, "_first_assignment", lambda *args: tables.append(args[0][3]) or search(*args))
+    polytope_automorphisms(q)
+    vt = transpose(q.vertices)
+    _, adj = adjugate(mat_mul(vt, q.vertices))
+    assert tables and all(list(map(tuple, w)) == list(mat_mul(mat_mul(q.vertices, adj), vt)) for w in tables)
 
 
 @pytest.mark.parametrize(
