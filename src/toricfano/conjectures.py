@@ -98,7 +98,7 @@ def check_ehrhart_bound(dp: DualPair, measured) -> EhrhartBoundRecord:
     vol = measured[0]
     bound = Fraction((n + 1) ** n, factorial(n))
     equality = vol == bound
-    known = (n + 1) ** n * (1 - Fraction(n - 1, n) ** n)
+    known = Fraction((n + 1) ** n * (n**n - (n - 1) ** n), n**n)    # (n+1)^n (1 - ((n-1)/n)^n)
     return EhrhartBoundRecord(
         vol=vol,
         bound=bound,

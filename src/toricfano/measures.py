@@ -14,8 +14,8 @@ over the hulls of P's projections to its leading coordinates
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, product
-from math import factorial, gcd, lcm, prod
+from itertools import accumulate, product
+from math import factorial, gcd, lcm, perm, prod
 from operator import index, mul
 
 from .linalg import (
@@ -99,11 +99,11 @@ def cone_measures(p: LatticePolytope, with_ehrhart=False):
     - the Ehrhart coefficients, with each factor 1 / (1 - e^(-a_j t)) of
       Brion's formula written as Td(a_j t) / (a_j t) (Khovanskii-Pukhlikov;
       Brion-Vergne): a_m = sum_v s^m T_(n-m)(a) / (m! pi), where T_j is the
-      t^j coefficient of prod_j Td(a_j t) and
-      Td(x) = x / (1 - e^-x) = sum_k B_k x^k / k! with B_1 = +1/2.
+      t^j coefficient of prod_j Td(a_j t), Td(x) = x / (1 - e^-x), read off
+      the power sums of a (``_todd_power_sums``).
 
-    Each sum adds ints weighted by D / pi, D the lcm of the |pi|, with Td
-    scaled by L (``_todd_series``), and makes one Fraction per output.  The
+    Each sum adds ints weighted by D / pi, D the lcm of the |pi|, with T_j
+    scaled by j! L^j (``_todd_series``), and makes one Fraction per output.  The
     ridge volume and the polynomial are None unless ``with_ehrhart``, which
     a scan sets only within its Ehrhart cap.  ``vertex_cones`` raises
     ``MeasureError`` unless P is simple with unimodular vertex cones.
@@ -122,10 +122,10 @@ def cone_measures(p: LatticePolytope, with_ehrhart=False):
             terms.append((v, edges, a, pi, dot(c, v)))
     d = lcm(*(t[3] for t in terms))
     if with_ehrhart:
-        big, nonzero = _todd_series(n)
+        big, steps = _todd_series(n)
     vol = ridge = 0             # n! D vol and (n-2)! D times the ridge volume
     moment = [0] * n            # (n+1)! D^2 times the integral of x
-    sums = [0] * (n + 1)        # m! D L^n a_m
+    sums = [0] * (n + 1)        # m! (n-m)! D L^(n-m) a_m
     for v, edges, a, pi, s in terms:
         w = list(accumulate([s] * n, mul, initial=d // pi))    # D s^m / pi for m = 0..n
         vol += w[n]
@@ -136,24 +136,15 @@ def cone_measures(p: LatticePolytope, with_ehrhart=False):
         for k in range(n):
             moment[k] += g * v[k] + h * side[k]
         if with_ehrhart:
-            ridge += sum(x * y for x, y in combinations(a, 2)) * w[n - 2]    # e_2(a) = 0 when n < 2
-            poly = [big] + [0] * n  # L^n prod_j Td(a_j t), one factor at a time
-            for k, t in nonzero:
-                poly[k] = t * a[0] ** k
-            for x in a[1:]:
-                new = [big * y for y in poly]
-                for k, t in nonzero:
-                    tx = t * x**k
-                    for deg in range(k, n + 1):
-                        new[deg] += tx * poly[deg - k]
-                poly = new
+            e2, u = _todd_power_sums(a, steps)
+            ridge += e2 * w[n - 2]  # e_2(a) = 0 when n < 2
             for m in range(n + 1):
-                sums[m] += poly[n - m] * w[m]
+                sums[m] += u[n - m] * w[m]
     ridges = polynomial = None
     if with_ehrhart:
         ridges = Fraction(ridge, d * factorial(n - 2)) if n >= 2 else Fraction(0)
-        scale = d * big**n
-        polynomial = EhrhartPolynomial(tuple(Fraction(x, factorial(m) * scale) for m, x in enumerate(sums)))
+        polynomial = EhrhartPolynomial(tuple(Fraction(x, factorial(m) * factorial(n - m) * d * big ** (n - m))
+                                             for m, x in enumerate(sums)))
     return Fraction(vol, d * factorial(n)), tuple(Fraction(m, (n + 1) * d * vol) for m in moment), ridges, polynomial
 
 
@@ -212,20 +203,41 @@ def count_lattice_points_bruteforce(p: LatticePolytope, k=1):
 
 
 def _todd_series(n):
-    """L and the (k, L tau_k) with k >= 1 and tau_k != 0, where Td(x) = x / (1 - e^-x) = sum_k tau_k x^k.
+    """L and, for m = 0..n, the (k, H_k (m-1)!/(m-k)!) with k <= m and H_k = k l_k L^k nonzero.
 
-    tau_k = B_k / k! with B_1 = +1/2, and L is the lcm of the denominators
-    of tau_0..tau_n.  Td is the inverse series of
-    (1 - e^-x) / x = sum_k (-x)^k / (k+1)!, so
-    tau_m = -sum_(k=1..m) (-1)^k tau_(m-k) / (k+1)!; with q = (n+1)!, each
-    x_m = q^m tau_m is an int, since (k+1)! divides q for k <= n.
+    Td(x) = x / (1 - e^-x) = sum_k tau_k x^k inverts (1 - e^-x) / x = sum_k (-x)^k / (k+1)!, so
+    tau_m = -sum_(k=1..m) (-1)^k tau_(m-k) / (k+1)!: each x_m = q^m tau_m is an int for q = (n+1)!.
+    L is the lcm of the denominators of tau_0..tau_n.  tau_k = B_k / k! (B_1 = +1/2) and
+    log Td(x) = sum_k l_k x^k = x/2 - sum_k B_2k x^2k / (2k (2k)!), so k l_k = -tau_k for k >= 2:
+    H_1 = L tau_1 and H_k = -L^k tau_k, ints, and 0 for odd k >= 3.
     """
     q = factorial(n + 1)
     x = [1]
     for m in range(1, n + 1):
         x.append(-sum((-1) ** k * q ** (k - 1) * (q // factorial(k + 1)) * x[m - k] for k in range(1, m + 1)))
     big = lcm(*(q**m // gcd(y, q**m) for m, y in enumerate(x)))
-    return big, [(m, y * big // q**m) for m, y in enumerate(x) if m and y]
+    h = [0] + [(1 if k == 1 else -big ** (k - 1)) * (y * big // q**k) for k, y in enumerate(x) if k]
+    return big, [[(k, h[k] * perm(m - 1, k - 1)) for k in range(1, m + 1) if h[k]] for m in range(n + 1)]
+
+
+def _todd_power_sums(a, steps):
+    """e_2(a) = (p_1^2 - p_2) / 2 and U_m = m! L^m T_m(a), m = 0..n, from the power sums p_k = sum_j a_j^k.
+
+    prod_j Td(a_j t) = sum_m T_m t^m = exp(sum_k l_k p_k t^k), so m T_m = sum_k k l_k p_k T_(m-k), that is
+    U_m = sum_k H_k (m-1)!/(m-k)! p_k U_(m-k) with the ``steps`` of ``_todd_series``; odd p_k, k >= 3, go unread.
+    """
+    sq = [x * x for x in a]
+    ps, pw = [len(a), sum(a), sum(sq)], sq
+    for _ in range(4, len(steps), 2):
+        pw = list(map(mul, pw, sq))
+        ps += (0, sum(pw))
+    u = [1]
+    for row in steps[1:]:
+        x = 0
+        for k, c in row:
+            x += c * ps[k] * u[-k]
+        u.append(x)
+    return (ps[1] ** 2 - ps[2]) // 2, u
 
 
 def ehrhart(p: LatticePolytope) -> EhrhartPolynomial:

@@ -254,16 +254,11 @@ def is_smooth_fano(p: LatticePolytope):
         if gcd(*v) != 1:
             return False, f"vertex {v} is not primitive"
     for f in p.facets:
-        vs = p.facet_vertices(f)
-        if len(vs) != p.dim:
-            return False, (
-                f"facet with normal {f.normal} has {len(vs)} vertices, expected {p.dim}"
-            )
-        d = f.inverse[0] if f.inverse else det(vs)
+        if len(f.vertex_indices) != p.dim:
+            return False, f"facet with normal {f.normal} has {len(f.vertex_indices)} vertices, expected {p.dim}"
+        d = f.inverse[0] if f.inverse else det(p.facet_vertices(f))
         if d not in (1, -1):
-            return False, (
-                f"facet with normal {f.normal} has vertex matrix determinant {d}"
-            )
+            return False, f"facet with normal {f.normal} has vertex matrix determinant {d}"
     return True, None
 
 

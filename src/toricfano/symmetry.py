@@ -20,23 +20,32 @@ basis (Sims 1970): G_k fixes b_0 .. b_{k-1}.  Built for k = n-1 down to 0,
 every generator found so far lies in G_k, and each candidate image t of b_k
 outside the orbit of b_k under them gets one search for an element of G_k
 with b_k -> t; a failed t rules out its orbit.  Then the orbit Delta_k of
-b_k is all of G_k b_k, and |G| = prod |Delta_k|.  The group keeps the
-generators' matrices and the search's vertex permutations of vert(Q), whose
-orbits the verdict reads; no element list is built.
+b_k is all of G_k b_k, and |G| = prod |Delta_k|.  The group keeps the search's
+vertex permutations of vert(Q), whose orbits the verdict reads, and the anchor
+data; no matrix is formed until one is read, and no element list is built.
 """
 
 from collections import namedtuple
 
 from .linalg import SingularMatrixError, adjugate, dot, inverse_columns, kernel_basis, mat_mul, mat_vec, transpose
-from .polytope import DualPair, LatticePolytope, PolytopeError, WithCache
+from .polytope import DualPair, LatticePolytope, PolytopeError
 
 
-class SymmetryGroup(WithCache, namedtuple("SymmetryGroup", "dim generators order permutations", defaults=(None,))):
+class SymmetryGroup(namedtuple("SymmetryGroup", "dim matrices order permutations anchor", defaults=(None, None))):
     """Finite group of unimodular matrices (tuples of row tuples) mapping a polytope onto itself.
 
-    ``permutations`` are the generators on vert(q)'s indices, from the search, or None.
+    The search's group holds ``permutations`` of vert(q)'s indices and the ``anchor`` (vert(q), base
+    indices, B0^-1) but no ``matrices``; any other group holds its generator ``matrices``.
     """
     __slots__ = ()
+
+    @property
+    def generators(self):
+        """The generator matrices: ``matrices``, or A = [v_p(b)]^T B0^-1 for each permutation p of the anchor."""
+        if self.anchor is None:
+            return self.matrices
+        verts, base, b0_inv = self.anchor
+        return tuple(mat_mul(transpose([verts[p[i]] for i in base]), b0_inv) for p in self.permutations)
 
 
 class FixedSpace(namedtuple("FixedSpace", "dim basis")):
@@ -45,7 +54,7 @@ class FixedSpace(namedtuple("FixedSpace", "dim basis")):
 
 
 def trivial_group(dim):
-    return SymmetryGroup(dim=dim, generators=(), order=1, permutations=())
+    return SymmetryGroup(dim, (), 1, ())
 
 
 def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
@@ -96,9 +105,7 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
             else:
                 ruled_out.update(index_orbit(t, perms))
         order *= len(orbit)
-
-    generators = tuple(mat_mul(transpose([verts[p[i]] for i in base]), b0_inv) for p in perms)
-    return SymmetryGroup(dim=n, generators=generators, order=order, permutations=tuple(perms))
+    return SymmetryGroup(n, None, order, tuple(perms), (verts, tuple(base), b0_inv))
 
 
 def _first_assignment(search, images, options, perm):
@@ -162,7 +169,7 @@ def transport_group(g: SymmetryGroup) -> SymmetryGroup:
 
 
 def automorphism_group(dp: DualPair):
-    """Groups of the Fano side and the dual side of a dual pair."""
+    """Groups of the Fano side and the dual side of a dual pair; the dual side's matrices are formed here."""
     gq = polytope_automorphisms(dp.q)
     return gq, transport_group(gq)
 

@@ -21,7 +21,7 @@ from toricfano.criteria import (
     max_pairing,
     tian_condition,
 )
-from toricfano.linalg import dot, mat_vec
+from toricfano.linalg import dot, mat_vec, transpose
 from toricfano.measures import coefficient_of_asymmetry
 from toricfano.polytope import dual, free_sum, hull, restrict_to_subspace
 from toricfano.symmetry import SymmetryGroup, automorphism_group, fixed_space, transport_group, trivial_group
@@ -206,7 +206,8 @@ def assert_matches_stacked_fixed_space(dp, groups):
     gq = groups[0]
     v = full_verdict(dp, groups=groups)
     assert v.fixed_basis == fixed_space(gq).basis
-    assert full_verdict(dp, groups=(gq._replace(permutations=None), groups[1])) == v
+    # a matrix group has no permutations: its orbits come from vertex_permutations
+    assert full_verdict(dp, groups=(SymmetryGroup(gq.dim, gq.generators, gq.order), groups[1])) == v
 
 
 class TestOrbitRoute:
@@ -219,12 +220,12 @@ class TestOrbitRoute:
         dp = dual(free_sum_of(pair))
         assert_matches_stacked_fixed_space(dp, automorphism_group(dp))
 
-    def test_group_equality_ignores_permutations(self, q1_groups):
+    def test_search_group_holds_no_matrices(self, q1_groups):
         gq, gp = q1_groups
-        bare = gq._replace(permutations=None)
-        assert gq.permutations and bare == gq and hash(bare) == hash(gq)
-        assert SymmetryGroup(gq.dim, gq.generators, gq.order) == gq == transport_group(gp)
-        assert trivial_group(3).permutations == ()
+        assert gq.permutations and gq.matrices is None and gp.permutations is None
+        # the dual side is the transposes, so transporting it back gives the search's matrices
+        assert transport_group(gp).generators == gq.generators == tuple(map(transpose, gp.generators))
+        assert trivial_group(3).permutations == () and trivial_group(3).generators == ()
 
     def test_symmetric_entry_needs_no_elimination(self, cross3_pair, monkeypatch):
         calls = []

@@ -1,6 +1,6 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial
+from itertools import combinations, combinations_with_replacement
+from math import factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from toricfano import fixtures, measures
 from toricfano.linalg import det, dot, identity, mat_vec, solve_exact, vec_sub
 from toricfano.measures import (
+    EhrhartPolynomial,
     LatticeInvariantError,
     MeasureError,
     boundary_volume,
@@ -565,6 +566,81 @@ class TestVertexFormula:
         for measure in (volume_and_barycenter, codim2_volume):
             with pytest.raises(MeasureError, match="determinant"):
                 measure(p)
+
+
+# Differential oracle: the per-vertex Todd product that cone_measures formed
+# factor by factor before it read the power sums of the a_j.
+
+def _todd_coefficients(n):
+    """L and the (k, L tau_k) with k >= 1 and tau_k != 0, Td(x) = x / (1 - e^-x) = sum_k tau_k x^k, L the lcm
+    of the denominators of tau_0..tau_n: Td is the inverse series of (1 - e^-x) / x = sum_k (-x)^k / (k+1)!."""
+    tau = [Fraction(1)]
+    for m in range(1, n + 1):
+        tau.append(-sum(Fraction((-1) ** k, factorial(k + 1)) * tau[m - k] for k in range(1, m + 1)))
+    big = lcm(*(t.denominator for t in tau))
+    return big, [(k, int(t * big)) for k, t in enumerate(tau) if k and t]
+
+
+def _todd_product(a, todd):
+    """L^n prod_j Td(a_j t) to degree n = len(a), one factor at a time; ``todd`` is ``_todd_coefficients(n)``."""
+    n, (big, nonzero) = len(a), todd
+    poly = [big] + [0] * n
+    for k, t in nonzero:
+        poly[k] = t * a[0] ** k
+    for x in a[1:]:
+        new = [big * y for y in poly]
+        for k, t in nonzero:
+            tx = t * x**k
+            for deg in range(k, n + 1):
+                new[deg] += tx * poly[deg - k]
+        poly = new
+    return poly
+
+
+def _ridges_and_ehrhart_by_todd_products(p):
+    """Ridge volume and Ehrhart polynomial by Brion's formula with each vertex's Todd product, in Fractions."""
+    n, cones = p.dim, vertex_cones(p)
+    k = 2
+    while not all(prod(-dot(c, e) for e in edges) for c in [[k**i for i in range(n)]] for _, edges in cones):
+        k += 1
+    c, todd = [k**i for i in range(n)], _todd_coefficients(n)
+    ridges, coefficients = Fraction(0), [Fraction(0)] * (n + 1)
+    for v, (_, edges) in zip(p.vertices, cones):
+        a = [-dot(c, e) for e in edges]
+        pi, s, poly = prod(a), dot(c, v), _todd_product(a, todd)
+        ridges += Fraction(sum(x * y for x, y in combinations(a, 2)) * s ** (n - 2), factorial(n - 2) * pi)
+        for m in range(n + 1):
+            coefficients[m] += Fraction(s**m * poly[n - m], factorial(m) * pi * todd[0] ** n)
+    return ridges, EhrhartPolynomial(tuple(coefficients))
+
+
+class TestToddPowerSums:
+    @given(st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_todd_product(self, a):
+        n = len(a)
+        todd = _todd_coefficients(n)
+        big, steps = measures._todd_series(n)
+        e2, u = measures._todd_power_sums(a, steps)
+        # U_m = m! L^m T_m against the product's L^n T_m
+        assert [x * big ** (n - m) for m, x in enumerate(u)] == [factorial(m) * y for m, y in
+                                                                  enumerate(_todd_product(a, todd))]
+        assert big == todd[0]
+        assert e2 == sum(x * y for x, y in combinations(a, 2)) == (sum(a) ** 2 - sum(x * x for x in a)) // 2
+
+    def test_log_coefficients(self):
+        # H_k = k l_k L^k, l_1 = 1/2 and l_2k = -B_2k / (2k (2k)!), B_2..B_8 = 1/6, -1/30, 1/42, -1/30
+        big, steps = measures._todd_series(9)
+        ls = {k: Fraction(h * factorial(m - k), k * factorial(m - 1) * big**k) for m, row in enumerate(steps)
+              for k, h in row}
+        bernoulli = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction(-1, 30)}
+        assert ls == {1: Fraction(1, 2), **{k: -b / (k * factorial(k)) for k, b in bernoulli.items()}}
+
+    @pytest.mark.parametrize("make", [fixtures.q1, fixtures.q2, fixtures.q3, lambda: fixtures.product_family(2)],
+                             ids=["q1", "q2", "q3", "product_family2"])
+    def test_cone_measures_match_the_product_pass(self, make):
+        p = dual(make()).p
+        assert cone_measures(p, with_ehrhart=True)[2:] == _ridges_and_ehrhart_by_todd_products(p)
 
 
 class TestAsymmetry:

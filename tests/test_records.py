@@ -67,9 +67,12 @@ def test_polytope_equality_ignores_cone_inverses(q1_pair):
     assert bare == q1_pair.q == hull(q1_pair.q.vertices) and hash(bare) == hash(q1_pair.q)
 
 
-def test_group_equality_ignores_permutations(q1_pair):
-    g = polytope_automorphisms(q1_pair.q)
-    _assert_ignores_cache(g, g._replace(permutations=None), g._replace(order=g.order + 1))
+def test_group_equality_reads_permutations(q1_pair):
+    # the search order is fixed, so one polytope gives one record, and the permutations are its data
+    g, again = polytope_automorphisms(q1_pair.q), polytope_automorphisms(q1_pair.q)
+    assert g is not again and g == again and hash(g) == hash(again)
+    assert len(g.permutations) > 1 and g != g._replace(permutations=g.permutations[::-1])
+    assert g != g._replace(order=g.order + 1)
 
 
 def test_conjecture_records_serialize_in_field_order(cx5_pair):

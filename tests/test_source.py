@@ -183,7 +183,7 @@ def test_ehrhart_cap_read_only_by_io_and_cli():
     assert readers == ["cli.py", "io.py"]
 
 
-def test_hull_walk_is_integer_only():
+def test_insertion_hull_and_counter_are_integer_only():
     """The insertion hull, its ridge crossings, the pivot of its eliminations and the lattice-point
     counter name no ``Fraction``: normals, incidences, inverses and slice bounds stay ``int``."""
     walk = {"polytope.py": {"hull", "_insertion_hull", "_facet", "_ridge_inverses", "_cross"},

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import cache
@@ -399,6 +400,34 @@ def test_anchor_inverse_read_off_the_hull(monkeypatch, corpus_file):
     bare = q._replace(facets=tuple(f._replace(inverse=None) for f in q.facets))
     assert polytope_automorphisms(bare) == polytope_automorphisms(q)
     assert len(calls) == 1
+
+
+def test_scan_forms_no_generator_matrix(monkeypatch, corpus_file):
+    """The scan reads the search's permutations only; a matrix is formed where ``generators`` is read."""
+    formed = []
+    generators = SymmetryGroup.generators
+    monkeypatch.setattr(SymmetryGroup, "generators", property(lambda g: formed.append(g) or generators.fget(g)))
+    reports = scan(corpus_file, ScanOptions(conjectures=True))
+    assert sum(r["is_smooth_fano"] for r in reports) == 12
+    assert formed == []
+    gq, gp = automorphism_group(dual(fixtures.cx5()))     # the dual side's transposes
+    assert formed == [gq] and gq.matrices is None and gp.matrices == gp.generators
+
+
+# sha256 of repr((gq.generators, gp.generators)) from automorphism_group, first 16 hex digits, as
+# recorded when the search still formed each generator's matrix (commit e0787bb)
+MATRIX_DIGESTS = {
+    "p2_pair": "6589c1a72cd11b9a", "p3_pair": "0f5f00e0668e27ad", "cross2_pair": "7c4ab449357753ca",
+    "cross3_pair": "eab6ae881e473ea3", "hexagon_pair": "6668a3f52404f40e", "cx5_pair": "53e48def799e074f",
+    "q1_pair": "26aa65b6401c4ea2", "q2_pair": "4372f2950fe7f40f", "unimodular_cx5_pair": "787d7cef15cb96ae",
+}
+
+
+@pytest.mark.parametrize("name", list(MATRIX_DIGESTS))
+def test_matrices_on_demand_are_pinned(request, name):
+    gq, gp = automorphism_group(request.getfixturevalue(name))
+    digest = hashlib.sha256(repr((gq.generators, gp.generators)).encode()).hexdigest()
+    assert digest[:16] == MATRIX_DIGESTS[name]
 
 
 def test_transport_consistency(p2_pair):
