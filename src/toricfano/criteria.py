@@ -13,8 +13,7 @@ from fractions import Fraction
 from .linalg import dot, kernel_basis
 from .measures import cone_measures
 from .polytope import DualPair
-from .symmetry import (SymmetryGroup, fixed_space, index_orbit, polytope_automorphisms, transport_group,
-                       vertex_permutations)
+from .symmetry import SymmetryGroup, fixed_space, index_orbit, polytope_automorphisms
 
 
 class KEVerdict(namedtuple("KEVerdict", "barycenter fixed_basis lct")):
@@ -32,12 +31,11 @@ class KEVerdict(namedtuple("KEVerdict", "barycenter fixed_basis lct")):
 
 
 def orbit_sums(dp: DualPair, g: SymmetryGroup):
-    """Nonzero sums of the orbits O of vert(Q) under the Fano-side g, and the max <w, sum(O)>/|O| on vert(P)."""
+    """Nonzero sums of the orbits O of vert(Q) under g (either side), and the max <w, sum(O)>/|O| on vert(P)."""
     verts, seen, sums, top = dp.q.vertices, set(), [], Fraction(0)
-    perms = vertex_permutations(g, verts) if g.permutations is None else g.permutations
     for i in range(len(verts)):
         if i not in seen:
-            orbit = index_orbit(i, perms)
+            orbit = index_orbit(i, g.permutations)
             seen.update(orbit)
             s = tuple(map(sum, zip(*(verts[j] for j in orbit))))
             if any(s):      # a zero sum pairs to 0, a nonzero one to more: 0 is interior to P
@@ -52,10 +50,11 @@ def max_pairing(dp: DualPair, g: SymmetryGroup) -> Fraction:
     P is convex and G-invariant, so the slice P_G = P cut by Fix(G) is the
     image of P under the group average pi.  A linear function therefore has
     the same maximum over P_G as over pi(vert(P)).  <pi w, v> = <w, pi^T v>,
-    and pi^T v is the centroid of v's orbit under g^T, the Fano-side group
-    ``transport_group(g)``: ``orbit_sums`` pairs those centroids with vert(P).
+    and pi^T v is the centroid of v's orbit under g^T, the Fano-side group,
+    whose permutations of vert(Q) g holds: ``orbit_sums`` pairs those
+    centroids with vert(P).
     """
-    return orbit_sums(dp, transport_group(g))[1]
+    return orbit_sums(dp, g)[1]
 
 
 def lct(dp: DualPair, g: SymmetryGroup) -> Fraction:

@@ -59,25 +59,24 @@ def vertex_facets(p: LatticePolytope):
 
 
 def vertex_cones(p: LatticePolytope):
-    """Per vertex (in vertex order): its n facet indices and its n edges.
+    """Per vertex (in vertex order): its n edges.
 
     P must be simple with unimodular vertex cones, as the dual of a smooth
     Fano polytope is.  The edges e_j are the columns of E_v = U_v^-1, where
-    the rows of U_v are the normals of the facets through v, so
-    <u_i, e_j> = delta_ij: e_j runs along the facets other than the j-th
+    the rows of U_v are the normals of the facets through v (``vertex_facets``),
+    so <u_i, e_j> = delta_ij: e_j runs along the facets other than the j-th
     and is a lattice basis together with the others.  For P = Q*, U_v is
     the vertex matrix of Q's facet v, so ``dual`` hands over its
-    ``Facet.inverse``, the edges as they stand; only a P built otherwise is
-    inverted here (``inverse_columns``).
+    ``Facet.inverse``, the edges as they stand; ``hull`` gives one only to a
+    facet of n points, so a full set makes P simple.  Any other P is inverted here.
     """
-    at = vertex_facets(p)
-    out = []
-    for v, facets, known in zip(p.vertices, at, p.cone_inverses or [None] * len(at)):
-        d, edges = known or inverse_columns([p.facets[fi].normal for fi in facets])
+    known = p.cone_inverses
+    if not (known and all(known)):
+        known = [inverse_columns([p.facets[fi].normal for fi in facets]) for facets in vertex_facets(p)]
+    for v, (d, _) in zip(p.vertices, known):
         if d not in (1, -1):
             raise MeasureError(f"vertex {v} has a cone of determinant {d}, not unimodular")
-        out.append((tuple(facets), edges))
-    return tuple(out)
+    return tuple(edges for _, edges in known)
 
 
 def cone_measures(p: LatticePolytope, with_ehrhart=False):
@@ -114,7 +113,7 @@ def cone_measures(p: LatticePolytope, with_ehrhart=False):
     k, terms = 2, []
     while len(terms) < len(cones):
         c, terms = [k**i for i in range(n)], []
-        for v, (_, edges) in zip(p.vertices, cones):
+        for v, edges in zip(p.vertices, cones):
             a = [-dot(c, e) for e in edges]
             if not (pi := prod(a)):
                 k += 1

@@ -23,6 +23,7 @@ with b_k -> t; a failed t rules out its orbit.  Then the orbit Delta_k of
 b_k is all of G_k b_k, and |G| = prod |Delta_k|.  The group keeps the search's
 vertex permutations of vert(Q), whose orbits the verdict reads, and the anchor
 data; no matrix is formed until one is read, and no element list is built.
+The dual side's group is the transposes, so it is the same record, flagged.
 """
 
 from collections import namedtuple
@@ -31,21 +32,20 @@ from .linalg import SingularMatrixError, adjugate, dot, inverse_columns, kernel_
 from .polytope import DualPair, LatticePolytope, PolytopeError
 
 
-class SymmetryGroup(namedtuple("SymmetryGroup", "dim matrices order permutations anchor", defaults=(None, None))):
+class SymmetryGroup(namedtuple("SymmetryGroup", "dim order permutations anchor transposed", defaults=(False,))):
     """Finite group of unimodular matrices (tuples of row tuples) mapping a polytope onto itself.
 
-    The search's group holds ``permutations`` of vert(q)'s indices and the ``anchor`` (vert(q), base
-    indices, B0^-1) but no ``matrices``; any other group holds its generator ``matrices``.
+    Either side holds the Fano-side group's ``permutations`` of vert(Q)'s indices and the
+    ``anchor`` (vert(Q), base indices, B0^-1); the dual side's record is ``transposed``.
     """
     __slots__ = ()
 
     @property
     def generators(self):
-        """The generator matrices: ``matrices``, or A = [v_p(b)]^T B0^-1 for each permutation p of the anchor."""
-        if self.anchor is None:
-            return self.matrices
+        """A = [v_p(b)]^T B0^-1 for each permutation p, or A^T when ``transposed``, formed on each read."""
         verts, base, b0_inv = self.anchor
-        return tuple(mat_mul(transpose([verts[p[i]] for i in base]), b0_inv) for p in self.permutations)
+        mats = (mat_mul(transpose([verts[p[i]] for i in base]), b0_inv) for p in self.permutations)
+        return tuple(map(transpose, mats) if self.transposed else mats)
 
 
 class FixedSpace(namedtuple("FixedSpace", "dim basis")):
@@ -54,7 +54,8 @@ class FixedSpace(namedtuple("FixedSpace", "dim basis")):
 
 
 def trivial_group(dim):
-    return SymmetryGroup(dim, (), 1, ())
+    """The group {I}: no permutation, and an empty anchor, as no vertex is named."""
+    return SymmetryGroup(dim, 1, (), ((), (), ()))
 
 
 def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
@@ -105,7 +106,7 @@ def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
             else:
                 ruled_out.update(index_orbit(t, perms))
         order *= len(orbit)
-    return SymmetryGroup(n, None, order, tuple(perms), (verts, tuple(base), b0_inv))
+    return SymmetryGroup(n, order, tuple(perms), (verts, tuple(base), b0_inv))
 
 
 def _first_assignment(search, images, options, perm):
@@ -152,24 +153,18 @@ def index_orbit(i, perms):
     return orbit
 
 
-def vertex_permutations(g: SymmetryGroup, points):
-    """g's generators as permutations of the indices of ``points``, the vertices g permutes."""
-    index = {v: i for i, v in enumerate(points)}
-    return tuple(tuple(index[mat_vec(a, v)] for v in points) for a in g.generators)
-
-
 def transport_group(g: SymmetryGroup) -> SymmetryGroup:
-    """Dual-side action of the group, the set of inverse-transposes.
+    """Action of the group on the other side of the dual pair, the set of inverse-transposes.
 
     {a^-T : a in G} = {b^T : b in G} with b = a^-1, and transposing turns
     products around, so the transposes of the generators generate it: no
-    matrix is inverted and the order carries over.
+    matrix is formed, the order and permutations carry over, and ``transposed`` flips.
     """
-    return SymmetryGroup(g.dim, tuple(transpose(a) for a in g.generators), g.order)
+    return g._replace(transposed=not g.transposed)
 
 
 def automorphism_group(dp: DualPair):
-    """Groups of the Fano side and the dual side of a dual pair; the dual side's matrices are formed here."""
+    """Groups of the Fano side and the dual side of a dual pair: one search, and its transposed view."""
     gq = polytope_automorphisms(dp.q)
     return gq, transport_group(gq)
 

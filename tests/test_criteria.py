@@ -14,6 +14,7 @@ from test_symmetry import (  # unimodular_cx5_pair is a fixture: importing regis
     unimodular_cx5_pair,
 )
 from toricfano import criteria, fixtures, symmetry
+from toricfano.conjectures import check_conj11
 from toricfano.criteria import (
     alpha_invariant,
     full_verdict,
@@ -68,12 +69,11 @@ class TestAlphaTian:
 
     @pytest.mark.parametrize("name", PAIRS + ["q1_pair", "q2_pair"])
     def test_alpha_reads_the_fano_side_orbits(self, name, request, monkeypatch):
-        # the search's own vertex permutations: no transposed group, no permutations rebuilt
+        # the search's own vertex permutations: no transposed group, no generator matrix
         dp = request.getfixturevalue(name)
         expected = full_verdict(dp, groups=groups_of(request, name)).lct
-        for module in (criteria, symmetry):
-            for fn in ("transport_group", "vertex_permutations"):
-                monkeypatch.setattr(module, fn, lambda *args, fn=fn: pytest.fail(f"{fn} called"))
+        monkeypatch.setattr(symmetry, "transport_group", lambda g: pytest.fail("transport_group called"))
+        monkeypatch.setattr(SymmetryGroup, "generators", property(lambda g: pytest.fail("generators read")))
         assert alpha_invariant(dp) == expected
 
     def test_headline_nonsymmetric_values(self, q1_pair, q1_groups):
@@ -206,8 +206,6 @@ def assert_matches_stacked_fixed_space(dp, groups):
     gq = groups[0]
     v = full_verdict(dp, groups=groups)
     assert v.fixed_basis == fixed_space(gq).basis
-    # a matrix group has no permutations: its orbits come from vertex_permutations
-    assert full_verdict(dp, groups=(SymmetryGroup(gq.dim, gq.generators, gq.order), groups[1])) == v
 
 
 class TestOrbitRoute:
@@ -222,10 +220,20 @@ class TestOrbitRoute:
 
     def test_search_group_holds_no_matrices(self, q1_groups):
         gq, gp = q1_groups
-        assert gq.permutations and gq.matrices is None and gp.permutations is None
+        # one search, two views: the dual side differs only in ``transposed``, and no record holds matrices
+        assert gp == gq._replace(transposed=True) and gq.permutations and "matrices" not in SymmetryGroup._fields
         # the dual side is the transposes, so transporting it back gives the search's matrices
+        assert transport_group(gp) == gq
         assert transport_group(gp).generators == gq.generators == tuple(map(transpose, gp.generators))
         assert trivial_group(3).permutations == () and trivial_group(3).generators == ()
+
+    @pytest.mark.parametrize("name", ["cx5_pair", "q1_pair", "hexagon_pair"])
+    def test_either_side_gives_the_orbits(self, request, name):
+        # both records hold the search's permutations of vert(Q), so either side's group may be passed
+        dp = request.getfixturevalue(name)
+        gq, gp = groups_of(request, name)
+        assert check_conj11(dp, gp) == check_conj11(dp, gq) == check_conj11(dp)
+        assert lct(dp, gq) == lct(dp, gp) == full_verdict(dp, groups=(gq,)).lct
 
     def test_symmetric_entry_needs_no_elimination(self, cross3_pair, monkeypatch):
         calls = []

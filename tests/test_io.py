@@ -354,13 +354,22 @@ class TestOnePassPerEntry:
         smooth = self._scan()
         assert len(built) == len(smooth)
 
+    def test_dual_cones_need_no_incidence(self, monkeypatch, corpus_file):
+        """``dual`` hands each smooth entry's P its cone inverses, so no scan inverts P's incidence."""
+        calls = Counter()
+        monkeypatch.setattr(measures, "vertex_facets", _counted(measures.vertex_facets, calls, "vertex_facets"))
+        reports = scan(corpus_file, ScanOptions(conjectures=True))
+        assert sum(r["is_smooth_fano"] for r in reports) == 12
+        assert calls == Counter()
+
     def test_vertex_permutations_only_of_q(self, monkeypatch):
         """The verdict reads the search's own permutations of vert(Q): no scan calls
-        ``vertex_permutations`` or ``fixed_space``, and no entry permutes vert(P)."""
+        ``fixed_space`` or forms a generator matrix, and no entry permutes vert(P)."""
         calls, sizes = Counter(), []
         for module in (criteria, symmetry):
-            for name in ("vertex_permutations", "fixed_space"):
-                monkeypatch.setattr(module, name, _counted(getattr(module, name), calls, name))
+            monkeypatch.setattr(module, "fixed_space", _counted(module.fixed_space, calls, "fixed_space"))
+        generators = symmetry.SymmetryGroup.generators.fget
+        monkeypatch.setattr(symmetry.SymmetryGroup, "generators", property(_counted(generators, calls, "generators")))
         sums = criteria.orbit_sums
         monkeypatch.setattr(criteria, "orbit_sums",
                             lambda dp, g: sizes.append({len(p) for p in g.permutations}) or sums(dp, g))

@@ -22,6 +22,7 @@ from toricfano.measures import (
     fano_index,
     relative_volume,
     vertex_cones,
+    vertex_facets,
     volume_and_barycenter,
 )
 from toricfano.polytope import (
@@ -496,7 +497,7 @@ class TestVertexFormula:
         # an edge of cx5's P is orthogonal to (1, 2, 4, 8, 16), so its pass restarts with k = 3;
         # no edge of q1's P is orthogonal to (1, 2, 4, ...), so its pass takes k = 2 at once
         p = request.getfixturevalue(name).p
-        edges = [e for _, es in vertex_cones(p) for e in es]
+        edges = [e for es in vertex_cones(p) for e in es]
         powers = {j: tuple(j**i for i in range(p.dim)) for j in range(2, k + 1)}
         assert [any(dot(powers[j], e) == 0 for e in edges) for j in powers] == [j < k for j in powers]
         tried = set()
@@ -516,7 +517,7 @@ class TestVertexFormula:
         p = dual(hull([tuple(s * v[i] for i, s in zip(perm, signs)) for v in q2_pair.q.vertices])).p
         powers = [tuple(k**i for i in range(8)) for k in (2, 3)]
         cones = vertex_cones(p)
-        assert [next((i for i, (_, es) in enumerate(cones) if any(dot(c, e) == 0 for e in es)), None)
+        assert [next((i for i, es in enumerate(cones) if any(dot(c, e) == 0 for e in es)), None)
                 for c in powers] == [108, None]
         tried = []
 
@@ -536,7 +537,7 @@ class TestVertexFormula:
 
     def test_edges_invert_the_facet_normals(self, cx5_pair):
         p = cx5_pair.p
-        for facets, edges in vertex_cones(p):
+        for facets, edges in zip(vertex_facets(p), vertex_cones(p)):
             normals = [p.facets[i].normal for i in facets]
             assert tuple(tuple(dot(u, e) for e in edges) for u in normals) == identity(p.dim)
 
@@ -559,6 +560,9 @@ class TestVertexFormula:
         for measure in (volume_and_barycenter, codim2_volume):
             with pytest.raises(MeasureError, match="lies on 4 facets"):
                 measure(p)
+        # as the dual of the cube, whose facets of 4 vertices hand over no cone inverse
+        with pytest.raises(MeasureError, match="lies on 4 facets, expected 3"):
+            vertex_cones(dual(fixtures.cube(3)).p)
 
     def test_rejects_non_unimodular_cone(self):
         # a simple triangle whose vertex cones have determinant 3
@@ -566,6 +570,11 @@ class TestVertexFormula:
         for measure in (volume_and_barycenter, codim2_volume):
             with pytest.raises(MeasureError, match="determinant"):
                 measure(p)
+        # a dual whose Q holds (0, -1) on a facet: that cone has no inverse, so every cone is inverted
+        p = dual(hull([(-1, -1), (0, -1), (1, -1), (0, 1)])).p
+        assert p.cone_inverses.count(None) == 1
+        with pytest.raises(MeasureError, match="vertex \\(0, 1\\) has a cone of determinant 2"):
+            vertex_cones(p)
 
 
 # Differential oracle: the per-vertex Todd product that cone_measures formed
@@ -601,11 +610,11 @@ def _ridges_and_ehrhart_by_todd_products(p):
     """Ridge volume and Ehrhart polynomial by Brion's formula with each vertex's Todd product, in Fractions."""
     n, cones = p.dim, vertex_cones(p)
     k = 2
-    while not all(prod(-dot(c, e) for e in edges) for c in [[k**i for i in range(n)]] for _, edges in cones):
+    while not all(prod(-dot(c, e) for e in edges) for c in [[k**i for i in range(n)]] for edges in cones):
         k += 1
     c, todd = [k**i for i in range(n)], _todd_coefficients(n)
     ridges, coefficients = Fraction(0), [Fraction(0)] * (n + 1)
-    for v, (_, edges) in zip(p.vertices, cones):
+    for v, edges in zip(p.vertices, cones):
         a = [-dot(c, e) for e in edges]
         pi, s, poly = prod(a), dot(c, v), _todd_product(a, todd)
         ridges += Fraction(sum(x * y for x, y in combinations(a, 2)) * s ** (n - 2), factorial(n - 2) * pi)

@@ -23,7 +23,7 @@ from toricfano.linalg import (
     transpose,
     vec_sub,
 )
-from toricfano.measures import vertex_cones
+from toricfano.measures import vertex_cones, vertex_facets
 from toricfano.polytope import (
     DimensionDeficiencyError,
     Facet,
@@ -415,9 +415,11 @@ class TestStoredAdjugates:
 
     @pytest.mark.parametrize("make", [m for _, m in SMOOTH_FANO], ids=[name for name, _ in SMOOTH_FANO])
     def test_dual_cones_match_a_fresh_elimination(self, make):
-        p = dual(make()).p
+        q, p = dual(make())
         assert all(p.cone_inverses)
         assert vertex_cones(p) == vertex_cones(p._replace(cone_inverses=None))
+        # the edges at P's vertex i are read against Q's facet i's vertices, which are P's facets there
+        assert vertex_facets(p) == [sorted(f.vertex_indices) for f in q.facets]
 
 
 class TestDual:

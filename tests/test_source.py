@@ -200,6 +200,21 @@ def test_insertion_hull_and_counter_are_integer_only():
     assert offenders == []
 
 
+def test_generator_matrices_read_only_by_fixed_space():
+    """Every group holds its permutations of vert(Q), so no ``src/`` code reads ``.generators`` but
+    ``symmetry.fixed_space``, the stacked-kernel check of the verdict's orbit-sum basis.  A new reader
+    fails here, not only on the fixture corpus that counts the reads at run time."""
+    readers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "generators":
+                scope = next((f.name for f in scopes if f.lineno <= node.lineno <= f.end_lineno), "<module>")
+                readers.append(f"{path.stem}.{scope}")
+    assert readers == ["symmetry.fixed_space"]
+
+
 def _benchmark_tracer():
     spec = importlib.util.spec_from_file_location(
         "benchmark_tracer", Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py")

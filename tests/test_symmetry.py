@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from test_measures import PRODUCT_PAIRS, SUMMANDS
 from toricfano import fixtures, symmetry
-from toricfano.criteria import full_verdict, lct, max_pairing
+from toricfano.conjectures import check_conj11
+from toricfano.criteria import alpha_invariant, full_verdict, lct, max_pairing
 from toricfano.io import ScanOptions, scan
 from toricfano.linalg import (
     SingularMatrixError,
@@ -148,11 +149,12 @@ def stacked_fixed_space_oracle(g):
 
 
 def cyclic_subgroup(g, a):
+    """The subgroup <a> in g's record: a permutes vert(Q), or a^T does on the dual side, so its generators are (a,)."""
     order, x = 1, a
     while x != identity(g.dim):
         order += 1
         x = mat_mul(x, a)
-    return SymmetryGroup(g.dim, (a,), order)
+    return g._replace(permutations=(_action(transpose(a) if g.transposed else a, g.anchor[0]),), order=order)
 
 
 def smallest_cyclic_subgroup(g):
@@ -276,7 +278,7 @@ def test_orbits_match_oracle(request, name):
     for g, points in zip(groups_of(request, name), (dp.q.vertices, dp.p.vertices)):
         orbits = [set(orbit_of(v, g.generators)) for v in points]
         assert orbits == orbits_oracle(points, g)
-        perms = symmetry.vertex_permutations(g, points)
+        perms = tuple(_action(a, points) for a in g.generators)
         assert [{points[j] for j in index_orbit(i, perms)} for i in range(len(points))] == orbits
 
 
@@ -306,15 +308,15 @@ def _action(a, points):
 @pytest.mark.parametrize("name", PAIRS + ["q1_pair", "q2_pair", "unimodular_cx5_pair"])
 def test_permutations_are_the_matrix_actions(request, name):
     """Each Fano-side generator a permutes vert(Q), and each dual one a^T vert(P);
-    the search keeps the Fano-side actions, and the transposes keep none."""
+    both sides' records keep the Fano-side actions, and only the dual side is transposed."""
     dp = request.getfixturevalue(name)
     gq, gp = groups_of(request, name)
     for g, points in ((gq, dp.q.vertices), (gp, dp.p.vertices)):
         assert g.generators
         for a in g.generators:
             assert sorted(_action(a, points)) == list(range(len(points)))
-    assert gq.permutations == tuple(_action(a, dp.q.vertices) for a in gq.generators)
-    assert gp.permutations is None
+    assert gq.permutations == gp.permutations == tuple(_action(a, dp.q.vertices) for a in gq.generators)
+    assert gp == gq._replace(transposed=True) != gq
 
 
 @pytest.mark.parametrize(
@@ -403,15 +405,20 @@ def test_anchor_inverse_read_off_the_hull(monkeypatch, corpus_file):
 
 
 def test_scan_forms_no_generator_matrix(monkeypatch, corpus_file):
-    """The scan reads the search's permutations only; a matrix is formed where ``generators`` is read."""
+    """The scan, the lct, alpha, the verdict and conj11 read the search's permutations only; a matrix
+    is formed where ``generators`` is read."""
+    dp = dual(fixtures.cx5())
+    cyclic = smallest_cyclic_subgroup(automorphism_group(dp)[1])    # its closure reads generators
     formed = []
     generators = SymmetryGroup.generators
     monkeypatch.setattr(SymmetryGroup, "generators", property(lambda g: formed.append(g) or generators.fget(g)))
     reports = scan(corpus_file, ScanOptions(conjectures=True))
     assert sum(r["is_smooth_fano"] for r in reports) == 12
+    groups = gq, gp = automorphism_group(dp)      # the dual side is a transposed view: no matrix
+    assert lct(dp, gp) == alpha_invariant(dp) == full_verdict(dp, groups=groups).lct > lct(dp, cyclic)
+    assert check_conj11(dp, gp) == check_conj11(dp)
     assert formed == []
-    gq, gp = automorphism_group(dual(fixtures.cx5()))     # the dual side's transposes
-    assert formed == [gq] and gq.matrices is None and gp.matrices == gp.generators
+    assert gp.generators == tuple(map(transpose, gq.generators)) and formed == [gp, gq]
 
 
 # sha256 of repr((gq.generators, gp.generators)) from automorphism_group, first 16 hex digits, as
@@ -475,6 +482,8 @@ def test_transport_matches_inverse_transpose_oracle(request, name):
     gq, gp = groups_of(request, name)
     assert closure(gp) == inverse_transpose_oracle(gq)
     assert closure(transport_group(gp)) == closure(gq)
+    for g in (gq, gp, trivial_group(gq.dim)):
+        assert transport_group(transport_group(g)) == g != transport_group(g)
 
 
 @pytest.mark.parametrize("name", PAIRS + ["q1_pair"])
