@@ -67,8 +67,8 @@ def vertex_cones(p: LatticePolytope):
     so <u_i, e_j> = delta_ij: e_j runs along the facets other than the j-th
     and is a lattice basis together with the others.  For P = Q*, U_v is
     the vertex matrix of Q's facet v, so ``dual`` hands over its
-    ``Facet.inverse``, the edges as they stand; ``hull`` gives one only to a
-    facet of n points, so a full set makes P simple.  Any other P is inverted here.
+    ``Facet.inverse``, the edges as they stand; ``hull`` gives one to each facet of
+    n vertices, so a full set makes P simple.  Any other P is inverted here.
     """
     known = p.cone_inverses
     if not (known and all(known)):

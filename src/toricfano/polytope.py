@@ -14,7 +14,6 @@ from operator import index, mul
 
 from .linalg import (
     adjugate,
-    det,
     dot,
     inverse_columns,
     kernel_basis,
@@ -87,13 +86,13 @@ def hull(points):
     Fukuda-Prodon 1996) over ``int``.  One kernel of the coordinates names
     n + 1 affinely independent points, or shows that a hyperplane holds every
     point (``DimensionDeficiencyError``); ``_insertion_hull`` starts from their
-    simplex and inserts the other points.  ``Facet.inverse`` of a facet of n
-    points off the origin, (det B, columns of |det B| B^-1) of its vertex
-    matrix B, is carried across ridges from one elimination per connected
-    component (``_ridge_inverses``).  A point is a vertex exactly when the
-    facets through it meet in that point alone.  Exact, order-insensitive,
-    robust to redundant points; coordinates are ints, the same positive number
-    per point (``PointDimensionError``).
+    simplex and inserts the other points.  A point is a vertex exactly when
+    the facets through it meet in that point alone; renumbered by vertex, the
+    incidences give every facet of n vertices off the origin ``Facet.inverse``,
+    (det B, columns of |det B| B^-1) of its vertex matrix B, carried across
+    ridges from one elimination per connected component (``_ridge_inverses``).
+    Exact, order-insensitive, robust to redundant points; coordinates are ints,
+    the same positive number per point (``PointDimensionError``).
     """
     pts = sorted(set(tuple(index(x) for x in p) for p in points))
     if not pts:
@@ -113,17 +112,19 @@ def hull(points):
     off = max(compress(range(len(pts)), next(v for v in ker if sum(v))))
     facets = _insertion_hull(pts, [i for i in range(len(pts)) if i not in free or i == off])
     rows = {key: _bits(inc) for key, inc in facets.items()}
-    inverses = _ridge_inverses(pts, facets, rows)
     face_of = [-1] * len(pts)    # smallest face through each point, as a bitmask
     for key, inc in facets.items():
         for i in rows[key]:
             face_of[i] &= inc
     verts = [i for i, face in enumerate(face_of) if face == 1 << i]
-    if len(verts) < len(pts):    # renumber the incidences by vertex
+    if len(verts) < len(pts):    # renumber the incidences by vertex, as rows and as bitmasks
         vert_of = {i: k for k, i in enumerate(verts)}
+        pts = [pts[i] for i in verts]
         rows = {key: [vert_of[i] for i in on if i in vert_of] for key, on in rows.items()}
+        facets = {key: sum(1 << k for k in on) for key, on in rows.items()}
+    inverses = _ridge_inverses(pts, facets, rows)
     facets = tuple(Facet(u, b, frozenset(rows[u, b]), inverses.get((u, b))) for u, b in sorted(facets))
-    return LatticePolytope(n, tuple(pts[i] for i in verts), facets)
+    return LatticePolytope(n, tuple(pts), facets)
 
 
 def _bits(mask):
@@ -186,11 +187,11 @@ def _insertion_hull(pts, simplex):
 
 
 def _ridge_inverses(pts, facets, rows):
-    """{(u, b): (det B, columns of |det B| B^-1)} for the facets of n points B off the origin.
+    """{(u, b): (det B, columns of |det B| B^-1)} for the facets of n vertices B off the origin.
 
-    ``facets`` maps each facet to its bitmask and ``rows`` to its sorted
-    points.  One ``inverse_columns`` per connected component of those facets
-    across their common ridges; each crossing is a ``_cross``.
+    ``pts`` are the vertices; ``facets`` maps each facet to the bitmask of its
+    vertices and ``rows`` to their indices, sorted.  One ``inverse_columns``
+    per connected component across common ridges, each crossing a ``_cross``.
     """
     n = len(pts[0])
     links, ends = {}, {}    # facet: (row j, facet across the ridge without j, its row off it); ridge: (facet, row)
@@ -256,9 +257,8 @@ def is_smooth_fano(p: LatticePolytope):
     for f in p.facets:
         if len(f.vertex_indices) != p.dim:
             return False, f"facet with normal {f.normal} has {len(f.vertex_indices)} vertices, expected {p.dim}"
-        d = f.inverse[0] if f.inverse else det(p.facet_vertices(f))
-        if d not in (1, -1):
-            return False, f"facet with normal {f.normal} has vertex matrix determinant {d}"
+        if f.inverse[0] not in (1, -1):
+            return False, f"facet with normal {f.normal} has vertex matrix determinant {f.inverse[0]}"
     return True, None
 
 

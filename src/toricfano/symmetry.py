@@ -28,7 +28,7 @@ The dual side's group is the transposes, so it is the same record, flagged.
 
 from collections import namedtuple
 
-from .linalg import SingularMatrixError, adjugate, dot, inverse_columns, kernel_basis, mat_mul, mat_vec, transpose
+from .linalg import SingularMatrixError, adjugate, dot, kernel_basis, mat_mul, mat_vec, transpose
 from .polytope import DualPair, LatticePolytope, PolytopeError
 
 
@@ -61,19 +61,19 @@ def trivial_group(dim):
 def polytope_automorphisms(q: LatticePolytope) -> SymmetryGroup:
     """Full group of unimodular maps permuting vert(q), by its stabilizer chain.
 
-    Requires a facet of q with exactly ``dim`` vertices (true for every smooth
-    Fano polytope), and refuses with ``SingularMatrixError`` when its vertices
+    Anchors on the first simplicial facet off the origin, the first with a
+    ``Facet.inverse``, and refuses with ``SingularMatrixError`` when its vertices
     are not a lattice basis.  W is symmetric, as M is, so only its W[i][j] with
     j >= i are multiplied out.  The permutations give ``check_conj11`` its orbits.
     """
     n = q.dim
     verts = q.vertices
-    anchor = next((f for f in q.facets if len(f.vertex_indices) == n), None)
+    anchor = next((f for f in q.facets if f.inverse), None)
     if anchor is None:
-        raise PolytopeError("automorphism search needs a simplicial facet")
+        raise PolytopeError("automorphism search needs a simplicial facet off the origin")
 
     base = sorted(anchor.vertex_indices)
-    d, b0_inv = anchor.inverse or inverse_columns([verts[i] for i in base])    # no ``hull``: invert here
+    d, b0_inv = anchor.inverse
     if d not in (1, -1):
         raise SingularMatrixError("the anchor facet's vertices are not a lattice basis")
     # A basis vertex maps to its own w_k and the origin to itself, so

@@ -271,6 +271,18 @@ class TestAnalyze:
             assert set(r) == {"name", "dim", "n_vertices", "is_smooth_fano", "certificate"}
             assert isinstance(r["certificate"], str) and r["certificate"]
 
+    @pytest.mark.parametrize("rows, extra, certificate", [
+        (fixtures.simplex_fano(2).vertices, (0, 0), None),
+        (((-1, -1), (1, -1), (0, 1)), (0, -1), "determinant 2"),
+        (((2, 0), (0, 2), (-1, 0), (0, -1)), (1, 1), "not primitive"),
+    ], ids=["p2_origin", "edge_midpoint_determinant_2", "edge_midpoint_not_primitive"])
+    def test_points_off_the_vertices_change_no_byte(self, rows, extra, certificate):
+        # the hull inverts each simplicial facet by its vertices, whatever other rows lie on it
+        options = ScanOptions(conjectures=True)
+        report = analyze_entry(("q", 2, tuple(rows)), options)
+        assert emit([analyze_entry(("q", 2, (*rows, extra)), options)]) == emit([report])
+        assert report["is_smooth_fano"] if certificate is None else certificate in report["certificate"]
+
     def test_ehrhart_dim_cap(self):
         entry = parse(GOOD).entry("plane")
         r = analyze_entry(entry, ScanOptions(ehrhart_max_dim=1))

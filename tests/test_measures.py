@@ -570,9 +570,9 @@ class TestVertexFormula:
         for measure in (volume_and_barycenter, codim2_volume):
             with pytest.raises(MeasureError, match="determinant"):
                 measure(p)
-        # a dual whose Q holds (0, -1) on a facet: that cone has no inverse, so every cone is inverted
+        # a dual whose Q holds (0, -1) on a facet: the hull still inverts that facet by its vertices
         p = dual(hull([(-1, -1), (0, -1), (1, -1), (0, 1)])).p
-        assert p.cone_inverses.count(None) == 1
+        assert all(p.cone_inverses)
         with pytest.raises(MeasureError, match="vertex \\(0, 1\\) has a cone of determinant 2"):
             vertex_cones(p)
 

@@ -200,19 +200,40 @@ def test_insertion_hull_and_counter_are_integer_only():
     assert offenders == []
 
 
-def test_generator_matrices_read_only_by_fixed_space():
-    """Every group holds its permutations of vert(Q), so no ``src/`` code reads ``.generators`` but
-    ``symmetry.fixed_space``, the stacked-kernel check of the verdict's orbit-sum basis.  A new reader
-    fails here, not only on the fixture corpus that counts the reads at run time."""
-    readers = []
+def _scopes_of(match):
+    """"module.function" of each AST node in ``src/`` that ``match`` accepts, in source order."""
+    found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         scopes = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "generators":
+            if match(node):
                 scope = next((f.name for f in scopes if f.lineno <= node.lineno <= f.end_lineno), "<module>")
-                readers.append(f"{path.stem}.{scope}")
+                found.append(f"{path.stem}.{scope}")
+    return found
+
+
+def test_generator_matrices_read_only_by_fixed_space():
+    """Every group holds its permutations of vert(Q), so no ``src/`` code reads ``.generators`` but
+    ``symmetry.fixed_space``, the stacked-kernel check of the verdict's orbit-sum basis.  A new reader
+    fails here, not only on the fixture corpus that counts the reads at run time."""
+    readers = _scopes_of(lambda node: isinstance(node, ast.Attribute) and node.attr == "generators")
     assert readers == ["symmetry.fixed_space"]
+
+
+def _callers(name):
+    """"module.function" of each call of ``name`` in ``src/``, bare or as an attribute."""
+    return _scopes_of(lambda node: isinstance(node, ast.Call)
+                      and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_facet_inverses_formed_only_by_the_hull_and_vertex_cones():
+    """``hull`` gives every facet of n vertices off the origin its ``Facet.inverse``, so smoothness and the
+    automorphism search read it and never invert or take a determinant again: ``inverse_columns`` is
+    called where the hull forms the inverses and where ``vertex_cones`` inverts a P built by ``hull``,
+    and no ``src/`` code calls ``det``."""
+    assert _callers("inverse_columns") == ["measures.vertex_cones", "polytope._ridge_inverses"]
+    assert _callers("det") == []
 
 
 def _benchmark_tracer():

@@ -390,20 +390,6 @@ def test_refuses_non_unimodular_anchor():
         polytope_automorphisms(hull([(0, 0), (2, 1), (1, 2)]))
 
 
-def test_anchor_inverse_read_off_the_hull(monkeypatch, corpus_file):
-    calls = []
-    inverse = symmetry.inverse_columns
-    monkeypatch.setattr(symmetry, "inverse_columns", lambda a: calls.append(a) or inverse(a))
-    reports = scan(corpus_file, ScanOptions(conjectures=True))
-    assert sum(r["is_smooth_fano"] for r in reports) == 12
-    assert calls == []
-    # a facet built without ``hull`` has no inverse: the anchor is inverted afresh, to the same group
-    q = fixtures.cx5()
-    bare = q._replace(facets=tuple(f._replace(inverse=None) for f in q.facets))
-    assert polytope_automorphisms(bare) == polytope_automorphisms(q)
-    assert len(calls) == 1
-
-
 def test_scan_forms_no_generator_matrix(monkeypatch, corpus_file):
     """The scan, the lct, alpha, the verdict and conj11 read the search's permutations only; a matrix
     is formed where ``generators`` is read."""
